@@ -1,16 +1,17 @@
 """Accelerator configuration: array size, storage, and access costs.
 
 Costs are relative energies per word access, normalized to one register-file
-access; absolute calibration is the caller's business (see the scale field on
-energy reports). The defaults describe a 256-PE spatial array with a four
-level storage hierarchy: per-PE register file, inter-PE network, global
-buffer, DRAM.
+access; absolute calibration is the caller's business. The defaults describe a
+256-PE spatial array with a four level storage hierarchy: per-PE register
+file, inter-PE network, global buffer, DRAM. Storage capacities are not part
+of the model: DRAM traffic is always the ideal unique volume.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 LEVELS = ("rf", "noc", "buf", "dram")
 
@@ -37,8 +38,6 @@ class EnergyTable:
 @dataclass(frozen=True)
 class ArchConfig:
     pe_count: int = 256
-    rf_bytes: int = 512
-    buffer_bytes: int = 131072
     word_bits: int = 16
     energy: EnergyTable = field(default_factory=EnergyTable)
     mac_energy: float = 1.0
@@ -48,37 +47,33 @@ class ArchConfig:
     def __post_init__(self):
         if self.pe_count < 1:
             raise ArchError(f"pe_count must be >= 1, got {self.pe_count}")
-        if self.rf_bytes < 0 or self.buffer_bytes < 0:
-            raise ArchError("storage sizes must be >= 0")
         if not 1 <= self.word_bits <= 64:
             raise ArchError(f"word_bits must be in [1, 64], got {self.word_bits}")
-        if self.mac_energy <= 0:
-            raise ArchError(f"mac_energy must be > 0, got {self.mac_energy}")
+        if not (math.isfinite(self.mac_energy) and self.mac_energy > 0):
+            raise ArchError(f"mac_energy must be finite and > 0, got {self.mac_energy}")
         if self.rs_channels_per_pe < 1 or self.nlr_lane_width < 1:
             raise ArchError("rs_channels_per_pe and nlr_lane_width must be >= 1")
         e = self.energy
         for level in LEVELS:
-            if e.cost(level) <= 0:
-                raise ArchError(f"energy cost for {level} must be > 0")
+            if not (math.isfinite(e.cost(level)) and e.cost(level) > 0):
+                raise ArchError(f"energy cost for {level} must be finite and > 0")
         if not e.rf <= e.noc <= e.buf <= e.dram:
             raise ArchError(
                 f"energy costs must be ordered rf <= noc <= buf <= dram, got "
                 f"({e.rf}, {e.noc}, {e.buf}, {e.dram})")
-
-    def effective_buffer_bytes(self, no_local_reuse: bool = False) -> int:
-        """Global buffer capacity; a no-local-reuse array folds the register
-        file area back into the buffer."""
-        if no_local_reuse:
-            return self.buffer_bytes + self.pe_count * self.rf_bytes
-        return self.buffer_bytes
 
 
 def default_arch() -> ArchConfig:
     return ArchConfig()
 
 
-_TOP_KEYS = {"pe_count", "rf_bytes", "buffer_bytes", "word_bits", "energy",
-             "mac_energy", "rs_channels_per_pe", "nlr_lane_width"}
+_TOP_KEYS = {f.name for f in fields(ArchConfig)}
+
+
+def _number(value, what: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ArchError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def parse_arch(text: str) -> ArchConfig:
@@ -93,45 +88,23 @@ def parse_arch(text: str) -> ArchConfig:
     if unknown:
         raise ArchError(f"unknown keys {sorted(unknown)}")
 
-    cfg = default_arch()
-    ints = {}
-    for key in ("pe_count", "rf_bytes", "buffer_bytes", "word_bits",
-                "rs_channels_per_pe", "nlr_lane_width"):
+    values = {}
+    for key in ("pe_count", "word_bits", "rs_channels_per_pe", "nlr_lane_width"):
         if key in doc:
             value = doc[key]
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ArchError(f"{key} must be an integer, got {value!r}")
-            ints[key] = value
-    floats = {}
+            values[key] = value
     if "mac_energy" in doc:
-        value = doc["mac_energy"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ArchError(f"mac_energy must be a number, got {value!r}")
-        floats["mac_energy"] = float(value)
+        values["mac_energy"] = _number(doc["mac_energy"], "mac_energy")
     if "energy" in doc:
         table = doc["energy"]
         if not isinstance(table, dict) or set(table) - set(LEVELS):
             raise ArchError(f"energy must be an object with keys among {LEVELS}")
-        costs = {}
-        for level in LEVELS:
-            if level in table:
-                value = table[level]
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ArchError(f"energy.{level} must be a number, got {value!r}")
-                costs[level] = float(value)
-        floats["energy"] = replace(cfg.energy, **costs)
-    return replace(cfg, **ints, **floats)
+        values["energy"] = EnergyTable(**{level: _number(table[level], f"energy.{level}")
+                                          for level in LEVELS if level in table})
+    return ArchConfig(**values)
 
 
 def serialize_arch(cfg: ArchConfig) -> str:
-    doc = {
-        "pe_count": cfg.pe_count,
-        "rf_bytes": cfg.rf_bytes,
-        "buffer_bytes": cfg.buffer_bytes,
-        "word_bits": cfg.word_bits,
-        "energy": {level: cfg.energy.cost(level) for level in LEVELS},
-        "mac_energy": cfg.mac_energy,
-        "rs_channels_per_pe": cfg.rs_channels_per_pe,
-        "nlr_lane_width": cfg.nlr_lane_width,
-    }
-    return json.dumps(doc, indent=2)
+    return json.dumps(asdict(cfg), indent=2)

@@ -10,24 +10,24 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
+from dataclasses import dataclass
 from typing import NoReturn
 
 import click
 import numpy as np
 
-from .archmodel import ArchConfig, ArchError, default_arch, parse_arch
-from .dataflow import DATA_TYPES, LEVELS, DataflowKind
+from .archmodel import LEVELS, ArchConfig, ArchError, default_arch, parse_arch
+from .dataflow import DATA_TYPES, DataflowKind
 from .energy import Modifiers, compare_dataflows, network_energy
 from .kernels import (MULT_METHODS, conv_direct, conv_fft, conv_im2col,
                       conv_winograd_f22_33, mult_count)
-from .netmodel import NetworkError, ResolvedNetwork, parse_network, resolve_shapes
+from .netmodel import (WEIGHTED_KINDS, NetworkError, ResolvedNetwork, parse_network,
+                       resolve_shapes)
 from .optkit import (MAX_VALUE, CodecError, compression_ratio, prune_network,
                      rle_decode, rle_encode, rle_pair_count, sparse_stats)
 from .stats import layer_stats, network_stats
 from .zoo import BUILTIN_NAMES, builtin
 
-FORMATS = ("table", "csv", "json")
 DATAFLOW_NAMES = tuple(k.value for k in DataflowKind)
 
 
@@ -90,12 +90,17 @@ def _load_arch(arch_path) -> ArchConfig:
         _fail(str(exc))
 
 
-def _modifiers(bits, density_in, density_w) -> Modifiers:
+def _checked(fn, *args, **kwargs):
+    """Call into the library; a value out of range is a data error."""
     try:
-        return Modifiers(density_in=density_in, density_w=density_w,
-                         bits_in=bits, bits_w=bits)
-    except ValueError as exc:
+        return fn(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
         _fail(str(exc))
+
+
+def _modifiers(bits, density_in, density_w) -> Modifiers:
+    return _checked(Modifiers, density_in=density_in, density_w=density_w,
+                    bits_in=bits, bits_w=bits)
 
 
 def _emit(text: str, out_path) -> None:
@@ -109,6 +114,19 @@ def _emit(text: str, out_path) -> None:
         _fail(str(exc))
 
 
+@dataclass(frozen=True)
+class _Report:
+    """One command's result in every output form: a titled table, CSV rows
+    (header row first) and a JSON object."""
+
+    title: str
+    headers: tuple[str, ...]
+    rows: list[tuple]
+    csv_rows: list[tuple]
+    json_obj: dict
+    footer: tuple[str, ...] = ()
+
+
 def _cell(value) -> str:
     if isinstance(value, int):
         return f"{value:,}"
@@ -117,10 +135,10 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render_table(headers, rows, title=None, footer=()) -> str:
-    cells = [[str(h) for h in headers]] + [[_cell(v) for v in row] for row in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
-    lines = [] if title is None else [title]
+def _render_table(report: _Report) -> str:
+    cells = [list(report.headers)] + [[_cell(v) for v in row] for row in report.rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(report.headers))]
+    lines = [report.title]
     for index, row in enumerate(cells):
         joined = "  ".join(
             row[i].ljust(widths[i]) if i == 0 else row[i].rjust(widths[i])
@@ -128,21 +146,28 @@ def _render_table(headers, rows, title=None, footer=()) -> str:
         lines.append(joined.rstrip())
         if index == 0:
             lines.append("  ".join("-" * w for w in widths))
-    lines.extend(footer)
+    lines.extend(report.footer)
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(headers, rows) -> str:
+def _render_csv(report: _Report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
+    for row in report.csv_rows:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     return buf.getvalue()
 
 
-def _render_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _render_json(report: _Report) -> str:
+    return json.dumps(report.json_obj, indent=2) + "\n"
+
+
+_RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
+FORMATS = tuple(_RENDERERS)
+
+
+def _emit_report(report: _Report, fmt: str, out_path) -> None:
+    _emit(_RENDERERS[fmt](report), out_path)
 
 
 @click.group()
@@ -158,38 +183,30 @@ def stats_cmd(builtin_name, net_path, batch, fmt, out_path):
     net = _load_network(builtin_name, net_path, batch)
     report = network_stats(net)
     headers = ("layer", "kind", "weights", "macs", "d_in", "d_w", "d_out")
-    rows = [(r.name, r.kind, r.weights, r.macs, r.di, r.dw, r.do)
-            for r in report.layers]
-    rows.append(("total", "", report.total_weights, report.total_macs,
-                 sum(r.di for r in report.layers),
-                 sum(r.dw for r in report.layers),
-                 sum(r.do for r in report.layers)))
-    if fmt == "json":
-        obj = {
-            "network": report.network,
-            "batch": report.batch,
-            "layers": [
-                {"layer": r.name, "kind": r.kind, "weights": r.weights,
-                 "macs": r.macs, "d_in": r.di, "d_w": r.dw, "d_out": r.do}
-                for r in report.layers
-            ],
-            "totals": {
-                "weights": report.total_weights,
-                "macs": report.total_macs,
-                "conv_layers": report.conv_layers,
-                "conv_weights": report.conv_weights,
-                "conv_macs": report.conv_macs,
-                "fc_layers": report.fc_layers,
-                "fc_weights": report.fc_weights,
-                "fc_macs": report.fc_macs,
-            },
-        }
-        _emit(_render_json(obj), out_path)
-    elif fmt == "csv":
-        _emit(_render_csv(headers, rows), out_path)
-    else:
-        title = f"{report.network}  batch {report.batch}"
-        _emit(_render_table(headers, rows, title=title), out_path)
+    layers = [(r.name, r.kind, r.weights, r.macs, r.di, r.dw, r.do)
+              for r in report.layers]
+    obj = {
+        "network": report.network,
+        "batch": report.batch,
+        "layers": [dict(zip(headers, row)) for row in layers],
+        "totals": {
+            "weights": report.total_weights,
+            "macs": report.total_macs,
+            "conv_layers": report.conv_layers,
+            "conv_weights": report.conv_weights,
+            "conv_macs": report.conv_macs,
+            "fc_layers": report.fc_layers,
+            "fc_weights": report.fc_weights,
+            "fc_macs": report.fc_macs,
+        },
+    }
+    rows = layers + [("total", "", report.total_weights, report.total_macs,
+                      sum(r.di for r in report.layers),
+                      sum(r.dw for r in report.layers),
+                      sum(r.do for r in report.layers))]
+    _emit_report(_Report(title=f"{report.network}  batch {report.batch}",
+                         headers=headers, rows=rows, csv_rows=[headers, *rows], json_obj=obj),
+                 fmt, out_path)
 
 
 @main.command("analyze")
@@ -204,46 +221,35 @@ def analyze_cmd(builtin_name, net_path, batch, arch_path, bits, density_in,
     net = _load_network(builtin_name, net_path, batch)
     arch = _load_arch(arch_path)
     mods = _modifiers(bits, density_in, density_w)
-    try:
-        reports, agg = network_energy(net, DataflowKind(dataflow), arch, mods)
-    except (ValueError, OverflowError) as exc:
-        _fail(str(exc))
+    reports, agg = _checked(network_energy, net, DataflowKind(dataflow), arch, mods)
     everything = reports + [agg]
-    if fmt == "json":
-        obj = {
-            "network": net.name,
-            "batch": net.batch,
-            "dataflow": dataflow,
-            "layers": [
-                {"layer": rep.layer, "movement": rep.movement,
-                 "by_type": rep.by_type, "by_level": rep.by_level,
-                 "compute": rep.compute, "total": rep.total}
-                for rep in reports
-            ],
-            "total": {"movement": agg.movement, "by_type": agg.by_type,
-                      "by_level": agg.by_level, "compute": agg.compute,
-                      "total": agg.total},
-        }
-        _emit(_render_json(obj), out_path)
-    elif fmt == "csv":
-        headers = ("layer", "dataflow", "type", "level", "energy")
-        rows = []
-        for rep in everything:
-            for dtype in DATA_TYPES:
-                for level in LEVELS:
-                    rows.append((rep.layer, rep.dataflow, dtype, level,
-                                 rep.movement[dtype][level]))
-            rows.append((rep.layer, rep.dataflow, "compute", "mac", rep.compute))
-        _emit(_render_csv(headers, rows), out_path)
-    else:
-        headers = ("layer", "input", "weight", "psum", "compute", "total")
-        rows = [(rep.layer, rep.by_type["input"], rep.by_type["weight"],
-                 rep.by_type["psum"], rep.compute, rep.total)
-                for rep in everything]
-        title = f"{net.name}  batch {net.batch}  dataflow {dataflow}"
-        levels = "  ".join(f"{lv} {_cell(agg.by_level[lv])}" for lv in LEVELS)
-        _emit(_render_table(headers, rows, title=title,
-                            footer=(f"movement by level: {levels}",)), out_path)
+
+    def priced(rep):
+        return {"movement": rep.movement, "by_type": rep.by_type,
+                "by_level": rep.by_level, "compute": rep.compute, "total": rep.total}
+
+    obj = {
+        "network": net.name,
+        "batch": net.batch,
+        "dataflow": dataflow,
+        "layers": [{"layer": rep.layer, **priced(rep)} for rep in reports],
+        "total": priced(agg),
+    }
+    # long form: one row per (layer, data type, level) and one compute row
+    long_rows = [("layer", "dataflow", "type", "level", "energy")]
+    for rep in everything:
+        long_rows += [(rep.layer, rep.dataflow, dtype, level, rep.movement[dtype][level])
+                      for dtype in DATA_TYPES for level in LEVELS]
+        long_rows.append((rep.layer, rep.dataflow, "compute", "mac", rep.compute))
+    rows = [(rep.layer, rep.by_type["input"], rep.by_type["weight"],
+             rep.by_type["psum"], rep.compute, rep.total)
+            for rep in everything]
+    levels = "  ".join(f"{lv} {_cell(agg.by_level[lv])}" for lv in LEVELS)
+    _emit_report(_Report(title=f"{net.name}  batch {net.batch}  dataflow {dataflow}",
+                         headers=("layer", "input", "weight", "psum", "compute", "total"),
+                         rows=rows, csv_rows=long_rows, json_obj=obj,
+                         footer=(f"movement by level: {levels}",)),
+                 fmt, out_path)
 
 
 @main.command("compare")
@@ -256,37 +262,27 @@ def compare_cmd(builtin_name, net_path, batch, arch_path, bits, density_in,
     net = _load_network(builtin_name, net_path, batch)
     arch = _load_arch(arch_path)
     mods = _modifiers(bits, density_in, density_w)
-    try:
-        report = compare_dataflows(net, arch, mods)
-    except (ValueError, OverflowError) as exc:
-        _fail(str(exc))
-    if fmt == "json":
-        obj = {
-            "network": report.network,
-            "batch": report.batch,
-            "winner": report.winner,
-            "conv_winner": report.conv_winner,
-            "entries": [
-                {"dataflow": e.kind, "total": e.total, "ratio": e.ratio,
-                 "conv_total": e.conv_total, "conv_ratio": e.conv_ratio,
-                 "compute": e.compute, "by_type": e.by_type,
-                 "by_level": e.by_level}
-                for e in report.entries
-            ],
-        }
-        _emit(_render_json(obj), out_path)
-    elif fmt == "csv":
-        headers = ("dataflow", "total", "ratio", "conv_total", "conv_ratio")
-        rows = [(e.kind, e.total, e.ratio, e.conv_total, e.conv_ratio)
-                for e in report.entries]
-        _emit(_render_csv(headers, rows), out_path)
-    else:
-        headers = ("dataflow", "total", "ratio", "conv_total", "conv_ratio")
-        rows = [(e.kind, e.total, f"{e.ratio:.3f}", e.conv_total,
-                 f"{e.conv_ratio:.3f}") for e in report.entries]
-        title = f"{report.network}  batch {report.batch}"
-        footer = (f"winner {report.winner}  conv winner {report.conv_winner}",)
-        _emit(_render_table(headers, rows, title=title, footer=footer), out_path)
+    report = _checked(compare_dataflows, net, arch, mods)
+    headers = ("dataflow", "total", "ratio", "conv_total", "conv_ratio")
+    entries = [(e.kind, e.total, e.ratio, e.conv_total, e.conv_ratio)
+               for e in report.entries]
+    obj = {
+        "network": report.network,
+        "batch": report.batch,
+        "winner": report.winner,
+        "conv_winner": report.conv_winner,
+        "entries": [
+            {**dict(zip(headers, row)), "compute": e.compute,
+             "by_type": e.by_type, "by_level": e.by_level}
+            for row, e in zip(entries, report.entries)
+        ],
+    }
+    rows = [(kind, total, f"{ratio:.3f}", conv_total, f"{conv_ratio:.3f}")
+            for kind, total, ratio, conv_total, conv_ratio in entries]
+    _emit_report(_Report(title=f"{report.network}  batch {report.batch}",
+                         headers=headers, rows=rows, csv_rows=[headers, *entries], json_obj=obj,
+                         footer=(f"winner {report.winner}  conv winner {report.conv_winner}",)),
+                 fmt, out_path)
 
 
 @main.group("kernels")
@@ -347,11 +343,8 @@ def kernels_verify_cmd(trials, size, seed):
               help="Square matrix extent (strassen only).")
 def kernels_count_cmd(method, out_size, filter_size, matrix_size):
     """Scalar multiplication count of one method at one problem size."""
-    try:
-        mc = mult_count(method, out_size=out_size, filter_size=filter_size,
-                        matrix_size=matrix_size)
-    except ValueError as exc:
-        _fail(str(exc))
+    mc = _checked(mult_count, method, out_size=out_size, filter_size=filter_size,
+                  matrix_size=matrix_size)
     params = "  ".join(f"{k} {v}" for k, v in mc.params.items())
     click.echo(f"{mc.method}: {mc.count} multiplications  ({params})")
     if mc.method in ("fft", "winograd"):
@@ -437,7 +430,7 @@ def prune_cmd(builtin_name, net_path, batch, fraction, order, arch_path, seed,
               fmt, out_path):
     """Prune synthetic weights for a network and report layer densities."""
     net = _load_network(builtin_name, net_path, batch)
-    weighted = [layer for layer in net.layers if layer.kind in ("conv", "fc")]
+    weighted = [layer for layer in net.layers if layer.kind in WEIGHTED_KINDS]
     if not weighted:
         _fail(f"network {net.name!r} has no weighted layers")
     rng = np.random.default_rng(seed)
@@ -446,16 +439,10 @@ def prune_cmd(builtin_name, net_path, batch, fraction, order, arch_path, seed,
     ranking = None
     if order == "energy":
         arch = _load_arch(arch_path)
-        try:
-            reports, _ = network_energy(net, DataflowKind.RS, arch, Modifiers())
-        except (ValueError, OverflowError) as exc:
-            _fail(str(exc))
+        reports, _ = _checked(network_energy, net, DataflowKind.RS, arch, Modifiers())
         ranking = {rep.layer: rep.total / weights[rep.layer].size
                    for rep in reports}
-    try:
-        pruned = prune_network(weights, fraction, order=ranking)
-    except ValueError as exc:
-        _fail(str(exc))
+    pruned = _checked(prune_network, weights, fraction, order=ranking)
 
     entries = []
     for layer in weighted:
@@ -467,28 +454,21 @@ def prune_cmd(builtin_name, net_path, batch, fraction, order, arch_path, seed,
     totals = ("total", total_size, total_kept, total_kept / total_size)
 
     headers = ("layer", "weights", "kept", "density")
-    if fmt == "json":
-        obj = {
-            "network": net.name,
-            "fraction": fraction,
-            "order": order,
-            "seed": seed,
-            "layers": [
-                {"layer": name, "weights": size, "kept": kept, "density": dens}
-                for name, size, kept, dens in entries
-            ],
-            "total": {"weights": total_size, "kept": total_kept,
-                      "density": total_kept / total_size},
-        }
-        _emit(_render_json(obj), out_path)
-    elif fmt == "csv":
-        _emit(_render_csv(headers, entries + [totals]), out_path)
-    else:
-        rows = [(name, size, kept, f"{dens:.3f}")
-                for name, size, kept, dens in entries + [totals]]
-        title = (f"{net.name}  fraction {fraction}  order {order}  "
-                 f"seed {seed}")
-        _emit(_render_table(headers, rows, title=title), out_path)
+    obj = {
+        "network": net.name,
+        "fraction": fraction,
+        "order": order,
+        "seed": seed,
+        "layers": [dict(zip(headers, entry)) for entry in entries],
+        "total": dict(zip(headers[1:], totals[1:])),
+    }
+    rows = entries + [totals]
+    _emit_report(_Report(title=f"{net.name}  fraction {fraction}  order {order}  seed {seed}",
+                         headers=headers,
+                         rows=[(name, size, kept, f"{dens:.3f}")
+                               for name, size, kept, dens in rows],
+                         csv_rows=[headers, *rows], json_obj=obj),
+                 fmt, out_path)
 
 
 if __name__ == "__main__":

@@ -41,12 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .archmodel import ArchConfig
-from .netmodel import ResolvedLayer
+from .archmodel import LEVELS, ArchConfig
+from .netmodel import WEIGHTED_KINDS, ResolvedLayer
 from .stats import layer_stats
 
 DATA_TYPES = ("input", "weight", "psum")
-LEVELS = ("rf", "noc", "buf", "dram")
 
 COUNT_LIMIT = 2**63 - 1
 
@@ -92,7 +91,7 @@ def _ceildiv(a: int, b: int) -> int:
 
 
 def _weighted(layer: ResolvedLayer):
-    if layer.kind not in ("conv", "fc"):
+    if layer.kind not in WEIGHTED_KINDS:
         raise ValueError(
             f"layer {layer.name!r}: access counts are defined for conv and fc "
             f"layers only, not {layer.kind!r}")

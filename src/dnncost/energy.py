@@ -7,19 +7,16 @@ two operand bitwidths and linearly with the product of the operand densities
 (a zero operand gates the MAC); sparsity does not modify movement here, which
 keeps the movement side a strict upper bound for compressed traffic.
 
-Reports are in relative units (register-file access = 1). The ``scale`` field
-is a free calibration factor for users who know their per-access picojoules;
-it multiplies nothing internally and simply travels with the report.
+Reports are in relative units (register-file access = 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .archmodel import ArchConfig
-from .dataflow import (DATA_TYPES, LEVELS, AccessCounts, DataflowKind,
-                       layer_access_counts)
-from .netmodel import ResolvedNetwork
+from .archmodel import LEVELS, ArchConfig
+from .dataflow import DATA_TYPES, AccessCounts, DataflowKind, layer_access_counts
+from .netmodel import WEIGHTED_KINDS, ResolvedNetwork
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,6 @@ class EnergyReport:
     movement: dict[str, dict[str, float]]
     compute: float
     total_macs: int
-    scale: float = 1.0
 
     @property
     def by_type(self) -> dict[str, float]:
@@ -119,7 +115,7 @@ def network_energy(net: ResolvedNetwork, kind: DataflowKind, arch: ArchConfig,
     kind = DataflowKind(kind)
     reports = [
         layer_energy(layer_access_counts(kind, layer, arch, net.batch), arch, mods)
-        for layer in net.layers if layer.kind in ("conv", "fc")
+        for layer in net.layers if layer.kind in WEIGHTED_KINDS
     ]
     return reports, _aggregate(reports, "total", kind.value)
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .netmodel import out_extent
+
 _WG_G = np.array([[1.0, 0.0, 0.0],
                   [0.5, 0.5, 0.5],
                   [0.5, -0.5, 0.5],
@@ -51,14 +53,6 @@ def _check_operands(x, w):
     return x, w
 
 
-def _out_extent(extent, kernel, stride, pad):
-    out = (extent - kernel + 2 * pad) // stride + 1
-    if out < 1:
-        raise ValueError(
-            f"kernel {kernel} does not fit padded extent {extent + 2 * pad}")
-    return out
-
-
 def _pad(x, pad):
     if pad == 0:
         return x
@@ -75,8 +69,8 @@ def conv_direct(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
         raise ValueError("stride must be >= 1 and pad >= 0")
     c, h, wd = x.shape
     m, _, r, s = w.shape
-    e = _out_extent(h, r, stride, pad)
-    f = _out_extent(wd, s, stride, pad)
+    e = out_extent(h, r, stride, pad)
+    f = out_extent(wd, s, stride, pad)
     xp = _pad(x, pad)
     flat = w.reshape(m, -1)
     out = np.empty((m, e, f))
@@ -95,8 +89,8 @@ def im2col_matrix(x, kernel: tuple[int, int], stride: int = 1, pad: int = 0) -> 
         raise ValueError(f"input must be C x H x W, got shape {x.shape}")
     r, s = kernel
     c, h, wd = x.shape
-    e = _out_extent(h, r, stride, pad)
-    f = _out_extent(wd, s, stride, pad)
+    e = out_extent(h, r, stride, pad)
+    f = out_extent(wd, s, stride, pad)
     xp = _pad(x, pad)
     cols = np.empty((c * r * s, e * f))
     for ei in range(e):
@@ -112,8 +106,8 @@ def conv_im2col(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
     m, _, r, s = w.shape
     cols = im2col_matrix(x, (r, s), stride, pad)
     c, h, wd = x.shape
-    e = _out_extent(h, r, stride, pad)
-    f = _out_extent(wd, s, stride, pad)
+    e = out_extent(h, r, stride, pad)
+    f = out_extent(wd, s, stride, pad)
     return (w.reshape(m, -1) @ cols).reshape(m, e, f)
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 LAYER_KINDS = ("conv", "fc", "pool", "act", "concat", "add")
 
-# pseudo- and auxiliary layers that carry no weights and no MACs
-ZERO_COST_KINDS = ("pool", "act", "concat", "add")
+# the kinds that carry weights and MACs; every other kind is zero cost
+WEIGHTED_KINDS = ("conv", "fc")
 
 
 class NetworkError(ValueError):
@@ -82,7 +82,7 @@ class LayerSpec:
             raise NetworkSemanticError(f"layer {self.name!r}: pad must be >= 0, got {self.pad}")
         if self.groups < 1:
             raise NetworkSemanticError(f"layer {self.name!r}: groups must be >= 1, got {self.groups}")
-        if self.kind in ("conv", "fc") and self.out_channels < 1:
+        if self.kind in WEIGHTED_KINDS and self.out_channels < 1:
             raise NetworkSemanticError(f"layer {self.name!r}: out_channels must be >= 1")
         if self.connections is not None:
             if self.kind != "conv":
@@ -189,17 +189,11 @@ def _parse_layer(doc, index, seen):
         feeds = doc["inputs"]
         if not isinstance(feeds, list) or len(feeds) < 2:
             raise NetworkSemanticError(f"{where}: inputs must list at least two layers")
-        for feed in feeds:
-            if feed not in seen:
-                raise NetworkSemanticError(f"{where}: input {feed!r} does not name an earlier layer")
-        return LayerSpec(kind=kind, name=name, inputs=tuple(feeds))
-
-    inputs = ()
-    if "input" in doc:
-        feed = doc["input"]
-        if feed not in seen:
+    else:
+        feeds = [doc["input"]] if "input" in doc else []
+    for feed in feeds:
+        if not isinstance(feed, str) or feed not in seen:
             raise NetworkSemanticError(f"{where}: input {feed!r} does not name an earlier layer")
-        inputs = (feed,)
 
     kernel = (1, 1)
     if "kernel" in doc:
@@ -208,31 +202,17 @@ def _parse_layer(doc, index, seen):
             raise NetworkSemanticError(f"{where}: kernel must be a [height, width] pair")
         kernel = (_require_int(raw[0], f"{where}: kernel height", 1),
                   _require_int(raw[1], f"{where}: kernel width", 1))
-
-    stride = _require_int(doc.get("stride", 1), f"{where}: stride", 1)
-    pad = _require_int(doc.get("pad", 0), f"{where}: pad", 0)
-    groups = _require_int(doc.get("groups", 1), f"{where}: groups", 1)
+    # _ALLOWED has rejected every key that does not belong to this kind, so
+    # the LayerSpec defaults stand in for the absent ones
+    ints = {key: _require_int(doc[key], f"{where}: {key}", minimum)
+            for key, minimum in (("stride", 1), ("pad", 0), ("groups", 1),
+                                 ("out_channels", 1), ("connections", 1))
+            if key in doc}
     bias = doc.get("bias", True)
     if not isinstance(bias, bool):
         raise NetworkSemanticError(f"{where}: bias must be a boolean")
-    out_channels = 0
-    if kind in ("conv", "fc"):
-        out_channels = _require_int(doc["out_channels"], f"{where}: out_channels", 1)
-    connections = None
-    if "connections" in doc:
-        connections = _require_int(doc["connections"], f"{where}: connections", 1)
-
-    if kind == "fc":
-        return LayerSpec(kind="fc", name=name, out_channels=out_channels,
-                         bias=bias, inputs=inputs)
-    if kind == "pool":
-        return LayerSpec(kind="pool", name=name, kernel=kernel, stride=stride,
-                         pad=pad, inputs=inputs)
-    if kind == "act":
-        return LayerSpec(kind="act", name=name, inputs=inputs)
-    return LayerSpec(kind="conv", name=name, out_channels=out_channels,
-                     kernel=kernel, stride=stride, pad=pad, groups=groups,
-                     bias=bias, connections=connections, inputs=inputs)
+    return LayerSpec(kind=kind, name=name, kernel=kernel, bias=bias,
+                     inputs=tuple(feeds), **ints)
 
 
 def parse_network(text: str) -> NetworkSpec:
@@ -306,110 +286,64 @@ def serialize_network(net: NetworkSpec) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _out_extent(extent, kernel, stride, pad, spec):
+def out_extent(extent: int, kernel: int, stride: int, pad: int, where: str = "") -> int:
+    """Output extent E = floor((H - R + 2 * pad) / stride) + 1 of one
+    spatial dimension; ``where`` prefixes the error message."""
     out = (extent - kernel + 2 * pad) // stride + 1
     if out < 1:
-        raise ShapeError(
-            f"layer {spec.name!r}: kernel {spec.kernel} does not fit input extent "
-            f"{extent} with stride {spec.stride}, pad {spec.pad}")
+        raise ShapeError(f"{where}kernel {kernel} does not fit input extent {extent} "
+                         f"with stride {stride}, pad {pad}")
     return out
 
 
 def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
     """Propagate shapes through the layer list.
 
-    Output extents follow E = floor((H - R + 2 * pad) / stride) + 1 per
-    spatial dimension. Raises ShapeError when a kernel does not fit or a
-    channel count does not divide by the group count.
+    Output extents follow ``out_extent`` per spatial dimension. Raises
+    ShapeError when a kernel does not fit or a channel count does not divide
+    by the group count.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     out_shapes: dict[str, tuple[int, int, int]] = {}
     resolved = []
-    prev: str | None = None
+    prev: tuple[str, ...] = ()
     for spec in net.layers:
-        if spec.inputs:
-            feed_names = spec.inputs
-        elif prev is None:
-            feed_names = ()
-        else:
-            feed_names = (prev,)
-        if feed_names:
-            feeds = [out_shapes[nm] for nm in feed_names]
-        else:
-            feeds = [(net.in_channels, net.in_height, net.in_width)]
-
+        feed_names = spec.inputs or prev
+        feeds = ([out_shapes[nm] for nm in feed_names]
+                 or [(net.in_channels, net.in_height, net.in_width)])
+        c, h, w = feeds[0]
+        where = f"layer {spec.name!r}: "
+        # act, add and concat preserve the spatial shape and have no kernel
+        m, e, f, kernel, stride, pad, groups, bias = c, h, w, (1, 1), 1, 0, 1, False
         if spec.kind == "concat":
-            heights = {hw for _, hw, _ in feeds}
-            widths = {w for _, _, w in feeds}
-            if len(heights) != 1 or len(widths) != 1:
-                raise ShapeError(f"layer {spec.name!r}: concat feeds disagree on spatial size")
-            c = sum(ch for ch, _, _ in feeds)
-            h, w = feeds[0][1], feeds[0][2]
-            layer = ResolvedLayer(kind="concat", name=spec.name, in_channels=c,
-                                  in_height=h, in_width=w, out_channels=c,
-                                  out_height=h, out_width=w, kernel=(1, 1),
-                                  stride=1, pad=0, groups=1, bias=False,
-                                  connections=None, inputs=feed_names)
+            if len({(fh, fw) for _, fh, fw in feeds}) != 1:
+                raise ShapeError(f"{where}concat feeds disagree on spatial size")
+            c = m = sum(ch for ch, _, _ in feeds)
         elif spec.kind == "add":
             if len(set(feeds)) != 1:
-                raise ShapeError(f"layer {spec.name!r}: add feeds disagree on shape")
-            c, h, w = feeds[0]
-            layer = ResolvedLayer(kind="add", name=spec.name, in_channels=c,
-                                  in_height=h, in_width=w, out_channels=c,
-                                  out_height=h, out_width=w, kernel=(1, 1),
-                                  stride=1, pad=0, groups=1, bias=False,
-                                  connections=None, inputs=feed_names)
-        else:
-            c, h, w = feeds[0]
+                raise ShapeError(f"{where}add feeds disagree on shape")
+        elif spec.kind == "fc":
+            m, e, f, kernel, bias = spec.out_channels, 1, 1, (h, w), spec.bias
+        elif spec.kind in ("conv", "pool"):
             if spec.kind == "conv":
-                if c % spec.groups or spec.out_channels % spec.groups:
+                m, groups, bias = spec.out_channels, spec.groups, spec.bias
+                if c % groups or m % groups:
                     raise ShapeError(
-                        f"layer {spec.name!r}: channels {c} -> {spec.out_channels} "
-                        f"not divisible by groups {spec.groups}")
-                r, s = spec.kernel
-                e = _out_extent(h, r, spec.stride, spec.pad, spec)
-                f = _out_extent(w, s, spec.stride, spec.pad, spec)
-                dense = spec.out_channels * (c // spec.groups)
-                if spec.connections is not None and spec.connections > dense:
-                    raise ShapeError(
-                        f"layer {spec.name!r}: connections {spec.connections} exceeds "
-                        f"dense wiring {dense}")
-                layer = ResolvedLayer(kind="conv", name=spec.name, in_channels=c,
-                                      in_height=h, in_width=w,
-                                      out_channels=spec.out_channels,
-                                      out_height=e, out_width=f, kernel=(r, s),
-                                      stride=spec.stride, pad=spec.pad,
-                                      groups=spec.groups, bias=spec.bias,
-                                      connections=spec.connections,
-                                      inputs=feed_names)
-            elif spec.kind == "fc":
-                layer = ResolvedLayer(kind="fc", name=spec.name, in_channels=c,
-                                      in_height=h, in_width=w,
-                                      out_channels=spec.out_channels,
-                                      out_height=1, out_width=1, kernel=(h, w),
-                                      stride=1, pad=0, groups=1, bias=spec.bias,
-                                      connections=None, inputs=feed_names)
-            elif spec.kind == "pool":
-                r, s = spec.kernel
-                e = _out_extent(h, r, spec.stride, spec.pad, spec)
-                f = _out_extent(w, s, spec.stride, spec.pad, spec)
-                layer = ResolvedLayer(kind="pool", name=spec.name, in_channels=c,
-                                      in_height=h, in_width=w, out_channels=c,
-                                      out_height=e, out_width=f, kernel=(r, s),
-                                      stride=spec.stride, pad=spec.pad, groups=1,
-                                      bias=False, connections=None,
-                                      inputs=feed_names)
-            else:  # act
-                layer = ResolvedLayer(kind="act", name=spec.name, in_channels=c,
-                                      in_height=h, in_width=w, out_channels=c,
-                                      out_height=h, out_width=w, kernel=(1, 1),
-                                      stride=1, pad=0, groups=1, bias=False,
-                                      connections=None, inputs=feed_names)
-
-        out_shapes[spec.name] = (layer.out_channels, layer.out_height, layer.out_width)
-        resolved.append(layer)
-        prev = spec.name
+                        f"{where}channels {c} -> {m} not divisible by groups {groups}")
+            kernel, stride, pad = spec.kernel, spec.stride, spec.pad
+            e = out_extent(h, kernel[0], stride, pad, where)
+            f = out_extent(w, kernel[1], stride, pad, where)
+            if spec.connections is not None and spec.connections > m * (c // groups):
+                raise ShapeError(f"{where}connections {spec.connections} exceeds "
+                                 f"dense wiring {m * (c // groups)}")
+        resolved.append(ResolvedLayer(
+            kind=spec.kind, name=spec.name, in_channels=c, in_height=h, in_width=w,
+            out_channels=m, out_height=e, out_width=f, kernel=kernel, stride=stride,
+            pad=pad, groups=groups, bias=bias, connections=spec.connections,
+            inputs=feed_names))
+        out_shapes[spec.name] = (m, e, f)
+        prev = (spec.name,)
     return ResolvedNetwork(name=net.name, batch=batch, in_channels=net.in_channels,
                            in_height=net.in_height, in_width=net.in_width,
                            layers=tuple(resolved))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netmodel import ResolvedLayer, ResolvedNetwork
+from .netmodel import WEIGHTED_KINDS, ResolvedLayer, ResolvedNetwork
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def layer_stats(layer: ResolvedLayer, batch: int = 1) -> LayerStats:
         raise ValueError(f"batch must be >= 1, got {batch}")
     di = batch * layer.in_channels * layer.in_height * layer.in_width
     do = batch * layer.out_channels * layer.out_height * layer.out_width
-    if layer.kind in ("conv", "fc"):
+    if layer.kind in WEIGHTED_KINDS:
         r, s = layer.kernel
         dw = wired_pairs(layer) * r * s
         weights = dw + (layer.out_channels if layer.bias else 0)
@@ -87,7 +87,7 @@ def network_stats(net: ResolvedNetwork) -> NetworkStats:
     zero cost and would only pad the report.
     """
     rows = tuple(layer_stats(layer, net.batch) for layer in net.layers
-                 if layer.kind in ("conv", "fc"))
+                 if layer.kind in WEIGHTED_KINDS)
     conv = [r for r in rows if r.kind == "conv"]
     fc = [r for r in rows if r.kind == "fc"]
     return NetworkStats(

@@ -3,16 +3,16 @@
 import json
 
 import pytest
+from click.testing import CliRunner
 
 import dnncost as dc
 from dnncost.archmodel import ArchError
+from dnncost.cli import main
 
 
 class TestDefaults:
     def test_default_values(self, arch):
         assert arch.pe_count == 256
-        assert arch.rf_bytes == 512
-        assert arch.buffer_bytes == 131_072
         assert arch.word_bits == 16
         assert arch.mac_energy == 1.0
         assert arch.rs_channels_per_pe == 4
@@ -24,11 +24,6 @@ class TestDefaults:
             == [1, 2, 6, 200]
         with pytest.raises(ArchError):
             arch.energy.cost("l2")
-
-    def test_effective_buffer(self, arch):
-        assert arch.effective_buffer_bytes() == 131_072
-        assert arch.effective_buffer_bytes(no_local_reuse=True) \
-            == 131_072 + 256 * 512
 
 
 class TestValidation:
@@ -80,3 +75,22 @@ class TestParse:
                                energy=dc.EnergyTable(1, 3, 7, 150),
                                nlr_lane_width=8)
         assert dc.parse_arch(dc.serialize_arch(custom)) == custom
+
+    @pytest.mark.parametrize("text", [
+        '{"energy": {"dram": Infinity}}',
+        '{"energy": {"rf": NaN}}',
+        '{"energy": {"noc": -Infinity}}',
+        '{"mac_energy": NaN}',
+        '{"mac_energy": Infinity}',
+    ])
+    def test_non_finite_costs_rejected(self, text, tmp_path):
+        with pytest.raises(ArchError, match="finite"):
+            dc.parse_arch(text)
+        path = tmp_path / "arch.json"
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["compare", "--builtin", "alexnet",
+                                           "--arch", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "finite" in result.stderr

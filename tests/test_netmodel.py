@@ -3,10 +3,12 @@
 import json
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnncost as dc
+from dnncost.cli import main
 from dnncost.netmodel import (NetworkError, NetworkSemanticError,
                               NetworkSyntaxError, ShapeError)
 
@@ -76,6 +78,23 @@ class TestParse:
     def test_input_must_name_earlier_layer(self):
         with pytest.raises(NetworkSemanticError, match="later"):
             dc.parse_network(doc([conv("a", input="later"), conv("later")]))
+
+    @pytest.mark.parametrize("bad", [
+        conv("b", input=[]),
+        conv("b", input={}),
+        conv("b", input=["a"]),
+        {"type": "concat", "name": "b", "inputs": ["a", ["a"]]},
+        {"type": "add", "name": "b", "inputs": [{}, "a"]},
+    ])
+    def test_non_string_feed_names_the_layer(self, bad, tmp_path):
+        text = doc([conv("a"), bad])
+        with pytest.raises(NetworkSemanticError, match="'b'.*does not name"):
+            dc.parse_network(text)
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["stats", "--net", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: layer 1 ('b'): input ")
 
     def test_concat_needs_two_feeds(self):
         layers = [conv("a"), {"type": "concat", "name": "m", "inputs": ["a"]}]
