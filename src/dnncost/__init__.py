@@ -16,8 +16,8 @@ from .energy import (ComparisonReport, DataflowComparison, EnergyReport,
                      Modifiers, compare_dataflows, layer_energy,
                      network_energy)
 from .kernels import (MultCount, conv_direct, conv_fft, conv_im2col,
-                      conv_winograd_f22_33, fft_radix2, im2col_matrix,
-                      mult_count, next_pow2)
+                      conv_winograd_f22_33, im2col_matrix, mult_count,
+                      next_pow2)
 from .netmodel import (LayerSpec, NetworkError, NetworkSemanticError,
                        NetworkSpec, NetworkSyntaxError, ResolvedLayer,
                        ResolvedNetwork, ShapeError, parse_network,
@@ -39,8 +39,7 @@ __all__ = [
     "ComparisonReport", "DataflowComparison", "EnergyReport", "Modifiers",
     "compare_dataflows", "layer_energy", "network_energy",
     "MultCount", "conv_direct", "conv_fft", "conv_im2col",
-    "conv_winograd_f22_33", "fft_radix2", "im2col_matrix", "mult_count",
-    "next_pow2",
+    "conv_winograd_f22_33", "im2col_matrix", "mult_count", "next_pow2",
     "LayerSpec", "NetworkError", "NetworkSemanticError", "NetworkSpec",
     "NetworkSyntaxError", "ResolvedLayer", "ResolvedNetwork", "ShapeError",
     "parse_network", "resolve_shapes", "serialize_network",

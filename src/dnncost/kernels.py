@@ -7,7 +7,7 @@ cross-correlation over a C x H x W input and an M x C x R x S filter bank:
 * ``conv_im2col``          lowering to one matrix multiply
 * ``conv_winograd_f22_33`` minimal filtering for 3x3 kernels, 2x2 output
                            tiles, interpolation points {0, 1, -1}
-* ``conv_fft``             pointwise product of radix-2 Fourier transforms
+* ``conv_fft``             pointwise product of real Fourier transforms
 
 Equivalence is exact in exact arithmetic; float64 keeps the routes within
 1e-6 relative of each other for well-scaled inputs. ``mult_count`` estimates
@@ -152,47 +152,6 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.intp)
-    for i in range(1, n):
-        rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << (bits - 1))
-    return rev
-
-
-def fft_radix2(a, inverse: bool = False) -> np.ndarray:
-    """Iterative radix-2 Cooley-Tukey transform along the last axis.
-
-    The length of the last axis must be a power of two. The inverse applies
-    the 1/n normalization.
-    """
-    a = np.array(a, dtype=complex)
-    n = a.shape[-1]
-    if n & (n - 1):
-        raise ValueError(f"transform length must be a power of two, got {n}")
-    if n == 1:
-        return a
-    a = a[..., _bit_reverse_indices(n)]
-    sign = 1.0 if inverse else -1.0
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(sign * 2j * np.pi * np.arange(half) / size)
-        blocks = a.reshape(*a.shape[:-1], n // size, size)
-        even = blocks[..., :half]
-        odd = blocks[..., half:] * twiddle
-        a = np.concatenate((even + odd, even - odd), axis=-1).reshape(a.shape)
-        size *= 2
-    if inverse:
-        a /= n
-    return a
-
-
-def _fft2(a, inverse: bool = False) -> np.ndarray:
-    a = fft_radix2(a, inverse)
-    return fft_radix2(a.swapaxes(-1, -2), inverse).swapaxes(-1, -2)
-
-
 def conv_fft(x, w) -> np.ndarray:
     """The cross-correlation by pointwise product in the frequency domain.
 
@@ -210,16 +169,11 @@ def conv_fft(x, w) -> np.ndarray:
     nh = next_pow2(h + r - 1)
     nw = next_pow2(wd + s - 1)
 
-    xp = np.zeros((c, nh, nw), dtype=complex)
-    xp[:, :h, :wd] = x
+    fx = np.fft.rfft2(x, (nh, nw))
     # cross-correlation = convolution with the spatially flipped filter
-    wp = np.zeros((m, c, nh, nw), dtype=complex)
-    wp[:, :, :r, :s] = w[:, :, ::-1, ::-1]
-
-    fx = _fft2(xp)
-    fw = _fft2(wp)
+    fw = np.fft.rfft2(w[:, :, ::-1, ::-1], (nh, nw))
     prod = np.einsum("cij,mcij->mij", fx, fw)
-    full = _fft2(prod, inverse=True).real
+    full = np.fft.irfft2(prod, (nh, nw))
     return full[:, r - 1:r - 1 + e, s - 1:s - 1 + f]
 
 

@@ -24,12 +24,24 @@ module is safe for concurrent use.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 LAYER_KINDS = ("conv", "fc", "pool", "act", "concat", "add")
 
 # the kinds that carry weights and MACs; every other kind is zero cost
 WEIGHTED_KINDS = ("conv", "fc")
+
+
+# the LayerSpec fields each kind reads besides kind, name and inputs; a spec
+# must leave every other field at its default
+_FIELDS = {
+    "conv": {"out_channels", "kernel", "stride", "pad", "groups", "bias", "connections"},
+    "fc": {"out_channels", "bias"},
+    "pool": {"kernel", "stride", "pad"},
+    "act": set(),
+    "concat": set(),
+    "add": set(),
+}
 
 
 class NetworkError(ValueError):
@@ -84,11 +96,18 @@ class LayerSpec:
             raise NetworkSemanticError(f"layer {self.name!r}: groups must be >= 1, got {self.groups}")
         if self.kind in WEIGHTED_KINDS and self.out_channels < 1:
             raise NetworkSemanticError(f"layer {self.name!r}: out_channels must be >= 1")
-        if self.connections is not None:
-            if self.kind != "conv":
-                raise NetworkSemanticError(f"layer {self.name!r}: connections only applies to conv layers")
-            if self.connections < 1:
-                raise NetworkSemanticError(f"layer {self.name!r}: connections must be >= 1")
+        if self.connections is not None and self.connections < 1:
+            raise NetworkSemanticError(f"layer {self.name!r}: connections must be >= 1")
+        for field, default in _UNUSED_FIELDS[self.kind]:
+            if getattr(self, field) != default:
+                raise NetworkSemanticError(
+                    f"layer {self.name!r}: {field} does not apply to {self.kind} layers")
+
+
+# per kind, the (field, default) pairs of the LayerSpec fields it does not read
+_UNUSED_FIELDS = {kind: tuple((f.name, f.default) for f in fields(LayerSpec)
+                              if f.name not in used and f.name not in ("kind", "name", "inputs"))
+                  for kind, used in _FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -147,15 +166,8 @@ _REQUIRED = {
     "concat": {"inputs"},
     "add": {"inputs"},
 }
-_ALLOWED = {
-    "conv": {"type", "name", "input", "out_channels", "kernel", "stride", "pad",
-             "groups", "bias", "connections"},
-    "fc": {"type", "name", "input", "out_channels", "bias"},
-    "pool": {"type", "name", "input", "kernel", "stride", "pad"},
-    "act": {"type", "name", "input"},
-    "concat": {"type", "name", "inputs"},
-    "add": {"type", "name", "inputs"},
-}
+_ALLOWED = {kind: keys | {"type", "name", "inputs" if kind in ("concat", "add") else "input"}
+            for kind, keys in _FIELDS.items()}
 
 
 def _require_int(value, what, minimum):
@@ -309,11 +321,14 @@ def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
     resolved = []
     prev: tuple[str, ...] = ()
     for spec in net.layers:
+        where = f"layer {spec.name!r}: "
         feed_names = spec.inputs or prev
+        for nm in feed_names:
+            if nm not in out_shapes:
+                raise NetworkSemanticError(f"{where}input {nm!r} does not name an earlier layer")
         feeds = ([out_shapes[nm] for nm in feed_names]
                  or [(net.in_channels, net.in_height, net.in_width)])
         c, h, w = feeds[0]
-        where = f"layer {spec.name!r}: "
         # act, add and concat preserve the spatial shape and have no kernel
         m, e, f, kernel, stride, pad, groups, bias = c, h, w, (1, 1), 1, 0, 1, False
         if spec.kind == "concat":

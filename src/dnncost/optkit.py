@@ -36,6 +36,30 @@ def sparse_stats(tensor) -> SparseStats:
     return SparseStats(elements=arr.size, zeros=int(np.count_nonzero(arr == 0)))
 
 
+def _smallest(mags: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices of the k smallest entries of the 1-D ``mags``.
+
+    The set equals the first k of a stable argsort: every index below the
+    k-th value, then the lowest-index ties at that value.
+    """
+    if k == 0:
+        return np.empty(0, dtype=np.intp)
+    kth = np.partition(mags, k - 1)[k - 1]
+    if np.isnan(kth):  # a sort puts NaN last, after every number
+        before, tied = ~np.isnan(mags), np.isnan(mags)
+    else:
+        before, tied = mags < kth, mags == kth
+    below = np.flatnonzero(before)
+    return np.concatenate((below, np.flatnonzero(tied)[:k - below.size]))
+
+
+def _keep_mask(mags: np.ndarray, k: int) -> np.ndarray:
+    """Mask over the 1-D ``mags`` that is False at its k smallest entries."""
+    mask = np.ones(mags.size, dtype=bool)
+    mask[_smallest(mags, k)] = False
+    return mask
+
+
 def prune_magnitude(weights, fraction: float):
     """Zero the floor(fraction * n) smallest-magnitude weights.
 
@@ -45,12 +69,7 @@ def prune_magnitude(weights, fraction: float):
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     arr = np.asarray(weights, dtype=float)
-    k = int(fraction * arr.size)
-    mask = np.ones(arr.size, dtype=bool)
-    if k:
-        order = np.argsort(np.abs(arr.reshape(-1)), kind="stable")
-        mask[order[:k]] = False
-    mask = mask.reshape(arr.shape)
+    mask = _keep_mask(np.abs(arr).reshape(-1), int(fraction * arr.size)).reshape(arr.shape)
     return np.where(mask, arr, 0.0), mask
 
 
@@ -72,9 +91,10 @@ def prune_network(layer_weights: dict[str, np.ndarray], fraction: float,
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     if order is None:
-        flat = np.concatenate([a.reshape(-1) for a in arrays.values()]) \
-            if arrays else np.empty(0)
-        _, mask = prune_magnitude(flat, fraction) if total else (flat, np.ones(0, bool))
+        if not arrays:
+            return out
+        mask = _keep_mask(np.concatenate([np.abs(a).reshape(-1) for a in arrays.values()]),
+                          budget)
         offset = 0
         for name, a in arrays.items():
             m = mask[offset:offset + a.size].reshape(a.shape)
@@ -90,14 +110,8 @@ def prune_network(layer_weights: dict[str, np.ndarray], fraction: float,
     for name in sorted(arrays, key=lambda nm: (-order[nm], nm)):
         a = arrays[name]
         k = min(remaining, a.size)
-        pruned, mask = prune_magnitude(a, 0.0)
-        if k:
-            flat_order = np.argsort(np.abs(a.reshape(-1)), kind="stable")
-            m = np.ones(a.size, dtype=bool)
-            m[flat_order[:k]] = False
-            mask = m.reshape(a.shape)
-            pruned = np.where(mask, a, 0.0)
-        out[name] = (pruned, mask)
+        mask = _keep_mask(np.abs(a).reshape(-1), k).reshape(a.shape)
+        out[name] = (np.where(mask, a, 0.0), mask)
         remaining -= k
     return out
 
@@ -173,22 +187,24 @@ def rle_encode(words: Sequence[int]) -> bytes:
 
 def rle_decode(data: bytes) -> list[int]:
     """Invert rle_encode. Rejects streams with dangling or dirty pad bits."""
-    total_bits = 8 * len(data)
-    npairs = total_bits // PAIR_BITS
-    leftover = total_bits - npairs * PAIR_BITS
+    data = bytes(data)
+    npairs, leftover = divmod(8 * len(data), PAIR_BITS)
     if leftover >= 8:
         raise CodecError(f"truncated pair: {leftover} dangling bits")
-    value = int.from_bytes(data, "big")
-    if leftover and value & ((1 << leftover) - 1):
+    if leftover and data[-1] & ((1 << leftover) - 1):
         raise CodecError("nonzero padding bits")
-    words: list[int] = []
-    for index in range(npairs):
-        shift = total_bits - (index + 1) * PAIR_BITS
-        pair = (value >> shift) & ((1 << PAIR_BITS) - 1)
-        run = pair >> VALUE_BITS
-        words.extend([0] * run)
-        words.append(pair & MAX_VALUE)
-    return words
+    if not npairs:
+        return []
+    # one big-endian 4-byte window per byte offset; pair i starts at bit 21 i
+    windows = np.ndarray(len(data), dtype=">u4", buffer=data + bytes(3), strides=(1,))
+    start = np.arange(npairs, dtype=np.int64) * PAIR_BITS
+    window = windows[start >> 3].astype(np.int64)
+    pairs = (window >> (32 - PAIR_BITS - (start & 7))) & ((1 << PAIR_BITS) - 1)
+    # each pair is `run` zeros then its literal
+    ends = np.cumsum((pairs >> VALUE_BITS) + 1)
+    words = np.zeros(int(ends[-1]), dtype=np.int64)
+    words[ends - 1] = pairs & MAX_VALUE
+    return words.tolist()
 
 
 def compression_ratio(words: Sequence[int]) -> float:

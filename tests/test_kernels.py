@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dnncost.kernels import (MULT_METHODS, conv_direct, conv_fft, conv_im2col,
-                             conv_winograd_f22_33, fft_radix2, im2col_matrix,
-                             mult_count, next_pow2)
+                             conv_winograd_f22_33, im2col_matrix, mult_count,
+                             next_pow2)
 
 
 def rel_err(a, b):
@@ -117,22 +117,6 @@ class TestWinograd:
 
 
 class TestFFT:
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64])
-    def test_forward_matches_reference(self, n):
-        rng = np.random.default_rng(n)
-        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert rel_err(fft_radix2(a), np.fft.fft(a)) < 1e-12
-
-    def test_inverse_round_trip(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        back = fft_radix2(fft_radix2(a), inverse=True)
-        assert rel_err(back, a) < 1e-12
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            fft_radix2(np.ones(6))
-
     def test_next_pow2(self):
         assert [next_pow2(n) for n in (1, 2, 3, 5, 8, 9, 36)] \
             == [1, 2, 4, 8, 8, 16, 64]

@@ -169,6 +169,12 @@ class TestResolve:
         with pytest.raises(ShapeError, match="disagree"):
             dc.resolve_shapes(dc.parse_network(doc(layers)))
 
+    def test_unknown_feed_in_code_built_spec(self):
+        net = dc.NetworkSpec("n", 1, 8, 8, (
+            dc.LayerSpec("conv", "a", out_channels=1, kernel=(3, 3), inputs=("zz",)),))
+        with pytest.raises(NetworkSemanticError, match="'a'.*input 'zz' does not name"):
+            dc.resolve_shapes(net)
+
     def test_batch_must_be_positive(self):
         net = dc.parse_network(doc([conv()]))
         with pytest.raises(ValueError):
@@ -177,6 +183,39 @@ class TestResolve:
     def test_batch_recorded(self):
         net = dc.resolve_shapes(dc.parse_network(doc([conv()])), batch=7)
         assert net.batch == 7
+
+
+REQUIRED = {"conv": {"out_channels": 1, "kernel": (3, 3)}, "fc": {"out_channels": 1},
+            "pool": {"kernel": (2, 2)}, "act": {}, "concat": {}, "add": {}}
+
+
+class TestCodeAndJsonAgree:
+    """A LayerSpec built in code is accepted exactly when the same layer
+    parsed from JSON is, and then both give the same spec."""
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("conv", "groups", 1), ("conv", "connections", 2), ("conv", "bias", False),
+        ("fc", "bias", False), ("pool", "stride", 2), ("pool", "pad", 1),
+        ("fc", "groups", 3), ("fc", "kernel", (3, 3)), ("fc", "stride", 2),
+        ("fc", "connections", 1), ("pool", "out_channels", 4), ("pool", "bias", False),
+        ("pool", "groups", 2), ("act", "pad", 1), ("act", "kernel", (2, 2)),
+        ("concat", "out_channels", 2), ("add", "stride", 2),
+    ])
+    def test_field_accepted_alike(self, kind, field, value):
+        fields = {**REQUIRED[kind], field: value}
+        inputs = ("x", "y") if kind in ("concat", "add") else ()
+        layer = {"type": kind, "name": "a",
+                 **{k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}}
+        if inputs:
+            layer["inputs"] = list(inputs)
+        text = doc([{"type": "act", "name": "x"}, {"type": "act", "name": "y"}, layer])
+        try:
+            built = dc.LayerSpec(kind, "a", inputs=inputs, **fields)
+        except NetworkSemanticError:
+            with pytest.raises(NetworkSemanticError):
+                dc.parse_network(text)
+        else:
+            assert dc.parse_network(text).layers[-1] == built
 
 
 class TestBuiltins:

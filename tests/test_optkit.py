@@ -96,6 +96,90 @@ class TestPruneNetwork:
         assert prune_network({}, 0.5) == {}
 
 
+def stable_argsort_prune(weights, fraction, order=None):
+    """Reference pruning: drop the first k of a full stable argsort of the
+    magnitudes, globally or layer by layer in descending order key."""
+    budget = int(fraction * sum(w.size for w in weights.values()))
+    names = list(weights)
+    if order is None:
+        mags = np.concatenate([np.abs(weights[nm]).ravel() for nm in names])
+        keep = np.ones(mags.size, dtype=bool)
+        keep[np.argsort(mags, kind="stable")[:budget]] = False
+        cuts = np.cumsum([weights[nm].size for nm in names])[:-1]
+        masks = dict(zip(names, np.split(keep, cuts)))
+    else:
+        masks = {}
+        for nm in sorted(names, key=lambda n: (-order[n], n)):
+            k = min(budget, weights[nm].size)
+            keep = np.ones(weights[nm].size, dtype=bool)
+            keep[np.argsort(np.abs(weights[nm].ravel()), kind="stable")[:k]] = False
+            masks[nm] = keep
+            budget -= k
+    out = {}
+    for nm in names:
+        mask = masks[nm].reshape(weights[nm].shape)
+        out[nm] = (np.where(mask, weights[nm], 0.0), mask)
+    return out
+
+
+def _layer_sets():
+    rng = np.random.default_rng(5)
+    normal = {f"l{i}": rng.standard_normal(n) for i, n in enumerate((7, 40, 1, 23))}
+    special = {nm: w.copy() for nm, w in normal.items()}
+    special["l1"][::3] = [np.nan, np.inf, -np.inf, -0.0, 0.0, np.nan, 0.0,
+                          -0.0, np.inf, np.nan, -0.0, 0.0, np.nan, 1.0]
+    return {
+        "distinct": normal,
+        "ties": {nm: np.round(w, 1) for nm, w in normal.items()},
+        "zeros": {nm: np.where(np.abs(w) < 0.7, 0.0, np.round(w)) for nm, w in normal.items()},
+        "special": special,
+        "shaped": {"conv": np.round(rng.standard_normal((3, 2, 3, 3)), 1),
+                   "fc": np.round(rng.standard_normal((4, 5)), 1)},
+    }
+
+
+LAYER_SETS = _layer_sets()
+
+
+def fraction_for(k, n):
+    """A fraction whose floor(fraction * n) is exactly k."""
+    return 1.0 if k == n else (k + 0.5) / n
+
+
+def assert_bit_identical(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPruneAgainstStableArgsort:
+    @pytest.mark.parametrize("name", LAYER_SETS)
+    @pytest.mark.parametrize("order", [None, "distinct", "tied"])
+    def test_network_matches_oracle(self, name, order):
+        weights = LAYER_SETS[name]
+        keys = {"distinct": {nm: float(i) for i, nm in enumerate(weights)},
+                "tied": {nm: float(i % 2) for i, nm in enumerate(weights)}}.get(order)
+        n = sum(w.size for w in weights.values())
+        for k in (0, 1, 2, n // 2, n - 1, n):
+            fraction = fraction_for(k, n)
+            got = prune_network(weights, fraction, order=keys)
+            want = stable_argsort_prune(weights, fraction, order=keys)
+            assert set(got) == set(want)
+            for nm in want:
+                assert_bit_identical(got[nm][1], want[nm][1])
+                assert_bit_identical(got[nm][0], want[nm][0])
+            assert sum(int((~m).sum()) for _, m in got.values()) == k
+
+    @pytest.mark.parametrize("name", LAYER_SETS)
+    def test_magnitude_matches_oracle(self, name):
+        for nm, w in LAYER_SETS[name].items():
+            for k in sorted({0, 1, w.size // 3, w.size}):
+                fraction = fraction_for(k, w.size)
+                pruned, mask = prune_magnitude(w, fraction)
+                want_pruned, want_mask = stable_argsort_prune({nm: w}, fraction)[nm]
+                assert_bit_identical(mask, want_mask)
+                assert_bit_identical(pruned, want_pruned)
+
+
 class TestQuantizeUniform:
     def test_worked_example(self):
         out = quantize_uniform([-1.0, 0.3, 1.0], 2)
@@ -184,6 +268,38 @@ class TestCodec:
             pairs = rle_pair_count(words)
             assert len(encoded) == (21 * pairs + 7) // 8
             assert pairs <= len(words)  # never more pairs than words
+
+
+class TestCodecHostileInput:
+    @given(st.binary(max_size=200))
+    @settings(deadline=None, max_examples=300)
+    def test_arbitrary_bytes(self, data):
+        try:
+            words = rle_decode(data)
+        except CodecError:
+            return
+        assert rle_decode(rle_encode(words)) == words
+
+    @pytest.mark.parametrize("leftover", range(1, 8))
+    def test_dirty_pad_bits_rejected(self, leftover):
+        length = next(n for n in range(1, 22) if 8 * n % 21 == leftover)
+        assert rle_decode(bytes(length)) == [0] * (8 * length // 21)
+        for bit in range(leftover):
+            dirty = bytes(length - 1) + bytes([1 << bit])
+            with pytest.raises(CodecError, match="padding"):
+                rle_decode(dirty)
+        # the bit above the padding belongs to the last pair's literal
+        assert rle_decode(bytes(length - 1) + bytes([1 << leftover]))[-1] == 1
+
+    def test_empty_stream(self):
+        assert rle_decode(b"") == []
+
+    def test_million_word_round_trip(self):
+        rng = np.random.default_rng(4)
+        values = rng.integers(1, 65536, size=1 << 20)
+        values[rng.random(values.size) < 0.7] = 0
+        words = values.tolist()
+        assert rle_decode(rle_encode(words)) == words
 
 
 class TestPackageSurface:
