@@ -285,6 +285,12 @@ def compare_cmd(builtin_name, net_path, batch, arch_path, bits, density_in,
                  fmt, out_path)
 
 
+# (name, route, tolerance) of each transform verify checks against conv_direct
+_VERIFY_ROUTES = (("im2col", conv_im2col, 1e-9),
+                  ("winograd", conv_winograd_f22_33, 1e-6),
+                  ("fft", conv_fft, 1e-6))
+
+
 @main.group("kernels")
 def kernels_group():
     """Convolution transform checks and multiplication counts."""
@@ -303,8 +309,7 @@ def kernels_verify_cmd(trials, size, seed):
     if size is not None and size < 3:
         _fail(f"--size must be >= 3 to fit a 3x3 filter, got {size}")
     rng = np.random.default_rng(seed)
-    tolerances = {"im2col": 1e-9, "winograd": 1e-6, "fft": 1e-6}
-    worst = {name: 0.0 for name in tolerances}
+    worst = {name: 0.0 for name, _, _ in _VERIFY_ROUTES}
     for _ in range(trials):
         channels = int(rng.integers(1, 5))
         filters = int(rng.integers(1, 5))
@@ -314,20 +319,15 @@ def kernels_verify_cmd(trials, size, seed):
         w = rng.standard_normal((filters, channels, 3, 3))
         reference = conv_direct(x, w)
         scale = float(np.max(np.abs(reference))) or 1.0
-        candidates = {
-            "im2col": conv_im2col(x, w),
-            "winograd": conv_winograd_f22_33(x, w),
-            "fft": conv_fft(x, w),
-        }
-        for name, got in candidates.items():
-            deviation = float(np.max(np.abs(got - reference))) / scale
+        for name, route, _ in _VERIFY_ROUTES:
+            deviation = float(np.max(np.abs(route(x, w) - reference))) / scale
             worst[name] = max(worst[name], deviation)
     failed = False
-    for name in ("im2col", "winograd", "fft"):
-        ok = worst[name] <= tolerances[name]
+    for name, _, tol in _VERIFY_ROUTES:
+        ok = worst[name] <= tol
         failed = failed or not ok
         click.echo(f"{name:8s} vs direct: max rel {worst[name]:.3e}  "
-                   f"tol {tolerances[name]:.0e}  {'ok' if ok else 'FAIL'}")
+                   f"tol {tol:.0e}  {'ok' if ok else 'FAIL'}")
     click.echo(f"{trials} random problems checked")
     if failed:
         raise SystemExit(1)

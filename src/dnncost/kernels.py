@@ -3,12 +3,14 @@
 Four numerically equivalent routes compute the same strided 2-D
 cross-correlation over a C x H x W input and an M x C x R x S filter bank:
 
-* ``conv_direct``          the literal window dot product (the oracle)
+* ``conv_direct``          the oracle, no transform: each filter tap's
+                           products added into the output, tap by tap
 * ``conv_im2col``          lowering to one matrix multiply
 * ``conv_winograd_f22_33`` minimal filtering for 3x3 kernels, 2x2 output
                            tiles, interpolation points {0, 1, -1}
 * ``conv_fft``             pointwise product of real Fourier transforms
 
+All but ``conv_fft`` read one strided window view of the zero-padded input.
 Equivalence is exact in exact arithmetic; float64 keeps the routes within
 1e-6 relative of each other for well-scaled inputs. ``mult_count`` estimates
 scalar multiplication counts for the classic transform arguments without
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .netmodel import out_extent
 
@@ -33,6 +36,11 @@ _WG_BT = np.array([[1.0, 0.0, -1.0, 0.0],
                    [0.0, 1.0, 0.0, -1.0]])
 _WG_AT = np.array([[1.0, 1.0, 1.0, 0.0],
                    [0.0, 1.0, -1.0, -1.0]])
+# the same transforms on row-major flattened tiles, since P X Q^T flattens
+# to kron(P, Q) times the flattened X: G g G^T, B^T d B and A^T y A
+_WG_U = np.kron(_WG_G, _WG_G)
+_WG_V = np.kron(_WG_BT, _WG_BT)
+_WG_Y = np.kron(_WG_AT, _WG_AT)
 
 # multiplications per 2x2 output tile: elementwise product of two 4x4 tiles
 WINOGRAD_TILE_MULTS = 16
@@ -40,75 +48,74 @@ WINOGRAD_TILE_MULTS = 16
 DIRECT_TILE_MULTS = 36
 
 
-def _check_operands(x, w):
+def _check_input(x):
     x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
     if x.ndim != 3:
         raise ValueError(f"input must be C x H x W, got shape {x.shape}")
+    if not x.size:
+        raise ValueError(f"input has an empty axis, shape {x.shape}")
+    return x
+
+
+def _check_operands(x, w):
+    x = _check_input(x)
+    w = np.asarray(w, dtype=float)
     if w.ndim != 4:
         raise ValueError(f"filters must be M x C x R x S, got shape {w.shape}")
+    if not w.size:
+        raise ValueError(f"filters have an empty axis, shape {w.shape}")
     if w.shape[1] != x.shape[0]:
         raise ValueError(
             f"channel mismatch: input has {x.shape[0]} channels, filters expect {w.shape[1]}")
     return x, w
 
 
-def _pad(x, pad):
-    if pad == 0:
-        return x
-    c, h, w = x.shape
-    padded = np.zeros((c, h + 2 * pad, w + 2 * pad))
-    padded[:, pad:pad + h, pad:pad + w] = x
-    return padded
+def _windows(x, kernel, stride, pad):
+    """The C x E x F x R x S view of every R x S window of ``x``, zero-padded
+    by ``pad`` on each side, with windows ``stride`` apart."""
+    if stride < 1 or pad < 0:
+        raise ValueError("stride must be >= 1 and pad >= 0")
+    r, s = kernel
+    if r < 1 or s < 1:
+        raise ValueError(f"kernel must be positive, got {r}x{s}")
+    _, h, wd = x.shape
+    # out_extent rejects a kernel that does not fit; the view has its E x F windows
+    out_extent(h, r, stride, pad)
+    out_extent(wd, s, stride, pad)
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    return sliding_window_view(xp, (r, s), axis=(1, 2))[:, ::stride, ::stride]
+
+
+def _columns(win):
+    """The C*R*S x E*F patch matrix of a window view, C-contiguous for BLAS."""
+    c, e, f, r, s = win.shape
+    return np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(c * r * s, e * f)
 
 
 def conv_direct(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Strided 2-D cross-correlation as the literal window dot product."""
+    """Strided 2-D cross-correlation with no transform: one (M x C) by
+    (C x E x F) product per filter tap, accumulated over the R*S taps."""
     x, w = _check_operands(x, w)
-    if stride < 1 or pad < 0:
-        raise ValueError("stride must be >= 1 and pad >= 0")
-    c, h, wd = x.shape
     m, _, r, s = w.shape
-    e = out_extent(h, r, stride, pad)
-    f = out_extent(wd, s, stride, pad)
-    xp = _pad(x, pad)
-    flat = w.reshape(m, -1)
-    out = np.empty((m, e, f))
-    for ei in range(e):
-        for fi in range(f):
-            patch = xp[:, ei * stride:ei * stride + r, fi * stride:fi * stride + s]
-            out[:, ei, fi] = flat @ patch.reshape(-1)
+    win = _windows(x, (r, s), stride, pad)
+    out = np.zeros((m, *win.shape[1:3]))
+    for i, j in np.ndindex(r, s):
+        out += np.tensordot(w[:, :, i, j], win[..., i, j], axes=1)
     return out
 
 
 def im2col_matrix(x, kernel: tuple[int, int], stride: int = 1, pad: int = 0) -> np.ndarray:
     """Lower an input to the patch matrix: one column of C*R*S values per
     output position, E*F columns in row-major output order."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 3:
-        raise ValueError(f"input must be C x H x W, got shape {x.shape}")
-    r, s = kernel
-    c, h, wd = x.shape
-    e = out_extent(h, r, stride, pad)
-    f = out_extent(wd, s, stride, pad)
-    xp = _pad(x, pad)
-    cols = np.empty((c * r * s, e * f))
-    for ei in range(e):
-        for fi in range(f):
-            patch = xp[:, ei * stride:ei * stride + r, fi * stride:fi * stride + s]
-            cols[:, ei * f + fi] = patch.reshape(-1)
-    return cols
+    return _columns(_windows(_check_input(x), kernel, stride, pad))
 
 
 def conv_im2col(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
     """The same cross-correlation as one matrix multiply over the lowering."""
     x, w = _check_operands(x, w)
-    m, _, r, s = w.shape
-    cols = im2col_matrix(x, (r, s), stride, pad)
-    c, h, wd = x.shape
-    e = out_extent(h, r, stride, pad)
-    f = out_extent(wd, s, stride, pad)
-    return (w.reshape(m, -1) @ cols).reshape(m, e, f)
+    m = w.shape[0]
+    win = _windows(x, w.shape[2:], stride, pad)
+    return (w.reshape(m, -1) @ _columns(win)).reshape(m, *win.shape[1:3])
 
 
 def conv_winograd_f22_33(x, w) -> np.ndarray:
@@ -124,25 +131,18 @@ def conv_winograd_f22_33(x, w) -> np.ndarray:
     if (r, s) != (3, 3):
         raise ValueError(f"requires 3x3 filters, got {r}x{s}")
     _, h, wd = x.shape
-    e = h - 2
-    f = wd - 2
+    e, f = h - 2, wd - 2
     if e < 1 or f < 1:
         raise ValueError(f"input {h}x{wd} too small for 3x3 filters")
-    ep = e + (e & 1)
-    fp = f + (f & 1)
-    xp = np.zeros((c, ep + 2, fp + 2))
-    xp[:, :h, :wd] = x
-
-    # filter transform: U[m, c] = G g G^T
-    u = np.einsum("ij,mcjk,lk->mcil", _WG_G, w, _WG_G)
-    out = np.zeros((m, ep, fp))
-    for ty in range(0, ep, 2):
-        for tx in range(0, fp, 2):
-            d = xp[:, ty:ty + 4, tx:tx + 4]
-            v = np.einsum("ij,cjk,lk->cil", _WG_BT, d, _WG_BT)
-            prod = np.einsum("mcij,cij->mij", u, v)
-            out[:, ty:ty + 2, tx:tx + 2] = np.einsum("ij,mjk,lk->mil", _WG_AT, prod, _WG_AT)
-    return out[:, :e, :f]
+    xp = np.pad(x, ((0, 0), (0, e & 1), (0, f & 1)))
+    tiles = _windows(xp, (4, 4), 2, 0)  # C x TY x TX x 4 x 4, 2 apart
+    _, ty, tx, _, _ = tiles.shape
+    u = _WG_U @ w.reshape(m * c, 9).T  # 16 x M*C
+    v = _WG_V @ tiles.transpose(3, 4, 0, 1, 2).reshape(16, -1)  # 16 x C*TY*TX
+    # per tile position, the elementwise product summed over channels
+    prod = u.reshape(16, m, c) @ v.reshape(16, c, ty * tx)
+    y = (_WG_Y @ prod.reshape(16, -1)).reshape(2, 2, m, ty, tx)
+    return y.transpose(2, 3, 0, 4, 1).reshape(m, 2 * ty, 2 * tx)[:, :e, :f]
 
 
 def next_pow2(n: int) -> int:

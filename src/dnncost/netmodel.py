@@ -31,6 +31,9 @@ LAYER_KINDS = ("conv", "fc", "pool", "act", "concat", "add")
 # the kinds that carry weights and MACs; every other kind is zero cost
 WEIGHTED_KINDS = ("conv", "fc")
 
+# the kinds that merge two or more named feeds; every other kind reads one
+_MERGE_KINDS = ("concat", "add")
+
 
 # the LayerSpec fields each kind reads besides kind, name and inputs; a spec
 # must leave every other field at its default
@@ -66,7 +69,8 @@ class LayerSpec:
 
     ``connections`` overrides the number of wired (filter, input-channel)
     pairs of a conv layer; ``None`` means dense wiring, M * C / groups pairs.
-    ``inputs`` holds explicit feed names; empty means "previous layer".
+    ``inputs`` holds explicit feed names, two or more for a merge and at
+    most one otherwise; empty means "previous layer".
     """
 
     kind: str
@@ -98,6 +102,11 @@ class LayerSpec:
             raise NetworkSemanticError(f"layer {self.name!r}: out_channels must be >= 1")
         if self.connections is not None and self.connections < 1:
             raise NetworkSemanticError(f"layer {self.name!r}: connections must be >= 1")
+        if self.kind in _MERGE_KINDS and len(self.inputs) < 2:
+            raise NetworkSemanticError(f"layer {self.name!r}: inputs must list at least two layers")
+        if self.kind not in _MERGE_KINDS and len(self.inputs) > 1:
+            raise NetworkSemanticError(
+                f"layer {self.name!r}: {self.kind} layers take one input, got {len(self.inputs)}")
         for field, default in _UNUSED_FIELDS[self.kind]:
             if getattr(self, field) != default:
                 raise NetworkSemanticError(
@@ -166,7 +175,7 @@ _REQUIRED = {
     "concat": {"inputs"},
     "add": {"inputs"},
 }
-_ALLOWED = {kind: keys | {"type", "name", "inputs" if kind in ("concat", "add") else "input"}
+_ALLOWED = {kind: keys | {"type", "name", "inputs" if kind in _MERGE_KINDS else "input"}
             for kind, keys in _FIELDS.items()}
 
 
@@ -197,9 +206,10 @@ def _parse_layer(doc, index, seen):
     if missing:
         raise NetworkSemanticError(f"{where}: missing required keys {sorted(missing)}")
 
-    if kind in ("concat", "add"):
+    if kind in _MERGE_KINDS:
+        # LayerSpec checks the number of feeds
         feeds = doc["inputs"]
-        if not isinstance(feeds, list) or len(feeds) < 2:
+        if not isinstance(feeds, list):
             raise NetworkSemanticError(f"{where}: inputs must list at least two layers")
     else:
         feeds = [doc["input"]] if "input" in doc else []
@@ -263,26 +273,13 @@ def parse_network(text: str) -> NetworkSpec:
 
 def _layer_doc(spec: LayerSpec) -> dict:
     doc: dict = {"type": spec.kind, "name": spec.name}
-    if spec.kind in ("concat", "add"):
+    for field in fields(LayerSpec):
+        value = getattr(spec, field.name)
+        if field.name in _FIELDS[spec.kind] and value is not None:
+            doc[field.name] = list(value) if isinstance(value, tuple) else value
+    if spec.kind in _MERGE_KINDS:
         doc["inputs"] = list(spec.inputs)
-        return doc
-    if spec.kind == "conv":
-        doc["out_channels"] = spec.out_channels
-        doc["kernel"] = list(spec.kernel)
-        doc["stride"] = spec.stride
-        doc["pad"] = spec.pad
-        doc["groups"] = spec.groups
-        doc["bias"] = spec.bias
-        if spec.connections is not None:
-            doc["connections"] = spec.connections
-    elif spec.kind == "fc":
-        doc["out_channels"] = spec.out_channels
-        doc["bias"] = spec.bias
-    elif spec.kind == "pool":
-        doc["kernel"] = list(spec.kernel)
-        doc["stride"] = spec.stride
-        doc["pad"] = spec.pad
-    if spec.inputs:
+    elif spec.inputs:
         doc["input"] = spec.inputs[0]
     return doc
 

@@ -6,6 +6,8 @@ Keep these dumb; their value is that they cannot share a bug with the
 formulas under test.
 """
 
+import numpy as np
+
 from dnncost.netmodel import ResolvedLayer
 
 # Which data types live in the per-PE register file under each policy.
@@ -82,3 +84,27 @@ def make_conv(in_ch, height, width, out_ch, r, s, stride=1, pad=0, groups=1,
                          out_height=out_h, out_width=out_w, kernel=(r, s),
                          stride=stride, pad=pad, groups=groups, bias=bias,
                          connections=connections, inputs=("input",))
+
+
+def window_conv(x, w, stride=1, pad=0):
+    """Strided, padded 2-D cross-correlation as the literal window dot
+    product, one output position at a time.
+
+    Returns the M x E x F output and the C*R*S x E*F patch matrix, whose
+    column e * F + f holds the window under output position (e, f).
+    """
+    c, height, width = x.shape
+    m, _, r, s = w.shape
+    out_h = (height - r + 2 * pad) // stride + 1
+    out_w = (width - s + 2 * pad) // stride + 1
+    padded = np.zeros((c, height + 2 * pad, width + 2 * pad))
+    padded[:, pad:pad + height, pad:pad + width] = x
+    flat = w.reshape(m, -1)
+    out = np.empty((m, out_h, out_w))
+    cols = np.empty((c * r * s, out_h * out_w))
+    for e in range(out_h):
+        for f in range(out_w):
+            patch = padded[:, e * stride:e * stride + r, f * stride:f * stride + s].reshape(-1)
+            cols[:, e * out_w + f] = patch
+            out[:, e, f] = flat @ patch
+    return out, cols

@@ -6,6 +6,7 @@ import pytest
 from dnncost.kernels import (MULT_METHODS, conv_direct, conv_fft, conv_im2col,
                              conv_winograd_f22_33, im2col_matrix, mult_count,
                              next_pow2)
+from oracles import window_conv
 
 
 def rel_err(a, b):
@@ -44,15 +45,31 @@ class TestDirect:
         with pytest.raises(ValueError, match="does not fit"):
             conv_direct(np.ones((1, 2, 2)), np.ones((1, 1, 3, 3)))
 
-    def test_operand_shape_validation(self):
-        with pytest.raises(ValueError, match="C x H x W"):
-            conv_direct(np.ones((2, 2)), np.ones((1, 1, 2, 2)))
-        with pytest.raises(ValueError, match="M x C x R x S"):
-            conv_direct(np.ones((1, 4, 4)), np.ones((1, 2, 2)))
-        with pytest.raises(ValueError, match="channel mismatch"):
-            conv_direct(np.ones((2, 4, 4)), np.ones((1, 3, 2, 2)))
-        with pytest.raises(ValueError, match="stride"):
-            conv_direct(np.ones((1, 4, 4)), np.ones((1, 1, 2, 2)), stride=0)
+    @pytest.mark.parametrize("route", [conv_direct, conv_im2col, conv_winograd_f22_33, conv_fft],
+                             ids=lambda route: route.__name__)
+    @pytest.mark.parametrize("x_shape, w_shape, match", [
+        ((2, 2), (1, 1, 2, 2), "C x H x W"),
+        ((1, 4, 4), (1, 2, 2), "M x C x R x S"),
+        ((2, 4, 4), (1, 3, 2, 2), "channel mismatch"),
+        ((0, 4, 4), (1, 0, 3, 3), "input has an empty axis"),
+        ((1, 4, 0), (1, 1, 3, 3), "input has an empty axis"),
+        ((1, 4, 4), (0, 1, 3, 3), "filters have an empty axis"),
+        ((1, 4, 4), (1, 1, 0, 2), "filters have an empty axis"),
+    ], ids=["2d-input", "3d-filters", "channel-mismatch", "no-channels",
+            "no-width", "no-filters", "no-kernel-rows"])
+    def test_operand_shape_validation(self, route, x_shape, w_shape, match):
+        with pytest.raises(ValueError, match=match):
+            route(np.ones(x_shape), np.ones(w_shape))
+
+    @pytest.mark.parametrize("lowering", [
+        conv_direct, conv_im2col,
+        lambda x, w, **geometry: im2col_matrix(x, w.shape[2:], **geometry),
+    ], ids=["conv_direct", "conv_im2col", "im2col_matrix"])
+    @pytest.mark.parametrize("geometry", [{"stride": 0}, {"stride": -1}, {"pad": -1}],
+                             ids=["stride-0", "stride-negative", "pad-negative"])
+    def test_stride_and_pad_validation(self, lowering, geometry):
+        with pytest.raises(ValueError, match="stride must be >= 1 and pad >= 0"):
+            lowering(np.ones((1, 4, 4)), np.ones((1, 1, 2, 2)), **geometry)
 
     def test_linearity(self):
         rng = np.random.default_rng(4)
@@ -62,6 +79,36 @@ class TestDirect:
                                    2.5 * conv_direct(x, w), rtol=1e-12)
 
 
+def oracle_cases(count, seed):
+    """Random strided, padded, rectangular problems whose kernel fits."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        c, m = (int(v) for v in rng.integers(1, 4, size=2))
+        h, wd = (int(v) for v in rng.integers(1, 10, size=2))
+        r, s = (int(v) for v in rng.integers(1, 5, size=2))
+        stride = int(rng.integers(1, 4))
+        pad = int(rng.integers(0, 3))
+        if h - r + 2 * pad >= 0 and wd - s + 2 * pad >= 0:
+            cases.append((rng.standard_normal((c, h, wd)),
+                          rng.standard_normal((m, c, r, s)), stride, pad))
+    return cases
+
+
+class TestAgainstWindowOracle:
+    """The lowering routes against the per-position window dot product."""
+
+    @pytest.mark.parametrize("x, w, stride, pad", oracle_cases(40, seed=13))
+    def test_direct_and_im2col(self, x, w, stride, pad):
+        out, cols = window_conv(x, w, stride=stride, pad=pad)
+        np.testing.assert_array_equal(
+            im2col_matrix(x, w.shape[2:], stride=stride, pad=pad), cols)
+        for route in (conv_direct, conv_im2col):
+            got = route(x, w, stride=stride, pad=pad)
+            assert got.shape == out.shape
+            assert rel_err(got, out) < 1e-12
+
+
 class TestIm2col:
     def test_patch_matrix_shape_and_content(self):
         x = np.arange(1.0, 10.0).reshape(1, 3, 3)
@@ -69,6 +116,18 @@ class TestIm2col:
         assert cols.shape == (4, 4)  # C*R*S rows, E*F columns
         np.testing.assert_allclose(cols[:, 0], [1.0, 2.0, 4.0, 5.0])
         np.testing.assert_allclose(cols[:, 3], [5.0, 6.0, 8.0, 9.0])
+
+    @pytest.mark.parametrize("x_shape, kernel, match", [
+        ((4, 4), (2, 2), "C x H x W"),
+        ((0, 4, 4), (2, 2), "input has an empty axis"),
+        ((1, 3, 5), (0, 2), "kernel must be positive"),
+        ((1, 3, 5), (2, 0), "kernel must be positive"),
+        ((1, 3, 5), (-1, 2), "kernel must be positive"),
+    ], ids=["2d-input", "no-channels", "no-kernel-rows", "no-kernel-columns",
+            "negative-kernel"])
+    def test_input_and_kernel_validation(self, x_shape, kernel, match):
+        with pytest.raises(ValueError, match=match):
+            im2col_matrix(np.ones(x_shape), kernel)
 
     def test_unit_kernel_is_a_flattening(self):
         rng = np.random.default_rng(5)

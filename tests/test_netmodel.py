@@ -202,12 +202,27 @@ class TestCodeAndJsonAgree:
         ("concat", "out_channels", 2), ("add", "stride", 2),
     ])
     def test_field_accepted_alike(self, kind, field, value):
-        fields = {**REQUIRED[kind], field: value}
         inputs = ("x", "y") if kind in ("concat", "add") else ()
+        self.assert_agree(kind, {**REQUIRED[kind], field: value}, inputs)
+
+    @pytest.mark.parametrize("kind, inputs", [
+        ("conv", ("x",)), ("conv", ("x", "y")), ("act", ("x", "y")),
+        ("concat", ("x", "y")), ("concat", ()), ("add", ("x",)),
+    ], ids=["conv-one", "conv-two", "act-two", "concat-two", "concat-none", "add-one"])
+    def test_feed_count_accepted_alike(self, kind, inputs):
+        self.assert_agree(kind, REQUIRED[kind], inputs)
+
+    @staticmethod
+    def assert_agree(kind, fields, inputs):
+        """Build the layer in code and parse it from JSON after two act
+        layers named x and y. A merge kind, or a layer with several feeds,
+        spells them as an "inputs" list, the only form JSON allows."""
         layer = {"type": kind, "name": "a",
                  **{k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()}}
-        if inputs:
+        if kind in ("concat", "add") or len(inputs) > 1:
             layer["inputs"] = list(inputs)
+        elif inputs:
+            layer["input"] = inputs[0]
         text = doc([{"type": "act", "name": "x"}, {"type": "act", "name": "y"}, layer])
         try:
             built = dc.LayerSpec(kind, "a", inputs=inputs, **fields)
@@ -215,7 +230,9 @@ class TestCodeAndJsonAgree:
             with pytest.raises(NetworkSemanticError):
                 dc.parse_network(text)
         else:
-            assert dc.parse_network(text).layers[-1] == built
+            parsed = dc.parse_network(text)
+            assert parsed.layers[-1] == built
+            assert dc.parse_network(dc.serialize_network(parsed)) == parsed
 
 
 class TestBuiltins:
