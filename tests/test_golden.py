@@ -1,9 +1,10 @@
-"""Frozen CLI output: every report command, format and built-in network.
+"""Frozen CLI output: every report command, format and built-in network,
+and every ``--help`` screen.
 
 Each case runs the CLI in-process and compares stdout byte for byte with a
-file under ``tests/golden/``. The files pin the rendering of every report, so
-a refactor of the CLI or of the engine beneath it cannot change what users
-see without a test failing.
+file under ``tests/golden/``. The files pin the rendering of every report and
+of the help text, so a refactor of the CLI or of the engine beneath it cannot
+change what users see without a test failing.
 """
 
 from pathlib import Path
@@ -26,6 +27,10 @@ KERNEL_SIZES = {
     "strassen": ["--matrix-size", "8"],
 }
 
+HELP_COMMANDS = ((), ("stats",), ("analyze",), ("compare",), ("kernels",),
+                 ("kernels", "verify"), ("kernels", "count"), ("compress",),
+                 ("prune",))
+
 
 def _cases():
     cases = {}
@@ -45,6 +50,8 @@ def _cases():
         cases[f"kernels-count-{method}"] = (["kernels", "count", "--method", method]
                                             + KERNEL_SIZES[method])
     cases["compress-4096"] = ["compress", "--n", "4096"]
+    for command in HELP_COMMANDS:
+        cases["-".join(("help", *command))] = [*command, "--help"]
     return cases
 
 
@@ -52,8 +59,9 @@ CASES = _cases()
 
 
 def run(args) -> bytes:
-    """Stdout of one in-process CLI run, which must succeed."""
-    result = CliRunner().invoke(main, args)
+    """Stdout of one in-process CLI run, which must succeed. Help text is
+    wrapped at a fixed width, whatever the terminal."""
+    result = CliRunner().invoke(main, args, prog_name="dnncost", terminal_width=80)
     assert result.exit_code == 0, result.output
     return result.stdout_bytes
 
