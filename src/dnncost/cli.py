@@ -14,18 +14,13 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 import click
-import numpy as np
 
 from .archmodel import LEVELS, ArchConfig, ArchError, default_arch, parse_arch
 from .dataflow import DATA_TYPES, DataflowKind
 from .energy import Modifiers, compare_dataflows, network_energy
-from .kernels import (MULT_METHODS, conv_direct, conv_fft, conv_im2col,
-                      conv_winograd_f22_33, mult_count)
 from .netmodel import (WEIGHTED_KINDS, NetworkError, ResolvedNetwork, parse_network,
                        resolve_shapes)
-from .optkit import (MAX_VALUE, CodecError, compression_ratio, prune_network,
-                     rle_decode, rle_encode, rle_pair_count, sparse_stats)
-from .stats import layer_stats, network_stats
+from .stats import MULT_METHODS, layer_stats, mult_count, network_stats
 from .zoo import BUILTIN_NAMES, builtin
 
 DATAFLOW_NAMES = tuple(k.value for k in DataflowKind)
@@ -96,6 +91,15 @@ def _checked(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except (ValueError, OverflowError) as exc:
         _fail(str(exc))
+
+
+def _rng(seed: int):
+    """A seeded numpy generator. numpy is imported here, not at module level,
+    so that the commands that never touch an array start without it."""
+    if seed < 0:
+        _fail(f"--seed must be >= 0, got {seed}")
+    import numpy as np
+    return np.random.default_rng(seed)
 
 
 def _modifiers(bits, density_in, density_w) -> Modifiers:
@@ -285,10 +289,11 @@ def compare_cmd(builtin_name, net_path, batch, arch_path, bits, density_in,
                  fmt, out_path)
 
 
-# (name, route, tolerance) of each transform verify checks against conv_direct
-_VERIFY_ROUTES = (("im2col", conv_im2col, 1e-9),
-                  ("winograd", conv_winograd_f22_33, 1e-6),
-                  ("fft", conv_fft, 1e-6))
+# (name, kernels function, tolerance) of each transform verify checks
+# against conv_direct
+_VERIFY_ROUTES = (("im2col", "conv_im2col", 1e-9),
+                  ("winograd", "conv_winograd_f22_33", 1e-6),
+                  ("fft", "conv_fft", 1e-6))
 
 
 @main.group("kernels")
@@ -304,11 +309,12 @@ def kernels_group():
 @click.option("--seed", type=int, default=0, show_default=True)
 def kernels_verify_cmd(trials, size, seed):
     """Cross-check all transforms against direct convolution."""
+    from . import kernels
     if trials < 1:
         _fail(f"--trials must be >= 1, got {trials}")
     if size is not None and size < 3:
         _fail(f"--size must be >= 3 to fit a 3x3 filter, got {size}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     worst = {name: 0.0 for name, _, _ in _VERIFY_ROUTES}
     for _ in range(trials):
         channels = int(rng.integers(1, 5))
@@ -317,10 +323,10 @@ def kernels_verify_cmd(trials, size, seed):
         width = size if size is not None else int(rng.integers(3, 17))
         x = rng.standard_normal((channels, height, width))
         w = rng.standard_normal((filters, channels, 3, 3))
-        reference = conv_direct(x, w)
-        scale = float(np.max(np.abs(reference))) or 1.0
+        reference = kernels.conv_direct(x, w)
+        scale = float(abs(reference).max()) or 1.0
         for name, route, _ in _VERIFY_ROUTES:
-            deviation = float(np.max(np.abs(route(x, w) - reference))) / scale
+            deviation = float(abs(getattr(kernels, route)(x, w) - reference).max()) / scale
             worst[name] = max(worst[name], deviation)
     failed = False
     for name, _, tol in _VERIFY_ROUTES:
@@ -368,6 +374,8 @@ def kernels_count_cmd(method, out_size, filter_size, matrix_size):
               help="Output path (required for --encode).")
 def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     """Run-length compression of sparse 16-bit streams."""
+    from .optkit import (MAX_VALUE, CodecError, compression_ratio, rle_decode,
+                         rle_encode, rle_pair_count, sparse_stats)
     if encode_path is not None and decode_path is not None:
         raise click.UsageError("give at most one of --encode or --decode")
     if encode_path is not None and out_path is None:
@@ -396,7 +404,7 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
             _fail(f"--n must be >= 1, got {length}")
         if not 0.0 <= sparsity <= 1.0:
             _fail(f"--sparsity must be in [0, 1], got {sparsity}")
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         values = rng.integers(1, MAX_VALUE + 1, size=length)
         zero = rng.random(length) < sparsity
         words = [0 if z else int(v) for z, v in zip(zero, values)]
@@ -429,11 +437,12 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
 def prune_cmd(builtin_name, net_path, batch, fraction, order, arch_path, seed,
               fmt, out_path):
     """Prune synthetic weights for a network and report layer densities."""
+    from .optkit import prune_network
     net = _load_network(builtin_name, net_path, batch)
     weighted = [layer for layer in net.layers if layer.kind in WEIGHTED_KINDS]
     if not weighted:
         _fail(f"network {net.name!r} has no weighted layers")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     weights = {layer.name: rng.standard_normal(layer_stats(layer).dw)
                for layer in weighted}
     ranking = None

@@ -1,4 +1,4 @@
-"""Reference convolution kernels and multiplication-count estimators.
+"""Reference convolution kernels.
 
 Four numerically equivalent routes compute the same strided 2-D
 cross-correlation over a C x H x W input and an M x C x R x S filter bank:
@@ -12,19 +12,17 @@ cross-correlation over a C x H x W input and an M x C x R x S filter bank:
 
 All but ``conv_fft`` read one strided window view of the zero-padded input.
 Equivalence is exact in exact arithmetic; float64 keeps the routes within
-1e-6 relative of each other for well-scaled inputs. ``mult_count`` estimates
-scalar multiplication counts for the classic transform arguments without
-running anything.
+1e-6 relative of each other for well-scaled inputs. The multiplication counts
+of these methods, which need no arrays, are ``stats.mult_count``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .netmodel import out_extent
+from .stats import next_pow2
 
 _WG_G = np.array([[1.0, 0.0, 0.0],
                   [0.5, 0.5, 0.5],
@@ -41,11 +39,6 @@ _WG_AT = np.array([[1.0, 1.0, 1.0, 0.0],
 _WG_U = np.kron(_WG_G, _WG_G)
 _WG_V = np.kron(_WG_BT, _WG_BT)
 _WG_Y = np.kron(_WG_AT, _WG_AT)
-
-# multiplications per 2x2 output tile: elementwise product of two 4x4 tiles
-WINOGRAD_TILE_MULTS = 16
-# the same tile computed directly: 4 outputs x 9 taps
-DIRECT_TILE_MULTS = 36
 
 
 def _check_input(x):
@@ -145,13 +138,6 @@ def conv_winograd_f22_33(x, w) -> np.ndarray:
     return y.transpose(2, 3, 0, 4, 1).reshape(m, 2 * ty, 2 * tx)[:, :e, :f]
 
 
-def next_pow2(n: int) -> int:
-    """Smallest power of two >= n."""
-    if n < 1:
-        raise ValueError(f"need a positive size, got {n}")
-    return 1 << (n - 1).bit_length()
-
-
 def conv_fft(x, w) -> np.ndarray:
     """The cross-correlation by pointwise product in the frequency domain.
 
@@ -175,52 +161,3 @@ def conv_fft(x, w) -> np.ndarray:
     prod = np.einsum("cij,mcij->mij", fx, fw)
     full = np.fft.irfft2(prod, (nh, nw))
     return full[:, r - 1:r - 1 + e, s - 1:s - 1 + f]
-
-
-@dataclass(frozen=True)
-class MultCount:
-    """Scalar multiplication count of one method at one problem size."""
-
-    method: str
-    count: int
-    params: dict
-
-
-MULT_METHODS = ("direct", "im2col", "fft", "winograd", "strassen")
-
-
-def mult_count(method: str, out_size: int | None = None,
-               filter_size: int | None = None,
-               matrix_size: int | None = None) -> MultCount:
-    """Multiplication-count estimate for one transform method.
-
-    Convolution methods (direct, im2col, fft, winograd) take a square output
-    size No and filter size Nf; winograd is the 3x3, 2x2-tile variant only.
-    Strassen takes a power-of-two matrix size N.
-    """
-    if method not in MULT_METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {MULT_METHODS}")
-
-    if method == "strassen":
-        if matrix_size is None or matrix_size < 1 or matrix_size & (matrix_size - 1):
-            raise ValueError("strassen needs a power-of-two matrix_size")
-        exponent = matrix_size.bit_length() - 1
-        return MultCount(method=method, count=7 ** exponent,
-                         params={"matrix_size": matrix_size})
-
-    if out_size is None or filter_size is None or out_size < 1 or filter_size < 1:
-        raise ValueError(f"{method} needs positive out_size and filter_size")
-    direct = out_size * out_size * filter_size * filter_size
-    params = {"out_size": out_size, "filter_size": filter_size}
-    if method in ("direct", "im2col"):
-        # the lowering reorders the same multiplications, it removes none
-        return MultCount(method=method, count=direct, params=params)
-    if method == "fft":
-        n = next_pow2(out_size + filter_size - 1)
-        count = 3 * n * n * (n.bit_length() - 1) + n * n
-        return MultCount(method=method, count=count, params={**params, "fft_size": n})
-    # winograd, fixed 2.25x reduction of the 3x3 direct count
-    if filter_size != 3:
-        raise ValueError("winograd count is defined for 3x3 filters only")
-    count = direct * WINOGRAD_TILE_MULTS // DIRECT_TILE_MULTS
-    return MultCount(method=method, count=count, params=params)

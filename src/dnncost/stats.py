@@ -1,10 +1,15 @@
-"""Per-layer and per-network storage and compute tallies.
+"""Storage and compute tallies: per layer and per network, and the scalar
+multiplications of each convolution transform.
 
 Conventions: one MAC is one multiply-accumulate. Bias words count as stored
 weights but contribute neither MACs nor data-movement volume (they are added
 once per output, not streamed per MAC), so LayerStats carries both a weight
 count and a separate movement volume dw. Pool, act, concat, and add layers
 carry zero weights and zero MACs.
+
+``mult_count`` estimates the multiplications of the transforms that
+``kernels`` implements from the problem size alone, so it needs no arrays
+and this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -101,3 +106,65 @@ def network_stats(net: ResolvedNetwork) -> NetworkStats:
         fc_weights=sum(r.weights for r in fc),
         fc_macs=sum(r.macs for r in fc),
     )
+
+
+# multiplications per 2x2 output tile: elementwise product of two 4x4 tiles
+WINOGRAD_TILE_MULTS = 16
+# the same tile computed directly: 4 outputs x 9 taps
+DIRECT_TILE_MULTS = 36
+
+
+def next_pow2(n: int) -> int:
+    """Smallest power of two >= n."""
+    if n < 1:
+        raise ValueError(f"need a positive size, got {n}")
+    return 1 << (n - 1).bit_length()
+
+
+@dataclass(frozen=True)
+class MultCount:
+    """Scalar multiplication count of one method at one problem size."""
+
+    method: str
+    count: int
+    params: dict
+
+
+MULT_METHODS = ("direct", "im2col", "fft", "winograd", "strassen")
+
+
+def mult_count(method: str, out_size: int | None = None,
+               filter_size: int | None = None,
+               matrix_size: int | None = None) -> MultCount:
+    """Multiplication-count estimate for one transform method.
+
+    Convolution methods (direct, im2col, fft, winograd) take a square output
+    size No and filter size Nf; winograd is the 3x3, 2x2-tile variant only.
+    Strassen takes a power-of-two matrix size N.
+    """
+    if method not in MULT_METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {MULT_METHODS}")
+
+    if method == "strassen":
+        if matrix_size is None or matrix_size < 1 or matrix_size & (matrix_size - 1):
+            raise ValueError("strassen needs a power-of-two matrix_size")
+        exponent = matrix_size.bit_length() - 1
+        return MultCount(method=method, count=7 ** exponent,
+                         params={"matrix_size": matrix_size})
+
+    if out_size is None or filter_size is None or out_size < 1 or filter_size < 1:
+        raise ValueError(f"{method} needs positive out_size and filter_size")
+    direct = out_size * out_size * filter_size * filter_size
+    params = {"out_size": out_size, "filter_size": filter_size}
+    if method in ("direct", "im2col"):
+        # the lowering reorders the same multiplications, it removes none
+        return MultCount(method=method, count=direct, params=params)
+    if method == "fft":
+        n = next_pow2(out_size + filter_size - 1)
+        count = 3 * n * n * (n.bit_length() - 1) + n * n
+        return MultCount(method=method, count=count, params={**params, "fft_size": n})
+    # winograd, fixed 2.25x reduction of the 3x3 direct count
+    if filter_size != 3:
+        raise ValueError("winograd count is defined for 3x3 filters only")
+    count = direct * WINOGRAD_TILE_MULTS // DIRECT_TILE_MULTS
+    return MultCount(method=method, count=count, params=params)

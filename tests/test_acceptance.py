@@ -14,11 +14,11 @@ import pytest
 import dnncost as dc
 from dnncost.dataflow import DATA_TYPES, LEVELS, DataflowKind
 from dnncost.energy import Modifiers
-from dnncost.kernels import (DIRECT_TILE_MULTS, WINOGRAD_TILE_MULTS,
-                             conv_direct, conv_fft, conv_im2col,
-                             conv_winograd_f22_33, mult_count)
+from dnncost.kernels import (conv_direct, conv_fft, conv_im2col,
+                             conv_winograd_f22_33)
 from dnncost.optkit import (compression_ratio, rle_decode, rle_encode,
                             rle_pair_count)
+from dnncost.stats import DIRECT_TILE_MULTS, WINOGRAD_TILE_MULTS, mult_count
 from oracles import make_conv, simulate_accesses
 
 KINDS = list(DataflowKind)

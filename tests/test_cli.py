@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -302,6 +306,14 @@ class TestExitCodes:
         syntax = runner.invoke(main, ["stats", "--net", str(garbled)])
         assert syntax.exit_code == 1
 
+    @pytest.mark.parametrize("args", [["kernels", "verify"],
+                                      ["prune", "--builtin", "lenet5"],
+                                      ["compress"]])
+    def test_negative_seed_is_a_data_error(self, runner, args):
+        result = runner.invoke(main, [*args, "--seed", "-1"])
+        assert result.exit_code == 1
+        assert result.stderr == "error: --seed must be >= 0, got -1\n"
+
     def test_help_lists_commands(self, runner):
         result = runner.invoke(main, ["--help"])
         assert result.exit_code == 0
@@ -320,3 +332,57 @@ class TestOutFile:
         assert to_file.exit_code == 0
         assert to_file.stdout == ""
         assert target.read_text() == direct.stdout
+
+
+# run in a fresh interpreter: this process has loaded numpy long ago
+_RUN_CLI = """
+import sys
+from dnncost.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    if exc.code:
+        raise
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+_PACKAGE_API = """
+import sys
+import dnncost as dc
+assert "numpy" not in sys.modules, "numpy was imported"
+assert set(dc.__all__) <= set(dir(dc))
+from dnncost import conv_fft
+assert conv_fft is dc.kernels.conv_fft
+assert dc.optkit.rle_encode is dc.rle_encode
+names = {}
+exec("from dnncost import *", names)
+assert set(dc.__all__) <= set(names), set(dc.__all__) - set(names)
+try:
+    dc.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown attribute resolved")
+"""
+
+
+def _fresh_python(code, *args):
+    src = Path(dc.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestNumpyFreeStart:
+    @pytest.mark.parametrize("args", [["stats", "--builtin", "alexnet"],
+                                      ["analyze", "--builtin", "alexnet"],
+                                      ["compare", "--builtin", "alexnet"],
+                                      ["kernels", "count", "--method", "fft",
+                                       "--out-size", "32", "--filter-size", "5"]])
+    def test_report_commands_do_not_import_numpy(self, args):
+        result = _fresh_python(_RUN_CLI, *args)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+
+    def test_package_names_resolve_on_first_use(self):
+        result = _fresh_python(_PACKAGE_API)
+        assert result.returncode == 0, result.stderr

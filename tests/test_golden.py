@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from dnncost.cli import main
-from dnncost.kernels import MULT_METHODS
+from dnncost.stats import MULT_METHODS
 from dnncost.zoo import BUILTIN_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"

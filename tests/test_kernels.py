@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from dnncost.kernels import (MULT_METHODS, conv_direct, conv_fft, conv_im2col,
-                             conv_winograd_f22_33, im2col_matrix, mult_count,
-                             next_pow2)
+from dnncost.kernels import (conv_direct, conv_fft, conv_im2col,
+                             conv_winograd_f22_33, im2col_matrix)
+from dnncost.stats import MULT_METHODS, mult_count, next_pow2
 from oracles import window_conv
 
 
