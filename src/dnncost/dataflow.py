@@ -43,7 +43,7 @@ from enum import Enum
 
 from .archmodel import LEVELS, ArchConfig
 from .netmodel import WEIGHTED_KINDS, ResolvedLayer
-from .stats import layer_stats
+from .stats import layer_stats, wired_pairs
 
 DATA_TYPES = ("input", "weight", "psum")
 
@@ -104,14 +104,16 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig,
     Degenerate shapes clamp every factor to at least 1.
     """
     _weighted(layer)
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     kind = DataflowKind(kind)
     r, s = layer.kernel
     e, f = layer.out_height, layer.out_width
     m = layer.out_channels
     p = arch.pe_count
-    st = layer_stats(layer, 1)
-    # MACs per output word; equals (C/G)*R*S on densely wired layers
-    depth = max(1, _ceildiv(st.macs, st.do))
+    # MACs per output word, ceil(macs / do) with the E*F and batch factors
+    # cancelled; equals (C/G)*R*S on densely wired layers
+    depth = max(1, _ceildiv(wired_pairs(layer) * r * s, m))
 
     if kind is DataflowKind.WS:
         # one weight per PE; a filter occupies an R*S block of the array
@@ -148,27 +150,23 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig,
     )
 
 
-def _clamp(x: int, lo: int, hi: int) -> int:
-    return max(lo, min(x, hi))
-
-
 def access_counts(factors: ReuseFactors, layer: ResolvedLayer,
                   batch: int = 1) -> AccessCounts:
     """Evaluate the counting rules for one layer under one factor table."""
     _weighted(layer)
     st = layer_stats(layer, batch)
     t = st.macs
-    unique = {"input": st.di, "weight": st.dw, "psum": st.do}
 
     acc: dict[str, dict[str, int]] = {}
-    for dtype in ("input", "weight"):
-        fac = factors.of(dtype)
-        deliveries = max(_ceildiv(t, fac.rf_reuse), unique[dtype])
+    for dtype, fac, unique in (("input", factors.input, st.di),
+                               ("weight", factors.weight, st.dw)):
+        deliveries = max(_ceildiv(t, fac.rf_reuse), unique)
         acc[dtype] = {
             "rf": t if fac.resident else 0,
             "noc": deliveries,
-            "buf": _clamp(_ceildiv(deliveries, fac.multicast), unique[dtype], deliveries),
-            "dram": unique[dtype],
+            # buffer reads clamped to [unique, deliveries]
+            "buf": max(unique, min(_ceildiv(deliveries, fac.multicast), deliveries)),
+            "dram": unique,
         }
 
     fac = factors.psum
@@ -176,11 +174,11 @@ def access_counts(factors: ReuseFactors, layer: ResolvedLayer,
     acc["psum"] = {
         "rf": 2 * t if fac.resident else 0,
         "noc": max(_ceildiv(t, fac.rf_reuse), st.do),
-        "buf": _clamp(2 * updates, st.do, 2 * t),
+        "buf": max(st.do, min(2 * updates, 2 * t)),  # clamped to [Do, 2T]
         "dram": st.do,  # output writes only
     }
 
-    worst = max(max(row.values()) for row in acc.values())
+    worst = max(*acc["input"].values(), *acc["weight"].values(), *acc["psum"].values())
     if worst > COUNT_LIMIT or t > COUNT_LIMIT:
         raise OverflowError(
             f"layer {layer.name!r}: access count {worst} exceeds the 2**63 - 1 budget")

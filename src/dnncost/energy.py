@@ -36,7 +36,11 @@ class Modifiers:
             if not 0.0 < rho <= 1.0:
                 raise ValueError(f"{label} must be in (0, 1], got {rho}")
         for label, bits in (("bits_in", self.bits_in), ("bits_w", self.bits_w)):
-            if bits is not None and bits < 1:
+            if bits is None:
+                continue
+            if not isinstance(bits, int) or isinstance(bits, bool):
+                raise ValueError(f"{label} must be an integer, got {bits!r}")
+            if bits < 1:
                 raise ValueError(f"{label} must be >= 1, got {bits}")
 
 
@@ -84,15 +88,14 @@ def layer_energy(counts: AccessCounts, arch: ArchConfig,
                  mods: Modifiers = Modifiers()) -> EnergyReport:
     """Price one layer's access counts."""
     bi, bw = _resolve_bits(mods, arch)
-    width = {"input": bi, "weight": bw, "psum": arch.word_bits}
-    movement = {
-        dtype: {
-            level: counts.acc[dtype][level] * arch.energy.cost(level)
-                   * width[dtype] / arch.word_bits
-            for level in LEVELS
-        }
-        for dtype in DATA_TYPES
-    }
+    word = arch.word_bits
+    costs = [(level, arch.energy.cost(level)) for level in LEVELS]
+    # count * cost * width / word, left to right: folding cost * width / word
+    # into one factor would round differently
+    movement = {}
+    for dtype, width in zip(DATA_TYPES, (bi, bw, word)):
+        row = counts.acc[dtype]
+        movement[dtype] = {level: row[level] * cost * width / word for level, cost in costs}
     compute = (counts.total_macs * arch.mac_energy
                * (bi * bw) / (arch.word_bits * arch.word_bits)
                * mods.density_in * mods.density_w)
@@ -146,28 +149,31 @@ def compare_dataflows(net: ResolvedNetwork, arch: ArchConfig,
                       mods: Modifiers = Modifiers()) -> ComparisonReport:
     """Aggregate energy per dataflow, normalized to the cheapest one."""
     kinds = {layer.name: layer.kind for layer in net.layers}
+    if not any(kind in WEIGHTED_KINDS for kind in kinds.values()):
+        raise ValueError(f"network {net.name!r} has no weighted layers")
     raw = []
     for kind in DataflowKind:
         reports, agg = network_energy(net, kind, arch, mods)
-        conv_total = sum(r.total for r in reports if kinds[r.layer] == "conv")
-        layer_totals = {r.layer: r.total for r in reports}
-        raw.append((kind.value, agg, conv_total, layer_totals))
+        totals = [(r.layer, r.total) for r in reports]  # each total read once
+        conv_total = sum(t for name, t in totals if kinds[name] == "conv")
+        layer_totals = dict(totals)
+        raw.append((kind.value, agg, agg.total, conv_total, layer_totals))
 
-    best = min(agg.total for _, agg, _, _ in raw)
-    conv_best = min(ct for _, _, ct, _ in raw)
+    best = min(total for _, _, total, _, _ in raw)
+    conv_best = min(ct for _, _, _, ct, _ in raw)
     entries = tuple(
         DataflowComparison(
             kind=kind,
-            total=agg.total,
+            total=total,
             conv_total=conv_total,
-            ratio=agg.total / best,
+            ratio=total / best,
             conv_ratio=conv_total / conv_best if conv_best else 1.0,
             by_type=agg.by_type,
             by_level=agg.by_level,
             compute=agg.compute,
             layer_totals=layer_totals,
         )
-        for kind, agg, conv_total, layer_totals in raw
+        for kind, agg, total, conv_total, layer_totals in raw
     )
     winner = min(entries, key=lambda en: en.total).kind
     conv_winner = min(entries, key=lambda en: en.conv_total).kind

@@ -213,6 +213,19 @@ def builtin_document(name: str) -> str:
     return json.dumps(builder(), indent=2)
 
 
+# name -> (the parser that made it, parsed spec); a NetworkSpec is immutable,
+# so every caller shares one
+_PARSED: dict[str, tuple] = {}
+
+
 def builtin(name: str) -> NetworkSpec:
-    """Return a built-in network, parsed from its embedded document."""
-    return parse_network(builtin_document(name))
+    """Return a built-in network, parsed from its embedded document once per
+    process and shared by every caller.
+
+    A spec is reused only while ``parse_network`` is the function that parsed
+    it, so a replaced parser (a timing wrapper, a test double) is called again.
+    """
+    hit = _PARSED.get(name)
+    if hit is None or hit[0] is not parse_network:
+        hit = _PARSED[name] = (parse_network, parse_network(builtin_document(name)))
+    return hit[1]

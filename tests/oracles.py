@@ -4,11 +4,21 @@ Everything here recounts model quantities by literal enumeration, one loop
 iteration per event, so the closed-form code has an independent witness.
 Keep these dumb; their value is that they cannot share a bug with the
 formulas under test.
+
+The pricing reference at the end is not an enumeration: it is the engine's
+earlier, plainer pricing path (depth from a second layer_stats call, a
+validated cost() lookup per cell, totals re-derived from the report
+properties), kept so the lean engine path can be held to it with ``==``.
 """
 
 import numpy as np
 
-from dnncost.netmodel import ResolvedLayer
+from dnncost.archmodel import LEVELS
+from dnncost.dataflow import (DATA_TYPES, AccessCounts, DataflowKind, ReuseFactors,
+                              TypeReuse)
+from dnncost.energy import ComparisonReport, DataflowComparison, EnergyReport
+from dnncost.netmodel import WEIGHTED_KINDS, ResolvedLayer
+from dnncost.stats import layer_stats
 
 # Which data types live in the per-PE register file under each policy.
 # This restates the taxonomy definition, not the engine's factor table.
@@ -108,3 +118,137 @@ def window_conv(x, w, stride=1, pad=0):
             cols[:, e * out_w + f] = patch
             out[:, e, f] = flat @ patch
     return out, cols
+
+
+# -- pricing reference ---------------------------------------------------------
+
+def _ceildiv(a, b):
+    return -(-a // b)
+
+
+def reference_factors(kind, layer, arch, batch):
+    """Reuse factor table, depth = ceil(MACs / output words) at batch 1."""
+    kind = DataflowKind(kind)
+    r, s = layer.kernel
+    e, f = layer.out_height, layer.out_width
+    m = layer.out_channels
+    p = arch.pe_count
+    st = layer_stats(layer, 1)
+    depth = max(1, _ceildiv(st.macs, st.do))
+    if kind is DataflowKind.WS:
+        mp = min(max(p // (r * s), 1), m)
+        return ReuseFactors(
+            kind=kind,
+            weight=TypeReuse(resident=True, rf_reuse=max(1, batch * e * f)),
+            input=TypeReuse(resident=False, multicast=mp),
+            psum=TypeReuse(resident=False, spatial_accum=r * s),
+        )
+    if kind is DataflowKind.OS:
+        q = max(1, min(p, e * f))
+        return ReuseFactors(
+            kind=kind,
+            psum=TypeReuse(resident=True, rf_reuse=depth),
+            input=TypeReuse(resident=False, multicast=min(r * s, q)),
+            weight=TypeReuse(resident=False, multicast=q),
+        )
+    if kind is DataflowKind.NLR:
+        lane = arch.nlr_lane_width
+        return ReuseFactors(
+            kind=kind,
+            input=TypeReuse(resident=False, multicast=min(m, lane)),
+            weight=TypeReuse(resident=False, multicast=1),
+            psum=TypeReuse(resident=False, spatial_accum=min(depth, lane)),
+        )
+    g = max(1, min(arch.rs_channels_per_pe, layer.in_channels))
+    return ReuseFactors(
+        kind=kind,
+        weight=TypeReuse(resident=True, rf_reuse=max(1, f), multicast=min(e, p)),
+        input=TypeReuse(resident=True, rf_reuse=max(1, s), multicast=min(r, p)),
+        psum=TypeReuse(resident=True, rf_reuse=max(1, s * g), spatial_accum=max(1, r)),
+    )
+
+
+def reference_counts(kind, layer, arch, batch):
+    """Access counts with every clamp spelled out as max(lo, min(x, hi))."""
+    factors = reference_factors(kind, layer, arch, batch)
+    st = layer_stats(layer, batch)
+    t = st.macs
+    unique = {"input": st.di, "weight": st.dw, "psum": st.do}
+    acc = {}
+    for dtype in ("input", "weight"):
+        fac = factors.of(dtype)
+        deliveries = max(_ceildiv(t, fac.rf_reuse), unique[dtype])
+        acc[dtype] = {
+            "rf": t if fac.resident else 0,
+            "noc": deliveries,
+            "buf": max(unique[dtype], min(_ceildiv(deliveries, fac.multicast), deliveries)),
+            "dram": unique[dtype],
+        }
+    fac = factors.psum
+    updates = _ceildiv(t, fac.rf_reuse * fac.spatial_accum)
+    acc["psum"] = {
+        "rf": 2 * t if fac.resident else 0,
+        "noc": max(_ceildiv(t, fac.rf_reuse), st.do),
+        "buf": max(st.do, min(2 * updates, 2 * t)),
+        "dram": st.do,
+    }
+    return AccessCounts(layer=layer.name, kind=factors.kind, total_macs=t, acc=acc)
+
+
+def reference_layer_energy(counts, arch, mods):
+    """Price each (type, level) cell with its own cost() lookup."""
+    bi = arch.word_bits if mods.bits_in is None else mods.bits_in
+    bw = arch.word_bits if mods.bits_w is None else mods.bits_w
+    width = {"input": bi, "weight": bw, "psum": arch.word_bits}
+    movement = {
+        dtype: {
+            level: counts.acc[dtype][level] * arch.energy.cost(level)
+                   * width[dtype] / arch.word_bits
+            for level in LEVELS
+        }
+        for dtype in DATA_TYPES
+    }
+    compute = (counts.total_macs * arch.mac_energy
+               * (bi * bw) / (arch.word_bits * arch.word_bits)
+               * mods.density_in * mods.density_w)
+    return EnergyReport(layer=counts.layer, dataflow=counts.kind.value,
+                        movement=movement, compute=compute,
+                        total_macs=counts.total_macs)
+
+
+def reference_network_energy(net, kind, arch, mods):
+    """Per-layer reports over the weighted layers, plus their aggregate."""
+    kind = DataflowKind(kind)
+    reports = [reference_layer_energy(reference_counts(kind, layer, arch, net.batch),
+                                      arch, mods)
+               for layer in net.layers if layer.kind in WEIGHTED_KINDS]
+    movement = {d: {lv: sum(r.movement[d][lv] for r in reports) for lv in LEVELS}
+                for d in DATA_TYPES}
+    agg = EnergyReport(layer="total", dataflow=kind.value, movement=movement,
+                       compute=sum(r.compute for r in reports),
+                       total_macs=sum(r.total_macs for r in reports))
+    return reports, agg
+
+
+def reference_compare(net, arch, mods):
+    """Dataflow comparison reading every total from the report properties."""
+    kinds = {layer.name: layer.kind for layer in net.layers}
+    raw = []
+    for kind in DataflowKind:
+        reports, agg = reference_network_energy(net, kind, arch, mods)
+        conv_total = sum(r.total for r in reports if kinds[r.layer] == "conv")
+        raw.append((kind.value, agg, conv_total, {r.layer: r.total for r in reports}))
+    best = min(agg.total for _, agg, _, _ in raw)
+    conv_best = min(ct for _, _, ct, _ in raw)
+    entries = tuple(
+        DataflowComparison(
+            kind=kind, total=agg.total, conv_total=conv_total,
+            ratio=agg.total / best,
+            conv_ratio=conv_total / conv_best if conv_best else 1.0,
+            by_type=agg.by_type, by_level=agg.by_level, compute=agg.compute,
+            layer_totals=layer_totals)
+        for kind, agg, conv_total, layer_totals in raw)
+    return ComparisonReport(
+        network=net.name, batch=net.batch, entries=entries,
+        winner=min(entries, key=lambda en: en.total).kind,
+        conv_winner=min(entries, key=lambda en: en.conv_total).kind)

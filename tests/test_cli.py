@@ -291,6 +291,22 @@ class TestExitCodes:
                                        "--format", "yaml"])
         assert bad_fmt.exit_code == 2
 
+    def test_compare_without_weighted_layers_is_a_data_error(self, runner, tmp_path):
+        path = tmp_path / "nw.json"
+        path.write_text(json.dumps({
+            "name": "nw", "input": {"channels": 2, "height": 6, "width": 6},
+            "layers": [{"type": "pool", "name": "p", "kernel": [2, 2], "stride": 2},
+                       {"type": "act", "name": "a"}]}))
+        compare = runner.invoke(main, ["compare", "--net", str(path)])
+        assert compare.exit_code == 1
+        assert "network 'nw' has no weighted layers" in compare.stderr
+        assert "Traceback" not in compare.output
+        for command in ("stats", "analyze"):
+            result = runner.invoke(main, [command, "--net", str(path), "--format", "csv"])
+            assert result.exit_code == 0
+            total = rows_of(result.stdout)[-1]
+            assert (total[0], total[-1]) == ("total", "0")
+
     def test_data_errors_are_one(self, runner, tmp_path):
         missing = runner.invoke(main, ["stats", "--net",
                                        str(tmp_path / "absent.json")])

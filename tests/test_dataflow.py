@@ -95,6 +95,12 @@ class TestReuseFactors:
         with pytest.raises(ValueError, match="conv and fc"):
             reuse_factors(DataflowKind.WS, pool, arch)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("batch", [0, -5])
+    def test_rejects_batch_below_one(self, arch, kind, batch):
+        with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
+            reuse_factors(kind, TINY, arch, batch=batch)
+
 
 class TestAccessCounts:
     @pytest.mark.parametrize("kind", KINDS)

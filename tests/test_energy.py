@@ -1,13 +1,16 @@
 """Energy pricing, workload modifiers, and the dataflow comparison."""
 
+import json
 import math
+import random
 
 import pytest
 
 import dnncost as dc
+from dnncost.archmodel import ArchConfig, EnergyTable
 from dnncost.dataflow import DATA_TYPES, LEVELS, DataflowKind
 from dnncost.energy import Modifiers, layer_energy
-from oracles import make_conv
+from oracles import make_conv, reference_compare, reference_network_energy
 
 TINY = make_conv(1, 3, 3, 1, 2, 2)  # T=16, Di=9, Dw=4, Do=4
 ONE = make_conv(1, 1, 1, 1, 1, 1)   # every volume is a single word
@@ -99,6 +102,12 @@ class TestModifiers:
         with pytest.raises(ValueError, match="bits_w"):
             Modifiers(bits_w=0)
 
+    @pytest.mark.parametrize("field, bits", [("bits_in", 8.5), ("bits_w", 8.0),
+                                             ("bits_in", True), ("bits_w", "8")])
+    def test_bitwidths_must_be_integers(self, field, bits):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Modifiers(**{field: bits})
+
 
 class TestNetworkEnergy:
     def test_aggregate_is_additive(self, arch, resolved_builtins):
@@ -163,3 +172,62 @@ class TestCompareDataflows:
             assert set(en.layer_totals) == weighted
             assert math.isclose(sum(en.layer_totals.values()), en.total,
                                 rel_tol=1e-12)
+
+    def test_network_without_weighted_layers_is_rejected(self, arch):
+        net = dc.resolve_shapes(dc.parse_network(json.dumps(UNWEIGHTED)))
+        with pytest.raises(ValueError, match="network 'nw' has no weighted layers"):
+            dc.compare_dataflows(net, arch)
+
+
+UNWEIGHTED = {
+    "name": "nw",
+    "input": {"channels": 2, "height": 6, "width": 6},
+    "layers": [{"type": "pool", "name": "p", "kernel": [2, 2], "stride": 2},
+               {"type": "act", "name": "a"}],
+}
+
+
+def design_points(count, seed):
+    """Seeded architectures, modifiers and batches for the reference check,
+    each with one dataflow whose per-layer reports are compared too."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(count):
+        word = rng.choice((8, 16, 32))
+        noc = 1.0 + 3.0 * rng.random()
+        buf = noc + 10.0 * rng.random()
+        arch = ArchConfig(
+            pe_count=rng.choice((1, 7, 64, 168, 256, 1024)), word_bits=word,
+            energy=EnergyTable(rf=1.0, noc=noc, buf=buf, dram=100.0 + 300.0 * rng.random()),
+            mac_energy=0.5 + 1.5 * rng.random(), rs_channels_per_pe=rng.randint(1, 8),
+            nlr_lane_width=rng.choice((1, 4, 16, 32)))
+        mods = Modifiers(density_in=0.3 + 0.7 * rng.random(),
+                         density_w=0.3 + 0.7 * rng.random(),
+                         bits_in=rng.choice((None, 1, word // 2, word)),
+                         bits_w=rng.choice((None, 3, word)))
+        kind = list(DataflowKind)[i % 4]
+        points.append(pytest.param(arch, mods, rng.randint(1, 4), kind, id=f"point{i}"))
+    return points
+
+
+DESIGN_POINTS = design_points(50, seed=2016)
+
+
+class TestPricingReference:
+    """The engine's pricing equals the plain reference path bit for bit."""
+
+    def test_grid_covers_the_corners(self):
+        archs, mods, batches, _ = zip(*(p.values for p in DESIGN_POINTS))
+        assert 1 in {a.pe_count for a in archs}
+        assert 1 in {a.nlr_lane_width for a in archs}
+        assert {8, 32} <= {a.word_bits for a in archs}
+        assert None in {m.bits_in for m in mods}
+        assert set(batches) == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("arch, mods, batch, kind", DESIGN_POINTS)
+    def test_engine_equals_reference(self, arch, mods, batch, kind):
+        for name in dc.BUILTIN_NAMES:
+            net = dc.resolve_shapes(dc.builtin(name), batch=batch)
+            assert dc.compare_dataflows(net, arch, mods) == reference_compare(net, arch, mods)
+            assert (dc.network_energy(net, kind, arch, mods)
+                    == reference_network_energy(net, kind, arch, mods))

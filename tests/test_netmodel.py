@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnncost as dc
+from dnncost import zoo
 from dnncost.cli import main
 from dnncost.netmodel import (NetworkError, NetworkSemanticError,
                               NetworkSyntaxError, ShapeError)
@@ -256,8 +257,26 @@ class TestBuiltins:
                    for layer in net.layers)
 
     def test_unknown_builtin(self):
-        with pytest.raises(NetworkError, match="mobilenet"):
-            dc.builtin("mobilenet")
+        for _ in range(2):  # a failure is not cached
+            with pytest.raises(NetworkError, match="mobilenet"):
+                dc.builtin("mobilenet")
+
+    @pytest.mark.parametrize("name", dc.BUILTIN_NAMES)
+    def test_builtin_is_parsed_once_and_shared(self, name):
+        spec = dc.builtin(name)
+        assert dc.builtin(name) is spec
+        assert spec == dc.parse_network(dc.builtin_document(name))
+
+    def test_builtin_calls_a_replaced_parser_once(self, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return dc.parse_network(text)
+
+        monkeypatch.setattr(zoo, "parse_network", counting)
+        assert dc.builtin("lenet5") is dc.builtin("lenet5")
+        assert calls == [dc.builtin_document("lenet5")]
 
     def test_builtin_documents_parse(self):
         for name in dc.BUILTIN_NAMES:
