@@ -5,12 +5,17 @@ access; absolute calibration is the caller's business. The defaults describe a
 256-PE spatial array with a four level storage hierarchy: per-PE register
 file, inter-PE network, global buffer, DRAM. Storage capacities are not part
 of the model: DRAM traffic is always the ideal unique volume.
+
+The ``EnergyTable`` and ``ArchConfig`` constructors check every field and store
+costs as floats, so a configuration built in code and one parsed from JSON
+agree and fail alike, with ``ArchError``. ``parse_arch`` checks only the
+document's shape and maps keys to constructor arguments.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 LEVELS = ("rf", "noc", "buf", "dram")
@@ -18,6 +23,15 @@ LEVELS = ("rf", "noc", "buf", "dram")
 
 class ArchError(ValueError):
     """Invalid accelerator configuration or configuration document."""
+
+
+def _cost(value, what: str) -> float:
+    """A relative energy as a float, so that a cost given as an integer
+    prices alike from code and from JSON; the bound rejects NaN and inf."""
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not 0 < value <= sys.float_info.max):
+        raise ArchError(f"{what} must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -28,6 +42,15 @@ class EnergyTable:
     noc: float = 2.0
     buf: float = 6.0
     dram: float = 200.0
+
+    def __post_init__(self):
+        for level in LEVELS:
+            cost = _cost(getattr(self, level), f"energy cost for {level}")
+            object.__setattr__(self, level, cost)
+        if not self.rf <= self.noc <= self.buf <= self.dram:
+            raise ArchError(
+                f"energy costs must be ordered rf <= noc <= buf <= dram, got "
+                f"({self.rf}, {self.noc}, {self.buf}, {self.dram})")
 
     def cost(self, level: str) -> float:
         if level not in LEVELS:
@@ -45,22 +68,15 @@ class ArchConfig:
     nlr_lane_width: int = 16
 
     def __post_init__(self):
-        if self.pe_count < 1:
-            raise ArchError(f"pe_count must be >= 1, got {self.pe_count}")
-        if not 1 <= self.word_bits <= 64:
+        for name in ("pe_count", "word_bits", "rs_channels_per_pe", "nlr_lane_width"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ArchError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.word_bits > 64:
             raise ArchError(f"word_bits must be in [1, 64], got {self.word_bits}")
-        if not (math.isfinite(self.mac_energy) and self.mac_energy > 0):
-            raise ArchError(f"mac_energy must be finite and > 0, got {self.mac_energy}")
-        if self.rs_channels_per_pe < 1 or self.nlr_lane_width < 1:
-            raise ArchError("rs_channels_per_pe and nlr_lane_width must be >= 1")
-        e = self.energy
-        for level in LEVELS:
-            if not (math.isfinite(e.cost(level)) and e.cost(level) > 0):
-                raise ArchError(f"energy cost for {level} must be finite and > 0")
-        if not e.rf <= e.noc <= e.buf <= e.dram:
-            raise ArchError(
-                f"energy costs must be ordered rf <= noc <= buf <= dram, got "
-                f"({e.rf}, {e.noc}, {e.buf}, {e.dram})")
+        if not isinstance(self.energy, EnergyTable):
+            raise ArchError(f"energy must be an EnergyTable, got {self.energy!r}")
+        object.__setattr__(self, "mac_energy", _cost(self.mac_energy, "mac_energy"))
 
 
 def default_arch() -> ArchConfig:
@@ -70,40 +86,24 @@ def default_arch() -> ArchConfig:
 _TOP_KEYS = {f.name for f in fields(ArchConfig)}
 
 
-def _number(value, what: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ArchError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def parse_arch(text: str) -> ArchConfig:
     """Parse a JSON configuration; unspecified fields keep their defaults."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # json raises ValueError past 4,300 digits, RecursionError on deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ArchError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ArchError("top level must be an object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ArchError(f"unknown keys {sorted(unknown)}")
-
-    values = {}
-    for key in ("pe_count", "word_bits", "rs_channels_per_pe", "nlr_lane_width"):
-        if key in doc:
-            value = doc[key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ArchError(f"{key} must be an integer, got {value!r}")
-            values[key] = value
-    if "mac_energy" in doc:
-        values["mac_energy"] = _number(doc["mac_energy"], "mac_energy")
     if "energy" in doc:
         table = doc["energy"]
         if not isinstance(table, dict) or set(table) - set(LEVELS):
             raise ArchError(f"energy must be an object with keys among {LEVELS}")
-        values["energy"] = EnergyTable(**{level: _number(table[level], f"energy.{level}")
-                                          for level in LEVELS if level in table})
-    return ArchConfig(**values)
+        doc["energy"] = EnergyTable(**table)
+    return ArchConfig(**doc)
 
 
 def serialize_arch(cfg: ArchConfig) -> str:

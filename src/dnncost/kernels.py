@@ -124,9 +124,7 @@ def conv_winograd_f22_33(x, w) -> np.ndarray:
     if (r, s) != (3, 3):
         raise ValueError(f"requires 3x3 filters, got {r}x{s}")
     _, h, wd = x.shape
-    e, f = h - 2, wd - 2
-    if e < 1 or f < 1:
-        raise ValueError(f"input {h}x{wd} too small for 3x3 filters")
+    e, f = out_extent(h, 3, 1, 0), out_extent(wd, 3, 1, 0)
     xp = np.pad(x, ((0, 0), (0, e & 1), (0, f & 1)))
     tiles = _windows(xp, (4, 4), 2, 0)  # C x TY x TX x 4 x 4, 2 apart
     _, ty, tx, _, _ = tiles.shape
@@ -148,10 +146,7 @@ def conv_fft(x, w) -> np.ndarray:
     x, w = _check_operands(x, w)
     c, h, wd = x.shape
     m, _, r, s = w.shape
-    e = h - r + 1
-    f = wd - s + 1
-    if e < 1 or f < 1:
-        raise ValueError(f"filters {r}x{s} do not fit input {h}x{wd}")
+    e, f = out_extent(h, r, 1, 0), out_extent(wd, s, 1, 0)
     nh = next_pow2(h + r - 1)
     nw = next_pow2(wd + s - 1)
 

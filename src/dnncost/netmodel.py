@@ -17,6 +17,12 @@ Layer kinds:
 * ``concat`` channel concatenation of several feeds (zero cost)
 * ``add``    elementwise sum of identically shaped feeds (zero cost)
 
+Every value rule lives in the ``LayerSpec`` and ``NetworkSpec`` constructors,
+so a spec built in code and one parsed from JSON are held to the same rules and
+raise the same ``NetworkSemanticError``. ``parse_network`` checks only the
+document's shape (JSON, object and list types, known and required keys) and
+maps keys to constructor arguments.
+
 All types are immutable after construction and every function is pure, so the
 module is safe for concurrent use.
 """
@@ -63,6 +69,11 @@ class ShapeError(NetworkError):
     """Shape propagation failed (output underflow, bad channel split)."""
 
 
+def _require_int(value, minimum, where, what):
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise NetworkSemanticError(f"{where}{what} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """One layer as declared, before shape resolution.
@@ -85,32 +96,36 @@ class LayerSpec:
     inputs: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise NetworkSemanticError(f"layer name must be a non-empty string, got {self.name!r}")
+        where = f"layer {self.name!r}: "
         if self.kind not in LAYER_KINDS:
-            raise NetworkSemanticError(f"layer {self.name!r}: unknown kind {self.kind!r}")
-        if not self.name:
-            raise NetworkSemanticError("layer with empty name")
-        r, s = self.kernel
-        if r < 1 or s < 1:
-            raise NetworkSemanticError(f"layer {self.name!r}: kernel must be positive, got {self.kernel}")
-        if self.stride < 1:
-            raise NetworkSemanticError(f"layer {self.name!r}: stride must be >= 1, got {self.stride}")
-        if self.pad < 0:
-            raise NetworkSemanticError(f"layer {self.name!r}: pad must be >= 0, got {self.pad}")
-        if self.groups < 1:
-            raise NetworkSemanticError(f"layer {self.name!r}: groups must be >= 1, got {self.groups}")
-        if self.kind in WEIGHTED_KINDS and self.out_channels < 1:
-            raise NetworkSemanticError(f"layer {self.name!r}: out_channels must be >= 1")
-        if self.connections is not None and self.connections < 1:
-            raise NetworkSemanticError(f"layer {self.name!r}: connections must be >= 1")
+            raise NetworkSemanticError(f"{where}unknown layer type {self.kind!r}")
+        if not isinstance(self.kernel, tuple) or len(self.kernel) != 2:
+            raise NetworkSemanticError(
+                f"{where}kernel must be a (height, width) tuple, got {self.kernel!r}")
+        for what, value, minimum in (
+                ("kernel height", self.kernel[0], 1), ("kernel width", self.kernel[1], 1),
+                ("stride", self.stride, 1), ("pad", self.pad, 0), ("groups", self.groups, 1),
+                ("out_channels", self.out_channels, 1 if self.kind in WEIGHTED_KINDS else 0)):
+            _require_int(value, minimum, where, what)
+        if self.connections is not None:
+            _require_int(self.connections, 1, where, "connections")
+        if not isinstance(self.bias, bool):
+            raise NetworkSemanticError(f"{where}bias must be a boolean, got {self.bias!r}")
+        if not isinstance(self.inputs, tuple):
+            raise NetworkSemanticError(f"{where}inputs must list layer names, got {self.inputs!r}")
+        for feed in self.inputs:
+            if not isinstance(feed, str):
+                raise NetworkSemanticError(f"{where}input {feed!r} does not name a layer")
         if self.kind in _MERGE_KINDS and len(self.inputs) < 2:
-            raise NetworkSemanticError(f"layer {self.name!r}: inputs must list at least two layers")
+            raise NetworkSemanticError(f"{where}inputs must list at least two layers")
         if self.kind not in _MERGE_KINDS and len(self.inputs) > 1:
             raise NetworkSemanticError(
-                f"layer {self.name!r}: {self.kind} layers take one input, got {len(self.inputs)}")
+                f"{where}{self.kind} layers take one input, got {len(self.inputs)}")
         for field, default in _UNUSED_FIELDS[self.kind]:
             if getattr(self, field) != default:
-                raise NetworkSemanticError(
-                    f"layer {self.name!r}: {field} does not apply to {self.kind} layers")
+                raise NetworkSemanticError(f"{where}{field} does not apply to {self.kind} layers")
 
 
 # per kind, the (field, default) pairs of the LayerSpec fields it does not read
@@ -128,6 +143,29 @@ class NetworkSpec:
     in_height: int
     in_width: int
     layers: tuple[LayerSpec, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise NetworkSemanticError(
+                f"network name must be a non-empty string, got {self.name!r}")
+        for what, value in (("channels", self.in_channels), ("height", self.in_height),
+                            ("width", self.in_width)):
+            _require_int(value, 1, "input ", what)
+        if not isinstance(self.layers, tuple) or not self.layers:
+            raise NetworkSemanticError(
+                f"network {self.name!r}: layers must be a non-empty tuple of LayerSpec")
+        seen: set[str] = set()
+        for spec in self.layers:
+            if not isinstance(spec, LayerSpec):
+                raise NetworkSemanticError(
+                    f"network {self.name!r}: layers must be LayerSpec objects, got {spec!r}")
+            if spec.name in seen:
+                raise NetworkSemanticError(f"layer {spec.name!r}: duplicate layer name")
+            for feed in spec.inputs:
+                if feed not in seen:
+                    raise NetworkSemanticError(
+                        f"layer {spec.name!r}: input {feed!r} does not name an earlier layer")
+            seen.add(spec.name)
 
 
 @dataclass(frozen=True)
@@ -179,96 +217,59 @@ _ALLOWED = {kind: keys | {"type", "name", "inputs" if kind in _MERGE_KINDS else 
             for kind, keys in _FIELDS.items()}
 
 
-def _require_int(value, what, minimum):
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise NetworkSemanticError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    return value
+def _tuple(value):
+    """A JSON list as the tuple a LayerSpec holds; any other value as it
+    stands, for LayerSpec to judge."""
+    return tuple(value) if isinstance(value, list) else value
 
 
-def _parse_layer(doc, index, seen):
-    where = f"layer {index}"
+def _parse_layer(doc, index):
     if not isinstance(doc, dict):
-        raise NetworkSyntaxError(f"{where}: expected an object, got {type(doc).__name__}")
+        raise NetworkSyntaxError(f"layer {index}: expected an object, got {type(doc).__name__}")
+    where = f"layer {index} ({doc.get('name')!r})"
+    # LayerSpec reads None as "absent", so a null must not reach it
+    if None in doc.values():
+        nulls = sorted(key for key, value in doc.items() if value is None)
+        raise NetworkSemanticError(f"{where}: null values for {nulls}")
     kind = doc.get("type")
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        raise NetworkSemanticError(f"{where}: missing or empty name")
-    where = f"{where} ({name!r})"
-    if kind not in LAYER_KINDS:
-        raise NetworkSemanticError(f"{where}: unknown layer type {kind!r}")
-    if name in seen:
-        raise NetworkSemanticError(f"{where}: duplicate layer name")
-
-    unknown = set(doc) - _ALLOWED[kind]
-    if unknown:
-        raise NetworkSemanticError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = _REQUIRED[kind] - set(doc)
-    if missing:
-        raise NetworkSemanticError(f"{where}: missing required keys {sorted(missing)}")
-
-    if kind in _MERGE_KINDS:
-        # LayerSpec checks the number of feeds
-        feeds = doc["inputs"]
-        if not isinstance(feeds, list):
-            raise NetworkSemanticError(f"{where}: inputs must list at least two layers")
-    else:
-        feeds = [doc["input"]] if "input" in doc else []
-    for feed in feeds:
-        if not isinstance(feed, str) or feed not in seen:
-            raise NetworkSemanticError(f"{where}: input {feed!r} does not name an earlier layer")
-
-    kernel = (1, 1)
-    if "kernel" in doc:
-        raw = doc["kernel"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise NetworkSemanticError(f"{where}: kernel must be a [height, width] pair")
-        kernel = (_require_int(raw[0], f"{where}: kernel height", 1),
-                  _require_int(raw[1], f"{where}: kernel width", 1))
-    # _ALLOWED has rejected every key that does not belong to this kind, so
-    # the LayerSpec defaults stand in for the absent ones
-    ints = {key: _require_int(doc[key], f"{where}: {key}", minimum)
-            for key, minimum in (("stride", 1), ("pad", 0), ("groups", 1),
-                                 ("out_channels", 1), ("connections", 1))
-            if key in doc}
-    bias = doc.get("bias", True)
-    if not isinstance(bias, bool):
-        raise NetworkSemanticError(f"{where}: bias must be a boolean")
-    return LayerSpec(kind=kind, name=name, kernel=kernel, bias=bias,
-                     inputs=tuple(feeds), **ints)
+    # the type picks the key set; LayerSpec rejects a type it does not know
+    if kind in LAYER_KINDS:
+        unknown = doc.keys() - _ALLOWED[kind]
+        if unknown:
+            raise NetworkSemanticError(f"{where}: unknown keys {sorted(unknown)}")
+        missing = _REQUIRED[kind] - doc.keys()
+        if missing:
+            raise NetworkSemanticError(f"{where}: missing required keys {sorted(missing)}")
+    # conv reads every field but kind, name and inputs; the LayerSpec
+    # defaults stand in for the absent ones
+    args = {key: doc[key] for key in _FIELDS["conv"] & doc.keys()}
+    if "kernel" in args:
+        args["kernel"] = _tuple(args["kernel"])
+    feeds = doc["inputs"] if "inputs" in doc else [doc["input"]] if "input" in doc else []
+    return LayerSpec(kind=kind, name=doc.get("name"), inputs=_tuple(feeds), **args)
 
 
 def parse_network(text: str) -> NetworkSpec:
     """Parse a JSON network description into a NetworkSpec."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # json raises ValueError past 4,300 digits, RecursionError on deep nesting
+    except (ValueError, RecursionError) as exc:
         raise NetworkSyntaxError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise NetworkSyntaxError("top level must be an object")
     unknown = set(doc) - {"name", "input", "layers"}
     if unknown:
         raise NetworkSemanticError(f"unknown top-level keys {sorted(unknown)}")
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        raise NetworkSemanticError("missing or empty network name")
     shape = doc.get("input")
     if not isinstance(shape, dict) or set(shape) != {"channels", "height", "width"}:
         raise NetworkSemanticError("input must be an object with channels, height, width")
-    channels = _require_int(shape["channels"], "input channels", 1)
-    height = _require_int(shape["height"], "input height", 1)
-    width = _require_int(shape["width"], "input width", 1)
-    raw_layers = doc.get("layers")
-    if not isinstance(raw_layers, list) or not raw_layers:
-        raise NetworkSemanticError("layers must be a non-empty list")
-
-    layers = []
-    seen: set[str] = set()
-    for index, raw in enumerate(raw_layers):
-        spec = _parse_layer(raw, index, seen)
-        seen.add(spec.name)
-        layers.append(spec)
-    return NetworkSpec(name=name, in_channels=channels, in_height=height,
-                       in_width=width, layers=tuple(layers))
+    layers = doc.get("layers")
+    if not isinstance(layers, list):
+        raise NetworkSemanticError("layers must be a list")
+    return NetworkSpec(name=doc.get("name"), in_channels=shape["channels"],
+                       in_height=shape["height"], in_width=shape["width"],
+                       layers=tuple(_parse_layer(raw, index) for index, raw in enumerate(layers)))
 
 
 def _layer_doc(spec: LayerSpec) -> dict:
@@ -320,9 +321,6 @@ def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
     for spec in net.layers:
         where = f"layer {spec.name!r}: "
         feed_names = spec.inputs or prev
-        for nm in feed_names:
-            if nm not in out_shapes:
-                raise NetworkSemanticError(f"{where}input {nm!r} does not name an earlier layer")
         feeds = ([out_shapes[nm] for nm in feed_names]
                  or [(net.in_channels, net.in_height, net.in_width)])
         c, h, w = feeds[0]

@@ -1,12 +1,15 @@
 """Hardware configuration parsing and validation."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dnncost as dc
-from dnncost.archmodel import ArchError
+from dnncost.archmodel import LEVELS, ArchError
 from dnncost.cli import main
 
 
@@ -94,3 +97,86 @@ class TestParse:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
         assert "finite" in result.stderr
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ArchError, match="not valid JSON"):
+            dc.parse_arch("[" * 100_000)
+
+    def test_integer_cost_beyond_float_range_rejected(self, tmp_path):
+        text = json.dumps({"energy": {"dram": 10 ** 400}})
+        with pytest.raises(ArchError, match="finite"):
+            dc.parse_arch(text)
+        path = tmp_path / "arch.json"
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["compare", "--builtin", "lenet5",
+                                           "--arch", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: energy cost for dram")
+
+
+# any JSON scalar: Python None, bool, int (unbounded), float (NaN and inf
+# included) and str
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
+
+
+def mostly(values):
+    """``values`` fifteen times in sixteen, any scalar the rest."""
+    return st.sampled_from(range(16)).flatmap(lambda i: SCALARS if i == 15 else values)
+
+
+COSTS = st.integers(1, 400) | st.floats(0.5, 400.0)
+# each field optional, mostly in range; energy is a table of optional
+# costs, or now and then a scalar
+ARCHS = st.fixed_dictionaries({}, optional={
+    "pe_count": mostly(st.integers(1, 1024)),
+    "word_bits": mostly(st.integers(1, 70)),
+    "mac_energy": mostly(COSTS),
+    "rs_channels_per_pe": mostly(st.integers(1, 8)),
+    "nlr_lane_width": mostly(st.integers(1, 32)),
+    "energy": mostly(st.fixed_dictionaries(
+        {}, optional={level: mostly(COSTS) for level in LEVELS})),
+})
+
+
+def accepted(fn, *args, **kwargs):
+    """``fn(...)``, or None when it raises an ArchError; any other exception
+    propagates."""
+    try:
+        return fn(*args, **kwargs)
+    except ArchError:
+        return None
+
+
+def build_arch(fields):
+    energy = fields.get("energy")
+    if isinstance(energy, dict):
+        fields = {**fields, "energy": dc.EnergyTable(**energy)}
+    return dc.ArchConfig(**fields)
+
+
+class TestCodeAndJsonAgree:
+    """A configuration built in code is accepted exactly when its JSON form
+    is, and then both give the same config, which round-trips. Only an
+    ArchError escapes."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(fields=ARCHS)
+    @example(fields={"pe_count": 2.5})
+    @example(fields={"nlr_lane_width": math.nan})
+    @example(fields={"word_bits": "16"})
+    @example(fields={"energy": {"dram": 2 ** 53 + 1}})
+    @example(fields={"energy": {"buf": 10 ** 400}})
+    def test_code_and_json_accept_alike(self, fields):
+        built = accepted(build_arch, fields)
+        parsed = accepted(dc.parse_arch, json.dumps(fields))
+        assert (built is None) == (parsed is None)
+        if built is not None:
+            e = built.energy
+            counts = (built.pe_count, built.word_bits, built.rs_channels_per_pe,
+                      built.nlr_lane_width)
+            assert all(type(n) is int and n >= 1 for n in counts) and built.word_bits <= 64
+            costs = (built.mac_energy, e.rf, e.noc, e.buf, e.dram)
+            assert all(type(c) is float and 0 < c < math.inf for c in costs)
+            assert e.rf <= e.noc <= e.buf <= e.dram
+            assert parsed == built
+            assert dc.parse_arch(dc.serialize_arch(built)) == built

@@ -1,16 +1,17 @@
 """Network description parsing, validation, and shape resolution."""
 
+import dataclasses
 import json
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dnncost as dc
 from dnncost import zoo
 from dnncost.cli import main
-from dnncost.netmodel import (NetworkError, NetworkSemanticError,
+from dnncost.netmodel import (LAYER_KINDS, NetworkError, NetworkSemanticError,
                               NetworkSyntaxError, ShapeError)
 
 
@@ -95,7 +96,7 @@ class TestParse:
         path.write_text(text)
         result = CliRunner().invoke(main, ["stats", "--net", str(path)])
         assert result.exit_code == 1
-        assert result.stderr.startswith("error: layer 1 ('b'): input ")
+        assert result.stderr.startswith("error: layer 'b': input ")
 
     def test_concat_needs_two_feeds(self):
         layers = [conv("a"), {"type": "concat", "name": "m", "inputs": ["a"]}]
@@ -105,6 +106,16 @@ class TestParse:
     def test_empty_layer_list(self):
         with pytest.raises(NetworkSemanticError):
             dc.parse_network(doc([]))
+
+    @pytest.mark.parametrize("key", ["connections", "stride", "bias", "kernel", "input", "name"])
+    def test_null_value_rejected(self, key):
+        # a null connections would otherwise read as dense wiring
+        with pytest.raises(NetworkSemanticError, match="null"):
+            dc.parse_network(doc([conv(**{key: None})]))
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(NetworkSyntaxError, match="not valid JSON"):
+            dc.parse_network("[" * 100_000)
 
 
 class TestRoundTrip:
@@ -171,10 +182,9 @@ class TestResolve:
             dc.resolve_shapes(dc.parse_network(doc(layers)))
 
     def test_unknown_feed_in_code_built_spec(self):
-        net = dc.NetworkSpec("n", 1, 8, 8, (
-            dc.LayerSpec("conv", "a", out_channels=1, kernel=(3, 3), inputs=("zz",)),))
         with pytest.raises(NetworkSemanticError, match="'a'.*input 'zz' does not name"):
-            dc.resolve_shapes(net)
+            dc.NetworkSpec("n", 1, 8, 8, (
+                dc.LayerSpec("conv", "a", out_channels=1, kernel=(3, 3), inputs=("zz",)),))
 
     def test_batch_must_be_positive(self):
         net = dc.parse_network(doc([conv()]))
@@ -234,6 +244,189 @@ class TestCodeAndJsonAgree:
             parsed = dc.parse_network(text)
             assert parsed.layers[-1] == built
             assert dc.parse_network(dc.serialize_network(parsed)) == parsed
+
+
+# any JSON scalar: Python None, bool, int (unbounded), float (NaN and inf
+# included) and str
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
+# a scalar, or a tuple of up to three scalars and small integers
+OTHERS = SCALARS | st.lists(SCALARS | st.integers(1, 3), max_size=3).map(tuple)
+NAMES = ("a", "b", "c")
+
+
+def mostly(values, otherwise=SCALARS):
+    """``values`` fifteen times in sixteen, ``otherwise`` the rest."""
+    return st.sampled_from(range(16)).flatmap(lambda i: otherwise if i == 15 else values)
+
+
+# per LayerSpec field, values that are mostly in range
+FIELD_VALUES = {
+    "out_channels": st.integers(1, 4),
+    "kernel": st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    "stride": st.integers(1, 4),
+    "pad": st.integers(0, 3),
+    "groups": st.integers(1, 4),
+    "bias": st.booleans(),
+    "connections": st.none() | st.integers(1, 12),
+}
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(dc.LayerSpec)}
+# the fields each kind reads, which serialize_network always writes
+READS = {"conv": ("out_channels", "kernel", "stride", "pad", "groups", "bias", "connections"),
+         "fc": ("out_channels", "bias"), "pool": ("kernel", "stride", "pad")}
+
+
+@st.composite
+def layer_recipes(draw):
+    """(kind, name, field arguments, inputs) of one layer: mostly the
+    fields its kind reads, now and then one it does not."""
+    kind = draw(mostly(st.sampled_from(LAYER_KINDS)))
+    reads = READS.get(kind, ())
+    # out_channels has no valid default, so a weighted kind always sets it
+    args = draw(st.fixed_dictionaries(
+        {field: mostly(FIELD_VALUES[field], OTHERS) for field in reads
+         if field == "out_channels"},
+        optional={field: mostly(FIELD_VALUES[field], OTHERS) for field in reads
+                  if field != "out_channels"}))
+    if draw(mostly(st.just(False), st.just(True))):
+        field = draw(st.sampled_from(sorted(FIELD_VALUES)))
+        args[field] = draw(FIELD_VALUES[field] | OTHERS)
+    merge = kind in ("concat", "add")
+    feeds = st.lists(mostly(st.sampled_from(NAMES)), min_size=2 * merge, max_size=1 + 2 * merge)
+    inputs = draw(mostly(feeds.map(tuple), OTHERS))
+    return kind, draw(mostly(st.sampled_from(NAMES))), args, inputs
+
+
+NETWORKS = st.tuples(
+    mostly(st.just("net")),
+    st.tuples(*[mostly(st.integers(1, 9))] * 3),
+    mostly(st.lists(layer_recipes(), min_size=1, max_size=4), st.just([]) | SCALARS))
+
+
+def build_network(name, dims, layers):
+    """The network built in code; a non-list ``layers`` is passed as is."""
+    if isinstance(layers, list):
+        layers = tuple(dc.LayerSpec(kind, lname, inputs=inputs, **args)
+                       for kind, lname, args, inputs in layers)
+    return dc.NetworkSpec(name, *dims, layers)
+
+
+def _same(value, default):
+    return type(value) is type(default) and value == default
+
+
+def layer_json(kind, name, args, inputs):
+    """The JSON form of a layer built in code, written as serialize_network
+    writes a valid one: every field the kind reads, except a None
+    connections, plus every other field set off its default."""
+    layer = {"type": kind, "name": name}
+    for field, default in DEFAULTS.items():
+        value = args.get(field, default)
+        if ((field in READS.get(kind, ()) and value is not None)
+                or (field in args and not _same(value, default))):
+            layer[field] = list(value) if isinstance(value, tuple) else value
+    if kind in ("concat", "add") or not isinstance(inputs, tuple) or len(inputs) > 1:
+        layer["inputs"] = list(inputs) if isinstance(inputs, tuple) else inputs
+    elif inputs:
+        layer["input"] = inputs[0]
+    return layer
+
+
+def network_json(name, dims, layers):
+    return json.dumps({
+        "name": name,
+        "input": dict(zip(("channels", "height", "width"), dims)),
+        "layers": ([layer_json(*layer) for layer in layers]
+                   if isinstance(layers, list) else layers),
+    })
+
+
+def assert_well_formed(net):
+    """The constructors' rules restated: every field of an accepted network
+    has its type and range, names are unique and feeds name earlier layers."""
+    def count(value, low=1):
+        return type(value) is int and value >= low
+
+    assert isinstance(net.name, str) and net.name
+    assert all(count(d) for d in (net.in_channels, net.in_height, net.in_width))
+    assert type(net.layers) is tuple and net.layers
+    seen = set()
+    for layer in net.layers:
+        assert layer.kind in LAYER_KINDS
+        assert isinstance(layer.name, str) and layer.name and layer.name not in seen
+        assert type(layer.kernel) is tuple and len(layer.kernel) == 2
+        assert all(count(v) for v in (*layer.kernel, layer.stride, layer.groups))
+        assert count(layer.pad, 0) and type(layer.bias) is bool
+        assert count(layer.out_channels, layer.kind in ("conv", "fc"))
+        assert layer.connections is None or count(layer.connections)
+        assert type(layer.inputs) is tuple and set(layer.inputs) <= seen
+        assert len(layer.inputs) >= 2 if layer.kind in ("concat", "add") else len(layer.inputs) <= 1
+        seen.add(layer.name)
+
+
+def accepted(fn, *args):
+    """``fn(*args)``, or None when it raises a NetworkError; any other
+    exception propagates."""
+    try:
+        return fn(*args)
+    except NetworkError:
+        return None
+
+
+@st.composite
+def mutated_builtins(draw):
+    """A built-in document with one to three keys set to a scalar or a list
+    of scalars, deleted, or with a layer moved or copied."""
+    net = json.loads(zoo.builtin_document(draw(st.sampled_from(dc.BUILTIN_NAMES))))
+    for _ in range(draw(st.integers(1, 3))):
+        layers = net.get("layers") if isinstance(net.get("layers"), list) else []
+        action = draw(st.sampled_from(("set", "delete", "move", "copy")))
+        if action in ("move", "copy") and layers:
+            at = draw(st.integers(0, len(layers) - 1))
+            moved = layers[at] if action == "copy" else layers.pop(at)
+            layers.insert(draw(st.integers(0, len(layers))), moved)
+            continue
+        targets = [item for item in [net, net.get("input"), *layers] if isinstance(item, dict)]
+        target = draw(st.sampled_from(targets))
+        key = draw(st.sampled_from(sorted({*target, *FIELD_VALUES, "type", "name", "input",
+                                           "inputs", "layers", "channels", "height"})))
+        if action == "delete":
+            target.pop(key, None)
+        else:
+            target[key] = draw(SCALARS | st.sampled_from(NAMES)
+                               | st.lists(SCALARS | st.sampled_from(NAMES), max_size=3))
+    return json.dumps(net)
+
+
+class TestCodeAndJsonAgreeProperty:
+    """TestCodeAndJsonAgree over arbitrary scalars in every field: a network
+    built in code is accepted exactly when its JSON form is, and then both
+    give the same spec, which round-trips. Only a NetworkError escapes."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(net=NETWORKS)
+    @example(net=("net", (1, 8, 8), [("conv", "a", {"out_channels": 2, "kernel": (3, 3),
+                                                    "stride": 1.5}, ())]))
+    @example(net=("net", (1, 8, 8), [("conv", "a", {"out_channels": 2, "kernel": (3, 3)}, ()),
+                                     ("fc", "a", {"out_channels": 2}, ())]))
+    @example(net=("net", (0, 8, 8), [("act", "a", {}, ())]))
+    @example(net=("net", (1, 8, 8), []))
+    def test_code_and_json_accept_alike(self, net):
+        built = accepted(build_network, *net)
+        parsed = accepted(dc.parse_network, network_json(*net))
+        assert (built is None) == (parsed is None)
+        if built is not None:
+            assert_well_formed(built)
+            assert parsed == built
+            assert dc.parse_network(dc.serialize_network(built)) == built
+
+    @settings(deadline=None, max_examples=200)
+    @given(text=mutated_builtins())
+    def test_mutated_builtin_fails_only_with_network_error(self, text):
+        spec = accepted(dc.parse_network, text)
+        if spec is not None:
+            assert_well_formed(spec)
+            assert dc.parse_network(dc.serialize_network(spec)) == spec
+            accepted(dc.resolve_shapes, spec)
 
 
 class TestBuiltins:
