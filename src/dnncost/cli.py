@@ -24,6 +24,8 @@ from .stats import MULT_METHODS, layer_stats, mult_count, network_stats
 from .zoo import BUILTIN_NAMES, builtin
 
 DATAFLOW_NAMES = tuple(k.value for k in DataflowKind)
+# longest synthetic stream `compress --n` draws; its arrays grow with the length
+MAX_STREAM_WORDS = 1 << 20
 
 
 def _fail(message: str) -> NoReturn:
@@ -400,8 +402,8 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
             if out_path is not None:
                 click.echo(f"{len(data)} bytes -> {len(words)} words")
             return
-        if length < 1:
-            _fail(f"--n must be >= 1, got {length}")
+        if not 1 <= length <= MAX_STREAM_WORDS:
+            _fail(f"--n must be in [1, {MAX_STREAM_WORDS}], got {length}")
         if not 0.0 <= sparsity <= 1.0:
             _fail(f"--sparsity must be in [0, 1], got {sparsity}")
         rng = _rng(seed)

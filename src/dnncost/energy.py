@@ -12,6 +12,7 @@ Reports are in relative units (register-file access = 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .archmodel import LEVELS, ArchConfig
@@ -114,13 +115,21 @@ def _aggregate(reports: list[EnergyReport], label: str, kind: str) -> EnergyRepo
 
 def network_energy(net: ResolvedNetwork, kind: DataflowKind, arch: ArchConfig,
                    mods: Modifiers = Modifiers()) -> tuple[list[EnergyReport], EnergyReport]:
-    """Per-layer reports over the weighted layers, plus their aggregate."""
+    """Per-layer reports over the weighted layers, plus their aggregate.
+
+    Raises ValueError when the aggregate total overflows to inf, which a
+    finite but huge cost in the hardware description can cause.
+    """
     kind = DataflowKind(kind)
     reports = [
         layer_energy(layer_access_counts(kind, layer, arch, net.batch), arch, mods)
         for layer in net.layers if layer.kind in WEIGHTED_KINDS
     ]
-    return reports, _aggregate(reports, "total", kind.value)
+    agg = _aggregate(reports, "total", kind.value)
+    if not math.isfinite(agg.total):
+        raise ValueError(f"network {net.name!r}, dataflow {kind.value}: total energy is "
+                         f"{agg.total}, not a finite number; the hardware costs are too large")
+    return reports, agg
 
 
 @dataclass(frozen=True)

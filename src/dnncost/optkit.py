@@ -5,12 +5,17 @@ zeros: each encoded pair is a 5-bit zero-run length (0..31) followed by one
 16-bit literal, packed big-endian and zero-padded to a byte boundary. A pair
 is 21 bits, so a dense stream expands by at most 21/16 while a zero run of
 up to 32 words collapses into one pair.
+
+Both directions are array operations. The encoder turns a gap of g zeros
+before a literal into g >> 5 filler (31, 0) pairs of 32 zeros each and the
+literal with run g & 31, then bit-packs the 21-bit codes with numpy. Words
+must come as a sequence, not a one-shot iterator: they are read repeatedly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,50 +144,45 @@ class CodecError(ValueError):
     """Invalid source words or a corrupt encoded stream."""
 
 
-def _check_words(words: Sequence[int]):
-    for value in words:
-        if not isinstance(value, (int, np.integer)) or not 0 <= value <= MAX_VALUE:
-            raise CodecError(f"stream words must be integers in [0, {MAX_VALUE}], got {value!r}")
+def _word_error(words) -> CodecError:
+    value = next(v for v in words
+                 if not isinstance(v, (int, np.integer)) or not 0 <= v <= MAX_VALUE)
+    return CodecError(f"stream words must be integers in [0, {MAX_VALUE}], got {value!r}")
 
 
-def _pairs(words: Sequence[int]):
-    """Generate (run, value) pairs; a (31, 0) pair denotes 32 zeros."""
-    run = 0
-    for value in words:
-        if value == 0:
-            run += 1
-            if run == MAX_RUN + 1:
-                yield MAX_RUN, 0
-                run = 0
-        else:
-            yield run, int(value)
-            run = 0
-    if run:
-        # trailing zeros end in a literal zero
-        yield run - 1, 0
+def _pair_codes(words: Sequence[int]) -> np.ndarray:
+    """Validate the words and return their pair codes, run << 16 | value."""
+    try:
+        n = len(words)
+    except TypeError:
+        raise CodecError(f"stream words must be a sequence, got {type(words).__name__}") from None
+    if not all(issubclass(t, (int, np.integer)) for t in set(map(type, words))):
+        raise _word_error(words)
+    try:
+        arr = np.fromiter(words, np.int64, count=n)
+    except OverflowError:  # beyond int64
+        raise _word_error(words) from None
+    if n and (arr.min() < 0 or arr.max() > MAX_VALUE):
+        raise _word_error(words)
+    literals = np.flatnonzero(arr)
+    if n and not arr[-1]:  # trailing zeros end in a literal zero
+        literals = np.append(literals, n - 1)
+    gaps = np.diff(literals, prepend=-1) - 1
+    ends = np.cumsum((gaps >> RUN_BITS) + 1)
+    codes = np.full(ends[-1] if n else 0, MAX_RUN << VALUE_BITS, dtype=np.int64)
+    codes[ends - 1] = ((gaps & MAX_RUN) << VALUE_BITS) | arr[literals]
+    return codes
 
 
 def rle_pair_count(words: Sequence[int]) -> int:
-    _check_words(words)
-    return sum(1 for _ in _pairs(words))
+    return _pair_codes(words).size
 
 
 def rle_encode(words: Sequence[int]) -> bytes:
     """Encode 16-bit words into the bit-packed run-length stream."""
-    _check_words(words)
-    out = bytearray()
-    acc = 0
-    nbits = 0
-    for run, value in _pairs(words):
-        acc = (acc << PAIR_BITS) | (run << VALUE_BITS) | value
-        nbits += PAIR_BITS
-        while nbits >= 8:
-            nbits -= 8
-            out.append((acc >> nbits) & 0xFF)
-        acc &= (1 << nbits) - 1
-    if nbits:
-        out.append((acc << (8 - nbits)) & 0xFF)
-    return bytes(out)
+    codes = _pair_codes(words).astype(">u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(codes, axis=1)[:, 32 - PAIR_BITS:]
+    return np.packbits(bits).tobytes()
 
 
 def rle_decode(data: bytes) -> list[int]:
@@ -209,7 +209,7 @@ def rle_decode(data: bytes) -> list[int]:
 
 def compression_ratio(words: Sequence[int]) -> float:
     """Raw bits over encoded pair bits; byte padding is not charged."""
-    n = len(words)
-    if n == 0:
+    pairs = rle_pair_count(words)
+    if not pairs:
         raise CodecError("ratio undefined for an empty stream")
-    return (VALUE_BITS * n) / (PAIR_BITS * rle_pair_count(words))
+    return (VALUE_BITS * len(words)) / (PAIR_BITS * pairs)

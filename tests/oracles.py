@@ -18,6 +18,7 @@ from dnncost.dataflow import (DATA_TYPES, AccessCounts, DataflowKind, ReuseFacto
                               TypeReuse)
 from dnncost.energy import ComparisonReport, DataflowComparison, EnergyReport
 from dnncost.netmodel import WEIGHTED_KINDS, ResolvedLayer
+from dnncost.optkit import MAX_RUN, MAX_VALUE, PAIR_BITS, VALUE_BITS, CodecError
 from dnncost.stats import layer_stats
 
 # Which data types live in the per-PE register file under each policy.
@@ -118,6 +119,50 @@ def window_conv(x, w, stride=1, pad=0):
             cols[:, e * out_w + f] = patch
             out[:, e, f] = flat @ patch
     return out, cols
+
+
+# -- run-length codec ------------------------------------------------------------
+
+def _reference_pairs(words):
+    """Check the words, then generate (run, value) pairs one word at a time;
+    a (31, 0) pair denotes 32 zeros."""
+    for value in words:
+        if not isinstance(value, (int, np.integer)) or not 0 <= value <= MAX_VALUE:
+            raise CodecError(f"stream words must be integers in [0, {MAX_VALUE}], got {value!r}")
+    run = 0
+    for value in words:
+        if value == 0:
+            run += 1
+            if run == MAX_RUN + 1:
+                yield MAX_RUN, 0
+                run = 0
+        else:
+            yield run, int(value)
+            run = 0
+    if run:
+        # trailing zeros end in a literal zero
+        yield run - 1, 0
+
+
+def reference_rle_pair_count(words):
+    return sum(1 for _ in _reference_pairs(words))
+
+
+def reference_rle_encode(words):
+    """Bit-packed pairs through a bit accumulator, one pair at a time."""
+    out = bytearray()
+    acc = 0
+    nbits = 0
+    for run, value in _reference_pairs(words):
+        acc = (acc << PAIR_BITS) | (run << VALUE_BITS) | value
+        nbits += PAIR_BITS
+        while nbits >= 8:
+            nbits -= 8
+            out.append((acc >> nbits) & 0xFF)
+        acc &= (1 << nbits) - 1
+    if nbits:
+        out.append((acc << (8 - nbits)) & 0xFF)
+    return bytes(out)
 
 
 # -- pricing reference ---------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import dnncost as dc
-from dnncost.cli import main
+from dnncost.cli import MAX_STREAM_WORDS, main
 
 
 @pytest.fixture()
@@ -251,6 +251,12 @@ class TestCompress:
                                        "--out", str(tmp_path / "o.bin")])
         assert missing.exit_code == 1
 
+    def test_stream_length_cap(self, runner):
+        over = runner.invoke(main, ["compress", "--n", str(MAX_STREAM_WORDS + 1)])
+        assert over.exit_code == 1
+        assert f"--n must be in [1, {MAX_STREAM_WORDS}], got {MAX_STREAM_WORDS + 1}" \
+            in over.stderr
+
 
 class TestPrune:
     def test_half_fraction_density(self, runner):
@@ -306,6 +312,17 @@ class TestExitCodes:
             assert result.exit_code == 0
             total = rows_of(result.stdout)[-1]
             assert (total[0], total[-1]) == ("total", "0")
+
+    @pytest.mark.parametrize("command", ["compare", "analyze"])
+    def test_overflowing_costs_are_a_data_error(self, runner, tmp_path, command):
+        arch = tmp_path / "huge.json"
+        arch.write_text('{"mac_energy": 1e308}')
+        result = runner.invoke(main, [command, "--builtin", "lenet5", "--arch", str(arch)])
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        assert "network 'lenet5', dataflow " in result.stderr
+        assert "not a finite number" in result.stderr
+        assert "nan" not in result.stdout and "inf" not in result.stdout
 
     def test_data_errors_are_one(self, runner, tmp_path):
         missing = runner.invoke(main, ["stats", "--net",

@@ -2,15 +2,27 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dnncost as dc
-from dnncost.optkit import (CodecError, compression_ratio, prune_magnitude,
+from dnncost.optkit import (MAX_VALUE, CodecError, compression_ratio, prune_magnitude,
                             prune_network, quantize_uniform, rle_decode,
                             rle_encode, rle_pair_count, sparse_stats)
+from oracles import reference_rle_encode, reference_rle_pair_count
 
 word_lists = st.lists(st.integers(min_value=0, max_value=65535), max_size=300)
+
+# zero runs around the 32-word filler boundary, and literals up to MAX_VALUE
+zero_runs = st.sampled_from([31, 32, 33, 63, 64, 65]) | st.integers(min_value=0, max_value=70)
+literals = st.sampled_from([1, MAX_VALUE]) | st.integers(min_value=1, max_value=MAX_VALUE)
+run_streams = st.lists(st.tuples(zero_runs, st.lists(literals, max_size=3)), max_size=8).map(
+    lambda segments: [w for run, lits in segments for w in [0] * run + lits])
+
+# words of every type the codec may be handed: each either encodes like the
+# reference or fails with its message
+HOSTILE_WORDS = [True, np.uint16(MAX_VALUE), np.int8(-1), np.uint64(2**64 - 1), 2**70,
+                 1.5, np.float64(2.0), "a", None, [1], b"\x01", np.array([1])]
 
 
 class TestSparseStats:
@@ -251,6 +263,23 @@ class TestCodec:
             with pytest.raises(CodecError, match="integers"):
                 rle_encode(bad)
 
+    def test_first_bad_word_is_named(self):
+        for words, bad in (([0, 65536, "a"], 65536), ([0, "a", 65536], "a"),
+                           ([1, 2**70, -1], 2**70)):
+            for fn in (rle_encode, rle_pair_count, compression_ratio):
+                with pytest.raises(CodecError) as info:
+                    fn(words)
+                assert str(info.value) == \
+                    f"stream words must be integers in [0, {MAX_VALUE}], got {bad!r}"
+
+    @pytest.mark.parametrize("fn, words", [(rle_encode, iter([1, 2, 3])),
+                                           (rle_pair_count, (x for x in [0, 5])),
+                                           (compression_ratio, iter([1]))],
+                             ids=["encode", "pair_count", "ratio"])
+    def test_one_shot_iterable_rejected(self, fn, words):
+        with pytest.raises(CodecError, match="stream words must be a sequence, got"):
+            fn(words)
+
     def test_relu_like_stream_compresses(self):
         rng = np.random.default_rng(3)
         words = [int(v) if rng.random() > 0.7 else 0
@@ -268,6 +297,41 @@ class TestCodec:
             pairs = rle_pair_count(words)
             assert len(encoded) == (21 * pairs + 7) // 8
             assert pairs <= len(words)  # never more pairs than words
+
+
+class TestCodecAgainstReference:
+    @given(run_streams)
+    @settings(deadline=None, max_examples=300)
+    @example([0] * 31)
+    @example([0] * 32)
+    @example([0] * 33)
+    @example([0] * 63)
+    @example([0] * 64)
+    @example([0] * 65)
+    @example([0] * 33 + [9])
+    @example([9] + [0] * 65)
+    @example([0] * 64 + [9] + [0] * 32 + [9] + [0] * 31)
+    @example([MAX_VALUE] * 9)
+    @example([MAX_VALUE, 0, MAX_VALUE])
+    def test_matches_reference(self, words):
+        assert rle_encode(words) == reference_rle_encode(words)
+        assert rle_pair_count(words) == reference_rle_pair_count(words)
+
+    @pytest.mark.parametrize("value", HOSTILE_WORDS, ids=repr)
+    def test_hostile_word(self, value):
+        words = [0, 5, value, 0]
+        try:
+            want = reference_rle_encode(words)
+        except CodecError as exc:
+            message = f"stream words must be integers in [0, {MAX_VALUE}], got {value!r}"
+            assert str(exc) == message
+            for fn in (rle_encode, rle_pair_count, compression_ratio):
+                with pytest.raises(CodecError) as info:
+                    fn(words)
+                assert str(info.value) == message
+        else:
+            assert rle_encode(words) == want
+            assert rle_pair_count(words) == reference_rle_pair_count(words)
 
 
 class TestCodecHostileInput:
