@@ -26,6 +26,12 @@ from .zoo import BUILTIN_NAMES, builtin
 DATAFLOW_NAMES = tuple(k.value for k in DataflowKind)
 # longest synthetic stream `compress --n` draws; its arrays grow with the length
 MAX_STREAM_WORDS = 1 << 20
+# largest `kernels verify --size` and `--trials`: every trial runs four
+# convolutions of a size x size input
+MAX_VERIFY_SIZE = 256
+MAX_VERIFY_TRIALS = 1000
+# most weights `prune` draws, one float64 each: vgg16's 138,344,128 fit
+MAX_PRUNE_WEIGHTS = 150_000_000
 
 
 def _fail(message: str) -> NoReturn:
@@ -312,10 +318,11 @@ def kernels_group():
 def kernels_verify_cmd(trials, size, seed):
     """Cross-check all transforms against direct convolution."""
     from . import kernels
-    if trials < 1:
-        _fail(f"--trials must be >= 1, got {trials}")
-    if size is not None and size < 3:
-        _fail(f"--size must be >= 3 to fit a 3x3 filter, got {size}")
+    if not 1 <= trials <= MAX_VERIFY_TRIALS:
+        _fail(f"--trials must be in [1, {MAX_VERIFY_TRIALS}], got {trials}")
+    # the smallest input a 3x3 filter fits
+    if size is not None and not 3 <= size <= MAX_VERIFY_SIZE:
+        _fail(f"--size must be in [3, {MAX_VERIFY_SIZE}], got {size}")
     rng = _rng(seed)
     worst = {name: 0.0 for name, _, _ in _VERIFY_ROUTES}
     for _ in range(trials):
@@ -444,9 +451,13 @@ def prune_cmd(builtin_name, net_path, batch, fraction, order, arch_path, seed,
     weighted = [layer for layer in net.layers if layer.kind in WEIGHTED_KINDS]
     if not weighted:
         _fail(f"network {net.name!r} has no weighted layers")
+    sizes = {layer.name: layer_stats(layer).dw for layer in weighted}
+    # the count is not printed: it may pass Python's 4,300-digit int-to-str limit
+    if sum(sizes.values()) > MAX_PRUNE_WEIGHTS:
+        _fail(f"network {net.name!r} has more than {MAX_PRUNE_WEIGHTS} weights, "
+              f"the most prune draws")
     rng = _rng(seed)
-    weights = {layer.name: rng.standard_normal(layer_stats(layer).dw)
-               for layer in weighted}
+    weights = {name: rng.standard_normal(size) for name, size in sizes.items()}
     ranking = None
     if order == "energy":
         arch = _load_arch(arch_path)

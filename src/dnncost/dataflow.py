@@ -13,7 +13,10 @@ Each dataflow is summarized by a small table of reuse factors per data type:
 * ``multicast``      PEs fed by one buffer read over the network
 * ``spatial_accum``  partial sums combined across PEs before a buffer update
 
-Counting rules, with T = total MACs of the layer:
+A table also records the layer it was computed for, and with it the batch
+size the layer was resolved with, so counting a table needs nothing else.
+
+Counting rules, with T = total MACs of the layer over its whole batch:
 
 * RF: T per resident read type, 2T for resident partial sums, else 0
 * NoC: deliveries = ceil(T / rf_reuse), floored at the unique volume
@@ -67,7 +70,11 @@ class TypeReuse:
 
 @dataclass(frozen=True)
 class ReuseFactors:
+    """Reuse factors of one layer under one dataflow. The table carries the
+    layer it was computed for, so counting it needs no other argument."""
+
     kind: DataflowKind
+    layer: ResolvedLayer
     input: TypeReuse
     weight: TypeReuse
     psum: TypeReuse
@@ -90,22 +97,15 @@ def _ceildiv(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _weighted(layer: ResolvedLayer):
+def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig) -> ReuseFactors:
+    """Reuse factor table for one layer, at its batch size, under one dataflow.
+
+    Degenerate shapes clamp every factor to at least 1.
+    """
     if layer.kind not in WEIGHTED_KINDS:
         raise ValueError(
             f"layer {layer.name!r}: access counts are defined for conv and fc "
             f"layers only, not {layer.kind!r}")
-
-
-def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig,
-                  batch: int = 1) -> ReuseFactors:
-    """Reuse factor table for one layer under one dataflow.
-
-    Degenerate shapes clamp every factor to at least 1.
-    """
-    _weighted(layer)
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
     kind = DataflowKind(kind)
     r, s = layer.kernel
     e, f = layer.out_height, layer.out_width
@@ -119,15 +119,15 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig,
         # one weight per PE; a filter occupies an R*S block of the array
         mp = min(max(p // (r * s), 1), m)
         return ReuseFactors(
-            kind=kind,
-            weight=TypeReuse(resident=True, rf_reuse=max(1, batch * e * f)),
+            kind=kind, layer=layer,
+            weight=TypeReuse(resident=True, rf_reuse=max(1, layer.batch * e * f)),
             input=TypeReuse(resident=False, multicast=mp),
             psum=TypeReuse(resident=False, spatial_accum=r * s),
         )
     if kind is DataflowKind.OS:
         q = max(1, min(p, e * f))
         return ReuseFactors(
-            kind=kind,
+            kind=kind, layer=layer,
             psum=TypeReuse(resident=True, rf_reuse=depth),
             input=TypeReuse(resident=False, multicast=min(r * s, q)),
             weight=TypeReuse(resident=False, multicast=q),
@@ -135,7 +135,7 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig,
     if kind is DataflowKind.NLR:
         lane = arch.nlr_lane_width
         return ReuseFactors(
-            kind=kind,
+            kind=kind, layer=layer,
             input=TypeReuse(resident=False, multicast=min(m, lane)),
             weight=TypeReuse(resident=False, multicast=1),
             psum=TypeReuse(resident=False, spatial_accum=min(depth, lane)),
@@ -143,18 +143,17 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig,
     # RS: filter row and input row pinned per PE, sliding window along a row
     g = max(1, min(arch.rs_channels_per_pe, layer.in_channels))
     return ReuseFactors(
-        kind=kind,
+        kind=kind, layer=layer,
         weight=TypeReuse(resident=True, rf_reuse=max(1, f), multicast=min(e, p)),
         input=TypeReuse(resident=True, rf_reuse=max(1, s), multicast=min(r, p)),
         psum=TypeReuse(resident=True, rf_reuse=max(1, s * g), spatial_accum=max(1, r)),
     )
 
 
-def access_counts(factors: ReuseFactors, layer: ResolvedLayer,
-                  batch: int = 1) -> AccessCounts:
-    """Evaluate the counting rules for one layer under one factor table."""
-    _weighted(layer)
-    st = layer_stats(layer, batch)
+def access_counts(factors: ReuseFactors) -> AccessCounts:
+    """Evaluate the counting rules for the layer of one factor table."""
+    layer = factors.layer
+    st = layer_stats(layer)
     t = st.macs
 
     acc: dict[str, dict[str, int]] = {}
@@ -186,6 +185,6 @@ def access_counts(factors: ReuseFactors, layer: ResolvedLayer,
 
 
 def layer_access_counts(kind: DataflowKind, layer: ResolvedLayer,
-                        arch: ArchConfig, batch: int = 1) -> AccessCounts:
+                        arch: ArchConfig) -> AccessCounts:
     """Convenience: factor table and counting rules in one step."""
-    return access_counts(reuse_factors(kind, layer, arch, batch), layer, batch)
+    return access_counts(reuse_factors(kind, layer, arch))

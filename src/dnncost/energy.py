@@ -66,7 +66,6 @@ class EnergyReport:
     dataflow: str
     movement: dict[str, dict[str, float]]
     compute: float
-    total_macs: int
 
     @property
     def by_type(self) -> dict[str, float]:
@@ -101,16 +100,14 @@ def layer_energy(counts: AccessCounts, arch: ArchConfig,
                * (bi * bw) / (arch.word_bits * arch.word_bits)
                * mods.density_in * mods.density_w)
     return EnergyReport(layer=counts.layer, dataflow=DataflowKind(counts.kind).value,
-                        movement=movement, compute=compute,
-                        total_macs=counts.total_macs)
+                        movement=movement, compute=compute)
 
 
 def _aggregate(reports: list[EnergyReport], label: str, kind: str) -> EnergyReport:
     movement = {d: {lv: sum(r.movement[d][lv] for r in reports) for lv in LEVELS}
                 for d in DATA_TYPES}
     return EnergyReport(layer=label, dataflow=kind, movement=movement,
-                        compute=sum(r.compute for r in reports),
-                        total_macs=sum(r.total_macs for r in reports))
+                        compute=sum(r.compute for r in reports))
 
 
 def network_energy(net: ResolvedNetwork, kind: DataflowKind, arch: ArchConfig,
@@ -122,7 +119,7 @@ def network_energy(net: ResolvedNetwork, kind: DataflowKind, arch: ArchConfig,
     """
     kind = DataflowKind(kind)
     reports = [
-        layer_energy(layer_access_counts(kind, layer, arch, net.batch), arch, mods)
+        layer_energy(layer_access_counts(kind, layer, arch), arch, mods)
         for layer in net.layers if layer.kind in WEIGHTED_KINDS
     ]
     agg = _aggregate(reports, "total", kind.value)

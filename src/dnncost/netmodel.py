@@ -175,10 +175,13 @@ class ResolvedLayer:
     For fc layers the kernel is set to the full input extent (R = H, S = W)
     and the output is 1 x 1, so downstream arithmetic treats conv and fc
     uniformly. Pool/act/concat/add keep kernel fields only where meaningful.
+    ``batch`` is the number of input images N the layer processes; every
+    per-layer count and reuse factor reads it from here.
     """
 
     kind: str
     name: str
+    batch: int
     in_channels: int
     in_height: int
     in_width: int
@@ -307,14 +310,15 @@ def out_extent(extent: int, kernel: int, stride: int, pad: int, where: str = "")
 
 
 def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
-    """Propagate shapes through the layer list.
+    """Propagate shapes through the layer list at batch size ``batch``.
 
-    Output extents follow ``out_extent`` per spatial dimension. Raises
-    ShapeError when a kernel does not fit or a channel count does not divide
-    by the group count.
+    This is the one place a batch size enters the model: every resolved
+    layer records it. Output extents follow ``out_extent`` per spatial
+    dimension. Raises NetworkSemanticError (a ValueError) when the batch is
+    not an integer >= 1, and ShapeError when a kernel does not fit or a
+    channel count does not divide by the group count.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+    _require_int(batch, 1, "", "batch")
     out_shapes: dict[str, tuple[int, int, int]] = {}
     resolved = []
     prev: tuple[str, ...] = ()
@@ -348,9 +352,9 @@ def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
                 raise ShapeError(f"{where}connections {spec.connections} exceeds "
                                  f"dense wiring {m * (c // groups)}")
         resolved.append(ResolvedLayer(
-            kind=spec.kind, name=spec.name, in_channels=c, in_height=h, in_width=w,
-            out_channels=m, out_height=e, out_width=f, kernel=kernel, stride=stride,
-            pad=pad, groups=groups, bias=bias, connections=spec.connections,
+            kind=spec.kind, name=spec.name, batch=batch, in_channels=c, in_height=h,
+            in_width=w, out_channels=m, out_height=e, out_width=f, kernel=kernel,
+            stride=stride, pad=pad, groups=groups, bias=bias, connections=spec.connections,
             inputs=feed_names))
         out_shapes[spec.name] = (m, e, f)
         prev = (spec.name,)

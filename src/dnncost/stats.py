@@ -1,7 +1,9 @@
 """Storage and compute tallies: per layer and per network, and the scalar
 multiplications of each convolution transform.
 
-Conventions: one MAC is one multiply-accumulate. Bias words count as stored
+Conventions: one MAC is one multiply-accumulate. Every count is taken at the
+batch size the layer was resolved with (``ResolvedLayer.batch``): MACs and the
+feature-map volumes grow with it, weights do not. Bias words count as stored
 weights but contribute neither MACs nor data-movement volume (they are added
 once per output, not streamed per MAC), so LayerStats carries both a weight
 count and a separate movement volume dw. Pool, act, concat, and add layers
@@ -21,7 +23,7 @@ from .netmodel import WEIGHTED_KINDS, ResolvedLayer, ResolvedNetwork
 
 @dataclass(frozen=True)
 class LayerStats:
-    """Counts for a single layer at a given batch size.
+    """Counts for a single layer at the batch size it was resolved with.
 
     di, dw, do are the data-movement volumes in words: the input feature
     map, the multiplicative weights, and the output feature map.
@@ -66,10 +68,9 @@ def wired_pairs(layer: ResolvedLayer) -> int:
     return layer.out_channels * (layer.in_channels // layer.groups)
 
 
-def layer_stats(layer: ResolvedLayer, batch: int = 1) -> LayerStats:
-    """Storage and compute counts for one resolved layer."""
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+def layer_stats(layer: ResolvedLayer) -> LayerStats:
+    """Storage and compute counts for one resolved layer at its batch size."""
+    batch = layer.batch
     di = batch * layer.in_channels * layer.in_height * layer.in_width
     do = batch * layer.out_channels * layer.out_height * layer.out_width
     if layer.kind in WEIGHTED_KINDS:
@@ -91,7 +92,7 @@ def network_stats(net: ResolvedNetwork) -> NetworkStats:
     Only conv and fc layers appear in the per-layer list; everything else is
     zero cost and would only pad the report.
     """
-    rows = tuple(layer_stats(layer, net.batch) for layer in net.layers
+    rows = tuple(layer_stats(layer) for layer in net.layers
                  if layer.kind in WEIGHTED_KINDS)
     conv = [r for r in rows if r.kind == "conv"]
     fc = [r for r in rows if r.kind == "fc"]
@@ -132,6 +133,10 @@ class MultCount:
 
 MULT_METHODS = ("direct", "im2col", "fft", "winograd", "strassen")
 
+# largest size mult_count accepts, so that every count stays far below the
+# 4,300 digits Python converts an int to a string with
+MAX_COUNT_SIZE = 1 << 20
+
 
 def mult_count(method: str, out_size: int | None = None,
                filter_size: int | None = None,
@@ -140,7 +145,8 @@ def mult_count(method: str, out_size: int | None = None,
 
     Convolution methods (direct, im2col, fft, winograd) take a square output
     size No and filter size Nf; winograd is the 3x3, 2x2-tile variant only.
-    Strassen takes a power-of-two matrix size N.
+    Strassen takes a power-of-two matrix size N. No size may exceed
+    MAX_COUNT_SIZE.
     """
     if method not in MULT_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {MULT_METHODS}")
@@ -148,12 +154,16 @@ def mult_count(method: str, out_size: int | None = None,
     if method == "strassen":
         if matrix_size is None or matrix_size < 1 or matrix_size & (matrix_size - 1):
             raise ValueError("strassen needs a power-of-two matrix_size")
+        if matrix_size > MAX_COUNT_SIZE:
+            raise ValueError(f"strassen matrix_size must be <= {MAX_COUNT_SIZE}")
         exponent = matrix_size.bit_length() - 1
         return MultCount(method=method, count=7 ** exponent,
                          params={"matrix_size": matrix_size})
 
     if out_size is None or filter_size is None or out_size < 1 or filter_size < 1:
         raise ValueError(f"{method} needs positive out_size and filter_size")
+    if max(out_size, filter_size) > MAX_COUNT_SIZE:
+        raise ValueError(f"{method} out_size and filter_size must be <= {MAX_COUNT_SIZE}")
     direct = out_size * out_size * filter_size * filter_size
     params = {"out_size": out_size, "filter_size": filter_size}
     if method in ("direct", "im2col"):

@@ -8,8 +8,11 @@ formulas under test.
 The pricing reference at the end is not an enumeration: it is the engine's
 earlier, plainer pricing path (depth from a second layer_stats call, a
 validated cost() lookup per cell, totals re-derived from the report
-properties), kept so the lean engine path can be held to it with ``==``.
+properties, the batch passed explicitly rather than read off the layer),
+kept so the lean engine path can be held to it with ``==``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -86,11 +89,11 @@ def simulate_accesses(kind, batch, in_ch, out_ch, height, width, r, s):
 
 
 def make_conv(in_ch, height, width, out_ch, r, s, stride=1, pad=0, groups=1,
-              bias=False, connections=None, name="probe"):
+              bias=False, connections=None, name="probe", batch=1):
     """Directly build a resolved conv layer for engine-level tests."""
     out_h = (height - r + 2 * pad) // stride + 1
     out_w = (width - s + 2 * pad) // stride + 1
-    return ResolvedLayer(kind="conv", name=name, in_channels=in_ch,
+    return ResolvedLayer(kind="conv", name=name, batch=batch, in_channels=in_ch,
                          in_height=height, in_width=width, out_channels=out_ch,
                          out_height=out_h, out_width=out_w, kernel=(r, s),
                          stride=stride, pad=pad, groups=groups, bias=bias,
@@ -172,18 +175,20 @@ def _ceildiv(a, b):
 
 
 def reference_factors(kind, layer, arch, batch):
-    """Reuse factor table, depth = ceil(MACs / output words) at batch 1."""
+    """Reuse factor table of ``layer`` at ``batch``, depth = ceil(MACs /
+    output words) at batch 1."""
     kind = DataflowKind(kind)
+    layer = replace(layer, batch=batch)
     r, s = layer.kernel
     e, f = layer.out_height, layer.out_width
     m = layer.out_channels
     p = arch.pe_count
-    st = layer_stats(layer, 1)
+    st = layer_stats(replace(layer, batch=1))
     depth = max(1, _ceildiv(st.macs, st.do))
     if kind is DataflowKind.WS:
         mp = min(max(p // (r * s), 1), m)
         return ReuseFactors(
-            kind=kind,
+            kind=kind, layer=layer,
             weight=TypeReuse(resident=True, rf_reuse=max(1, batch * e * f)),
             input=TypeReuse(resident=False, multicast=mp),
             psum=TypeReuse(resident=False, spatial_accum=r * s),
@@ -191,7 +196,7 @@ def reference_factors(kind, layer, arch, batch):
     if kind is DataflowKind.OS:
         q = max(1, min(p, e * f))
         return ReuseFactors(
-            kind=kind,
+            kind=kind, layer=layer,
             psum=TypeReuse(resident=True, rf_reuse=depth),
             input=TypeReuse(resident=False, multicast=min(r * s, q)),
             weight=TypeReuse(resident=False, multicast=q),
@@ -199,14 +204,14 @@ def reference_factors(kind, layer, arch, batch):
     if kind is DataflowKind.NLR:
         lane = arch.nlr_lane_width
         return ReuseFactors(
-            kind=kind,
+            kind=kind, layer=layer,
             input=TypeReuse(resident=False, multicast=min(m, lane)),
             weight=TypeReuse(resident=False, multicast=1),
             psum=TypeReuse(resident=False, spatial_accum=min(depth, lane)),
         )
     g = max(1, min(arch.rs_channels_per_pe, layer.in_channels))
     return ReuseFactors(
-        kind=kind,
+        kind=kind, layer=layer,
         weight=TypeReuse(resident=True, rf_reuse=max(1, f), multicast=min(e, p)),
         input=TypeReuse(resident=True, rf_reuse=max(1, s), multicast=min(r, p)),
         psum=TypeReuse(resident=True, rf_reuse=max(1, s * g), spatial_accum=max(1, r)),
@@ -216,7 +221,7 @@ def reference_factors(kind, layer, arch, batch):
 def reference_counts(kind, layer, arch, batch):
     """Access counts with every clamp spelled out as max(lo, min(x, hi))."""
     factors = reference_factors(kind, layer, arch, batch)
-    st = layer_stats(layer, batch)
+    st = layer_stats(replace(layer, batch=batch))
     t = st.macs
     unique = {"input": st.di, "weight": st.dw, "psum": st.do}
     acc = {}
@@ -257,8 +262,7 @@ def reference_layer_energy(counts, arch, mods):
                * (bi * bw) / (arch.word_bits * arch.word_bits)
                * mods.density_in * mods.density_w)
     return EnergyReport(layer=counts.layer, dataflow=counts.kind.value,
-                        movement=movement, compute=compute,
-                        total_macs=counts.total_macs)
+                        movement=movement, compute=compute)
 
 
 def reference_network_energy(net, kind, arch, mods):
@@ -270,8 +274,7 @@ def reference_network_energy(net, kind, arch, mods):
     movement = {d: {lv: sum(r.movement[d][lv] for r in reports) for lv in LEVELS}
                 for d in DATA_TYPES}
     agg = EnergyReport(layer="total", dataflow=kind.value, movement=movement,
-                       compute=sum(r.compute for r in reports),
-                       total_macs=sum(r.total_macs for r in reports))
+                       compute=sum(r.compute for r in reports))
     return reports, agg
 
 

@@ -127,10 +127,9 @@ def test_criterion_05_simulator_cross_check():
                     for w in (1, 2, 3):
                         for r in range(1, min(h, 2) + 1):
                             for s in range(1, min(w, 2) + 1):
-                                layer = make_conv(c, h, w, m, r, s)
+                                layer = make_conv(c, h, w, m, r, s, batch=batch)
                                 for kind in KINDS:
-                                    counts = dc.layer_access_counts(
-                                        kind, layer, arch, batch=batch)
+                                    counts = dc.layer_access_counts(kind, layer, arch)
                                     rf, dram = simulate_accesses(
                                         kind.value, batch, c, m, h, w, r, s)
                                     for dtype in DATA_TYPES:

@@ -12,7 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 import dnncost as dc
-from dnncost.cli import MAX_STREAM_WORDS, main
+from dnncost.cli import (MAX_PRUNE_WEIGHTS, MAX_STREAM_WORDS, MAX_VERIFY_SIZE,
+                         MAX_VERIFY_TRIALS, main)
+from dnncost.stats import MAX_COUNT_SIZE
 
 
 @pytest.fixture()
@@ -188,6 +190,28 @@ class TestKernelsCommands:
         result = runner.invoke(main, ["kernels", "verify", "--size", "2"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("flag, cap", [("--size", MAX_VERIFY_SIZE),
+                                           ("--trials", MAX_VERIFY_TRIALS)])
+    def test_verify_caps(self, runner, flag, cap):
+        result = runner.invoke(main, ["kernels", "verify", flag, str(cap + 1)])
+        assert result.exit_code == 1
+        assert f", {cap}], got {cap + 1}" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ["--method", "direct", "--out-size", str(MAX_COUNT_SIZE + 1), "--filter-size", "3"],
+        ["--method", "fft", "--out-size", "8", "--filter-size", str(MAX_COUNT_SIZE + 1)],
+        # 2,200 digits: the direct count would pass the 4,300-digit int-to-str limit
+        ["--method", "im2col", "--out-size", "9" * 2200, "--filter-size", "3"],
+        ["--method", "strassen", "--matrix-size", str(2 * MAX_COUNT_SIZE)],
+        ["--method", "strassen", "--matrix-size", str(2**5200)],
+    ])
+    def test_count_size_cap(self, runner, args):
+        result = runner.invoke(main, ["kernels", "count", *args])
+        assert result.exit_code == 1
+        assert f"must be <= {MAX_COUNT_SIZE}" in result.stderr
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_count_fft_frozen_output(self, runner):
         result = runner.invoke(main, ["kernels", "count", "--method", "fft",
                                       "--out-size", "32", "--filter-size", "5"])
@@ -278,6 +302,23 @@ class TestPrune:
         args = ["prune", "--builtin", "lenet5", "--format", "csv"]
         assert runner.invoke(main, args).stdout \
             == runner.invoke(main, args).stdout
+
+    def test_every_builtin_fits_the_weight_cap(self):
+        for name in dc.BUILTIN_NAMES:
+            net = dc.resolve_shapes(dc.builtin(name))
+            drawn = sum(dc.layer_stats(layer).dw for layer in net.layers)
+            assert drawn <= MAX_PRUNE_WEIGHTS, name
+
+    @pytest.mark.parametrize("out_channels", [MAX_PRUNE_WEIGHTS + 1, 10**4000])
+    def test_weight_cap(self, runner, tmp_path, out_channels):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "name": "wide", "input": {"channels": 1, "height": 1, "width": 1},
+            "layers": [{"type": "fc", "name": "f", "out_channels": out_channels}]}))
+        result = runner.invoke(main, ["prune", "--net", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr == (f"error: network 'wide' has more than {MAX_PRUNE_WEIGHTS} "
+                                 f"weights, the most prune draws\n")
 
 
 class TestExitCodes:

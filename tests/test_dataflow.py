@@ -3,8 +3,10 @@
 import itertools
 
 import pytest
+from click.testing import CliRunner
 
 import dnncost as dc
+from dnncost.cli import main
 from dnncost.dataflow import DATA_TYPES, DataflowKind, access_counts, reuse_factors
 from oracles import RESIDENT, make_conv, simulate_accesses
 
@@ -97,9 +99,18 @@ class TestReuseFactors:
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("batch", [0, -5])
-    def test_rejects_batch_below_one(self, arch, kind, batch):
-        with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
-            reuse_factors(kind, TINY, arch, batch=batch)
+    def test_rejects_batch_below_one(self, monkeypatch, kind, batch):
+        # the batch is checked where it enters, in resolve_shapes, so no
+        # factor table of any kind is built for a batch below one
+        built = []
+        monkeypatch.setattr(dc.dataflow, "reuse_factors",
+                            lambda *args: built.append(args))
+        result = CliRunner().invoke(main, ["analyze", "--builtin", "lenet5",
+                                           "--dataflow", kind.value,
+                                           "--batch", str(batch)])
+        assert result.exit_code == 1
+        assert f"batch must be an integer >= 1, got {batch}\n" in result.stderr
+        assert built == []
 
 
 class TestAccessCounts:
@@ -146,10 +157,9 @@ class TestAccessCounts:
                 assert row["rf"] in (0, 2 * t)
 
     def test_batch_scaling(self, arch):
-        layer = make_conv(3, 8, 8, 4, 3, 3)
         for kind in KINDS:
-            one = dc.layer_access_counts(kind, layer, arch, batch=1)
-            two = dc.layer_access_counts(kind, layer, arch, batch=2)
+            one = dc.layer_access_counts(kind, make_conv(3, 8, 8, 4, 3, 3, batch=1), arch)
+            two = dc.layer_access_counts(kind, make_conv(3, 8, 8, 4, 3, 3, batch=2), arch)
             assert two.total_macs == 2 * one.total_macs
             assert two.acc["input"]["dram"] == 2 * one.acc["input"]["dram"]
             assert two.acc["psum"]["dram"] == 2 * one.acc["psum"]["dram"]
@@ -165,16 +175,20 @@ class TestAccessCounts:
             assert counts.acc["weight"]["dram"] == 4_096_000
 
     def test_overflow_guard(self, arch):
-        huge = make_conv(65536, 1024, 1024, 65536, 32, 32)
+        huge = make_conv(65536, 1024, 1024, 65536, 32, 32, batch=4)
         with pytest.raises(OverflowError):
-            dc.layer_access_counts(DataflowKind.WS, huge, arch, batch=4)
+            dc.layer_access_counts(DataflowKind.WS, huge, arch)
 
-    def test_counts_reject_unweighted_layers(self, arch, resolved_builtins):
-        pool = next(l for l in resolved_builtins["lenet5"].layers
-                    if l.kind == "pool")
-        factors = reuse_factors(DataflowKind.WS, TINY, arch)
-        with pytest.raises(ValueError):
-            access_counts(factors, pool)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_counts_price_the_table_layer(self, arch, kind):
+        # a factor table carries its layer and batch, so counting it takes
+        # no second layer that could disagree with the table
+        layer = make_conv(3, 8, 8, 4, 3, 3, batch=2)
+        factors = reuse_factors(kind, layer, arch)
+        assert factors.layer is layer
+        counts = access_counts(factors)
+        assert counts.layer == layer.name
+        assert counts.total_macs == dc.layer_stats(layer).macs
 
 
 class TestLoopNestOracle:
@@ -187,8 +201,8 @@ class TestLoopNestOracle:
             (3, 1, 2, 1, 1, 1, 1),
         ]
         for batch, c, m, h, w, r, s in shapes:
-            layer = make_conv(c, h, w, m, r, s)
-            counts = dc.layer_access_counts(kind, layer, arch, batch=batch)
+            layer = make_conv(c, h, w, m, r, s, batch=batch)
+            counts = dc.layer_access_counts(kind, layer, arch)
             rf, dram = simulate_accesses(kind.value, batch, c, m, h, w, r, s)
             for dtype in DATA_TYPES:
                 assert counts.acc[dtype]["rf"] == rf[dtype]

@@ -18,8 +18,8 @@ ONE = make_conv(1, 1, 1, 1, 1, 1)   # every volume is a single word
 KINDS = list(DataflowKind)
 
 
-def energy(layer, kind, arch, mods=Modifiers(), batch=1):
-    counts = dc.layer_access_counts(kind, layer, arch, batch)
+def energy(layer, kind, arch, mods=Modifiers()):
+    counts = dc.layer_access_counts(kind, layer, arch)
     return layer_energy(counts, arch, mods)
 
 

@@ -1,0 +1,134 @@
+"""Arbitrary nested JSON against both description parsers and the commands
+that read description files: only the documented errors and exit codes may
+come out, never a traceback or a non-finite number in a report."""
+
+import json
+from unittest import mock
+
+from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import dnncost as dc
+from dnncost import cli
+from dnncost.archmodel import LEVELS, ArchError
+from dnncost.netmodel import LAYER_KINDS, NetworkError
+
+# the keys both description formats know, so that nested objects reach past
+# the first unknown-key check more often than random text would
+KEYS = sorted({"name", "input", "inputs", "layers", "channels", "height", "width", "type",
+               "out_channels", "kernel", "stride", "pad", "groups", "bias", "connections",
+               "pe_count", "word_bits", "energy", "mac_energy", "rs_channels_per_pe",
+               "nlr_lane_width", *LEVELS})
+
+LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(0, 8) | st.floats()
+          | st.text(max_size=3) | st.sampled_from(LAYER_KINDS + ("a", "b")))
+
+JSON = st.recursive(
+    LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3),
+                                        children, max_size=6)),
+    max_leaves=24)
+
+
+def mostly(values):
+    """``values`` fifteen times in sixteen, arbitrary JSON the rest."""
+    return st.sampled_from(range(16)).flatmap(lambda i: JSON if i == 15 else values)
+
+
+# network-shaped documents whose fields hold mostly valid values, so that many
+# of them parse and resolve and the commands get as far as pricing them
+LAYER_FIELDS = {"out_channels": st.integers(1, 8),
+                "kernel": st.lists(st.integers(1, 3), min_size=2, max_size=2),
+                "stride": st.integers(1, 2), "pad": st.integers(0, 1), "bias": st.booleans()}
+# the fields each kind reads; any other field is an error
+KIND_FIELDS = {"conv": ("out_channels", "kernel", "stride", "pad", "bias"),
+               "fc": ("out_channels", "bias"), "pool": ("kernel", "stride", "pad"), "act": ()}
+LAYERS = st.lists(
+    st.sampled_from(sorted(KIND_FIELDS)).flatmap(lambda kind: st.fixed_dictionaries(
+        {"type": mostly(st.just(kind)),
+         **{key: mostly(LAYER_FIELDS[key]) for key in KIND_FIELDS[kind]}})),
+    min_size=1, max_size=3).map(
+        lambda layers: [{"name": f"l{i}", **layer} for i, layer in enumerate(layers)])
+NETWORK_DOCS = JSON | st.fixed_dictionaries({
+    "name": mostly(st.just("fuzz")),
+    "input": st.fixed_dictionaries({key: mostly(st.integers(1, 8))
+                                    for key in ("channels", "height", "width")}),
+    "layers": mostly(LAYERS),
+})
+
+# hardware documents in the same way; large costs reach the overflow checks
+COSTS = st.floats(0.5, 1e308)
+ARCH_DOCS = JSON | st.fixed_dictionaries({}, optional={
+    "pe_count": mostly(st.integers(1, 1024)), "word_bits": mostly(st.integers(1, 64)),
+    "rs_channels_per_pe": mostly(st.integers(1, 8)), "nlr_lane_width": mostly(st.integers(1, 32)),
+    "mac_energy": mostly(COSTS),
+    "energy": mostly(st.fixed_dictionaries({}, optional={lv: mostly(COSTS) for lv in LEVELS})),
+})
+
+
+def _reject_constant(token):
+    raise AssertionError(f"report holds {token}")
+
+
+class TestParsers:
+    @settings(deadline=None, max_examples=150)
+    @given(value=NETWORK_DOCS)
+    @example(value={"name": "n", "input": {"channels": 1, "height": 1, "width": float("nan")},
+                    "layers": [{"type": "act", "name": "a"}]})
+    def test_parse_network_raises_only_network_errors(self, value):
+        try:
+            dc.resolve_shapes(dc.parse_network(json.dumps(value)))
+        except NetworkError:
+            pass
+
+    @settings(deadline=None, max_examples=150)
+    @given(value=ARCH_DOCS)
+    @example(value={"energy": {"dram": float("inf")}})
+    def test_parse_arch_raises_only_arch_errors(self, value):
+        try:
+            dc.parse_arch(json.dumps(value))
+        except ArchError:
+            pass
+
+
+class TestCommands:
+    """Each command ends in exit 0, 1 or 2, and a report it prints parses
+    with every number finite."""
+
+    runner = CliRunner()
+
+    def _check(self, args):
+        result = self.runner.invoke(cli.main, [*args, "--format", "json"])
+        # an uncaught exception also exits 1, so it is told apart here
+        assert result.exception is None or isinstance(result.exception, SystemExit), \
+            result.exception
+        assert result.exit_code in (0, 1, 2)
+        if result.exit_code == 0:
+            json.loads(result.stdout, parse_constant=_reject_constant)
+        else:
+            assert result.stdout == ""
+
+    @settings(deadline=None, max_examples=40)
+    @given(value=NETWORK_DOCS)
+    def test_network_files(self, tmp_path_factory, value):
+        path = tmp_path_factory.mktemp("net") / "net.json"
+        path.write_text(json.dumps(value))
+        for command in ("stats", "analyze", "compare"):
+            self._check([command, "--net", str(path)])
+        # a small weight cap keeps what prune may draw for a fuzzed network small;
+        # the cap itself is tested in test_cli.py
+        with mock.patch.object(cli, "MAX_PRUNE_WEIGHTS", 4096):
+            self._check(["prune", "--net", str(path)])
+
+    @settings(deadline=None, max_examples=40)
+    @given(value=ARCH_DOCS)
+    @example(value={"mac_energy": 1e308, "energy": {"dram": 1e308}})
+    def test_arch_files(self, tmp_path_factory, value):
+        path = tmp_path_factory.mktemp("arch") / "arch.json"
+        path.write_text(json.dumps(value))
+        for command in ("analyze", "compare"):
+            self._check([command, "--builtin", "lenet5", "--arch", str(path)])
+        self._check(["prune", "--builtin", "lenet5", "--order", "energy", "--arch", str(path)])
+

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -188,12 +189,21 @@ class TestResolve:
 
     def test_batch_must_be_positive(self):
         net = dc.parse_network(doc([conv()]))
-        with pytest.raises(ValueError):
-            dc.resolve_shapes(net, batch=0)
+        for batch in (0, -5):
+            with pytest.raises(ValueError, match=f"batch must be an integer >= 1, got {batch}$"):
+                dc.resolve_shapes(net, batch=batch)
+
+    @pytest.mark.parametrize("batch", [2.5, True, "2"])
+    def test_batch_must_be_an_integer(self, batch):
+        net = dc.parse_network(doc([conv()]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"batch must be an integer >= 1, got {batch!r}")):
+            dc.resolve_shapes(net, batch=batch)
 
     def test_batch_recorded(self):
-        net = dc.resolve_shapes(dc.parse_network(doc([conv()])), batch=7)
+        net = dc.resolve_shapes(dc.parse_network(doc([conv(), conv("b")])), batch=7)
         assert net.batch == 7
+        assert [layer.batch for layer in net.layers] == [7, 7]
 
 
 REQUIRED = {"conv": {"out_channels": 1, "kernel": (3, 3)}, "fc": {"out_channels": 1},

@@ -2,9 +2,10 @@
 
 import itertools
 
-import pytest
+from click.testing import CliRunner
 
 import dnncost as dc
+from dnncost.cli import main
 from oracles import brute_macs, make_conv
 
 
@@ -16,8 +17,8 @@ class TestLayerStats:
             if in_ch % groups or out_ch % groups or r > hw:
                 continue
             for batch in (1, 3):
-                layer = make_conv(in_ch, hw, hw, out_ch, r, r, groups=groups)
-                got = dc.layer_stats(layer, batch=batch)
+                layer = make_conv(in_ch, hw, hw, out_ch, r, r, groups=groups, batch=batch)
+                got = dc.layer_stats(layer)
                 want = brute_macs(batch, in_ch, hw, hw, out_ch, r, r,
                                   groups=groups)
                 assert got.macs == want, (in_ch, out_ch, hw, r, groups, batch)
@@ -53,9 +54,8 @@ class TestLayerStats:
         assert with_bias.weights == without.weights + 3
 
     def test_macs_linear_in_batch(self):
-        layer = make_conv(2, 6, 6, 3, 3, 3)
-        one = dc.layer_stats(layer, batch=1)
-        four = dc.layer_stats(layer, batch=4)
+        one = dc.layer_stats(make_conv(2, 6, 6, 3, 3, 3, batch=1))
+        four = dc.layer_stats(make_conv(2, 6, 6, 3, 3, 3, batch=4))
         assert four.macs == 4 * one.macs
         assert four.di == 4 * one.di
         assert four.do == 4 * one.do
@@ -75,9 +75,15 @@ class TestLayerStats:
         assert (st.weights, st.macs, st.dw) == (0, 0, 0)
         assert st.di > 0 and st.do > 0
 
-    def test_batch_must_be_positive(self):
-        with pytest.raises(ValueError):
-            dc.layer_stats(make_conv(1, 3, 3, 1, 1, 1), batch=0)
+    def test_batch_must_be_positive(self, monkeypatch):
+        # a batch of 0 is rejected by resolve_shapes, before any layer is counted
+        counted = []
+        monkeypatch.setattr(dc.stats, "layer_stats", counted.append)
+        result = CliRunner().invoke(main, ["stats", "--builtin", "lenet5",
+                                           "--batch", "0"])
+        assert result.exit_code == 1
+        assert "batch must be an integer >= 1, got 0\n" in result.stderr
+        assert counted == []
 
 
 class TestNetworkStats:
