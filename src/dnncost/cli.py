@@ -15,11 +15,10 @@ from typing import NoReturn
 
 import click
 
-from .archmodel import LEVELS, ArchConfig, ArchError, default_arch, parse_arch
+from .archmodel import LEVELS, ArchConfig, default_arch, parse_arch
 from .dataflow import DATA_TYPES, DataflowKind
 from .energy import Modifiers, compare_dataflows, network_energy
-from .netmodel import (WEIGHTED_KINDS, NetworkError, ResolvedNetwork, parse_network,
-                       resolve_shapes)
+from .netmodel import WEIGHTED_KINDS, ResolvedNetwork, parse_network, resolve_shapes
 from .stats import MULT_METHODS, layer_stats, mult_count, network_stats
 from .zoo import BUILTIN_NAMES, builtin
 
@@ -79,7 +78,7 @@ def _load_network(builtin_name, net_path, batch) -> ResolvedNetwork:
             with open(net_path, encoding="utf-8") as fh:
                 spec = parse_network(fh.read())
         return resolve_shapes(spec, batch=batch)
-    except (NetworkError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(str(exc))
 
 
@@ -89,7 +88,7 @@ def _load_arch(arch_path) -> ArchConfig:
     try:
         with open(arch_path, encoding="utf-8") as fh:
             return parse_arch(fh.read())
-    except (ArchError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(str(exc))
 
 
@@ -97,7 +96,7 @@ def _checked(fn, *args, **kwargs):
     """Call into the library; a value out of range is a data error."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         _fail(str(exc))
 
 
@@ -383,8 +382,8 @@ def kernels_count_cmd(method, out_size, filter_size, matrix_size):
               help="Output path (required for --encode).")
 def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     """Run-length compression of sparse 16-bit streams."""
-    from .optkit import (MAX_VALUE, CodecError, compression_ratio, rle_decode,
-                         rle_encode, rle_pair_count, sparse_stats)
+    from .optkit import (MAX_VALUE, compression_ratio, rle_decode, rle_encode,
+                         rle_pair_count, sparse_stats)
     if encode_path is not None and decode_path is not None:
         raise click.UsageError("give at most one of --encode or --decode")
     if encode_path is not None and out_path is None:
@@ -427,7 +426,7 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
             click.echo("round trip FAILED")
             raise SystemExit(1)
         click.echo("round trip ok")
-    except (CodecError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(str(exc))
 
 
@@ -452,7 +451,6 @@ def prune_cmd(builtin_name, net_path, batch, fraction, order, arch_path, seed,
     if not weighted:
         _fail(f"network {net.name!r} has no weighted layers")
     sizes = {layer.name: layer_stats(layer).dw for layer in weighted}
-    # the count is not printed: it may pass Python's 4,300-digit int-to-str limit
     if sum(sizes.values()) > MAX_PRUNE_WEIGHTS:
         _fail(f"network {net.name!r} has more than {MAX_PRUNE_WEIGHTS} weights, "
               f"the most prune draws")

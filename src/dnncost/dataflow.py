@@ -27,6 +27,10 @@ Counting rules, with T = total MACs of the layer over its whole batch:
 * DRAM: the unique volume, fetched or written exactly once (ideal DRAM,
   no capacity-induced refetch)
 
+No count exceeds 2T or a unique volume, so for a layer from
+``resolve_shapes``, whose counts are within ``netmodel.COUNT_BUDGET``, every
+count fits int64.
+
 The four policies:
 
 * ws   weights pinned in RFs; inputs multicast to the filter-sized PE
@@ -49,8 +53,6 @@ from .netmodel import WEIGHTED_KINDS, ResolvedLayer
 from .stats import layer_stats, wired_pairs
 
 DATA_TYPES = ("input", "weight", "psum")
-
-COUNT_LIMIT = 2**63 - 1
 
 
 class DataflowKind(str, Enum):
@@ -176,11 +178,6 @@ def access_counts(factors: ReuseFactors) -> AccessCounts:
         "buf": max(st.do, min(2 * updates, 2 * t)),  # clamped to [Do, 2T]
         "dram": st.do,  # output writes only
     }
-
-    worst = max(*acc["input"].values(), *acc["weight"].values(), *acc["psum"].values())
-    if worst > COUNT_LIMIT or t > COUNT_LIMIT:
-        raise OverflowError(
-            f"layer {layer.name!r}: access count {worst} exceeds the 2**63 - 1 budget")
     return AccessCounts(layer=layer.name, kind=factors.kind, total_macs=t, acc=acc)
 
 

@@ -40,6 +40,11 @@ WEIGHTED_KINDS = ("conv", "fc")
 # the kinds that merge two or more named feeds; every other kind reads one
 _MERGE_KINDS = ("concat", "add")
 
+# the largest MAC count and data volume (di, dw, do) of a resolved weighted
+# layer. The largest count derived from a layer is its partial-sum RF count
+# 2T, and 2 * (2**62 - 1) still fits int64 (2**63 - 1).
+COUNT_BUDGET = 2**62 - 1
+
 
 # the LayerSpec fields each kind reads besides kind, name and inputs; a spec
 # must leave every other field at its default
@@ -177,6 +182,10 @@ class ResolvedLayer:
     uniformly. Pool/act/concat/add keep kernel fields only where meaningful.
     ``batch`` is the number of input images N the layer processes; every
     per-layer count and reuse factor reads it from here.
+
+    A weighted layer built by ``resolve_shapes`` has its MACs and its di, dw
+    and do volumes within ``COUNT_BUDGET``. A layer built by hand is not
+    checked: it is counted exactly, as unbounded Python ints.
     """
 
     kind: str
@@ -315,9 +324,13 @@ def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
     This is the one place a batch size enters the model: every resolved
     layer records it. Output extents follow ``out_extent`` per spatial
     dimension. Raises NetworkSemanticError (a ValueError) when the batch is
-    not an integer >= 1, and ShapeError when a kernel does not fit or a
-    channel count does not divide by the group count.
+    not an integer >= 1 or when a weighted layer's MACs, di, dw or do at
+    that batch exceed ``COUNT_BUDGET``, and ShapeError when a kernel does
+    not fit or a channel count does not divide by the group count.
     """
+    # stats imports this module, so it is imported here, not at the top
+    from .stats import layer_stats
+
     _require_int(batch, 1, "", "batch")
     out_shapes: dict[str, tuple[int, int, int]] = {}
     resolved = []
@@ -351,11 +364,19 @@ def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
             if spec.connections is not None and spec.connections > m * (c // groups):
                 raise ShapeError(f"{where}connections {spec.connections} exceeds "
                                  f"dense wiring {m * (c // groups)}")
-        resolved.append(ResolvedLayer(
+        layer = ResolvedLayer(
             kind=spec.kind, name=spec.name, batch=batch, in_channels=c, in_height=h,
             in_width=w, out_channels=m, out_height=e, out_width=f, kernel=kernel,
             stride=stride, pad=pad, groups=groups, bias=bias, connections=spec.connections,
-            inputs=feed_names))
+            inputs=feed_names)
+        if spec.kind in WEIGHTED_KINDS:
+            st = layer_stats(layer)
+            # the count is not printed: it may pass Python's 4,300-digit int-to-str limit
+            for what in ("macs", "di", "dw", "do"):
+                if getattr(st, what) > COUNT_BUDGET:
+                    raise NetworkSemanticError(
+                        f"{where}{what} exceeds the count budget {COUNT_BUDGET}")
+        resolved.append(layer)
         out_shapes[spec.name] = (m, e, f)
         prev = (spec.name,)
     return ResolvedNetwork(name=net.name, batch=batch, in_channels=net.in_channels,

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import dnncost as dc
 from dnncost.cli import (MAX_PRUNE_WEIGHTS, MAX_STREAM_WORDS, MAX_VERIFY_SIZE,
                          MAX_VERIFY_TRIALS, main)
+from dnncost.netmodel import COUNT_BUDGET
 from dnncost.stats import MAX_COUNT_SIZE
 
 
@@ -309,7 +310,7 @@ class TestPrune:
             drawn = sum(dc.layer_stats(layer).dw for layer in net.layers)
             assert drawn <= MAX_PRUNE_WEIGHTS, name
 
-    @pytest.mark.parametrize("out_channels", [MAX_PRUNE_WEIGHTS + 1, 10**4000])
+    @pytest.mark.parametrize("out_channels", [MAX_PRUNE_WEIGHTS + 1])
     def test_weight_cap(self, runner, tmp_path, out_channels):
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({
@@ -319,6 +320,30 @@ class TestPrune:
         assert result.exit_code == 1
         assert result.stderr == (f"error: network 'wide' has more than {MAX_PRUNE_WEIGHTS} "
                                  f"weights, the most prune draws\n")
+
+
+class TestCountBudget:
+    """Every report command rejects a network past netmodel.COUNT_BUDGET with
+    one message, whether the file or --batch makes its counts too large."""
+
+    @pytest.mark.parametrize("command", ["stats", "analyze", "compare", "prune"])
+    @pytest.mark.parametrize("source", ["file", "batch"])
+    def test_over_budget_is_a_data_error(self, runner, tmp_path, command, source):
+        if source == "file":
+            # its counts also pass Python's 4,300-digit int-to-str limit
+            path = tmp_path / "wide.json"
+            path.write_text(json.dumps({
+                "name": "wide", "input": {"channels": 10**4000, "height": 1, "width": 1},
+                "layers": [{"type": "fc", "name": "f", "out_channels": 10**4000}]}))
+            args, layer = ["--net", str(path)], "f"
+        else:
+            args, layer = ["--builtin", "lenet5", "--batch", str(10**24)], "c1"
+        result = runner.invoke(main, [command, *args])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (f"error: layer '{layer}': macs exceeds the count budget "
+                                 f"{COUNT_BUDGET}\n")
 
 
 class TestExitCodes:

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 import dnncost as dc
 from dnncost.cli import main
 from dnncost.dataflow import DATA_TYPES, DataflowKind, access_counts, reuse_factors
+from dnncost.netmodel import NetworkSemanticError
 from oracles import RESIDENT, make_conv, simulate_accesses
 
 KINDS = list(DataflowKind)
@@ -174,10 +175,14 @@ class TestAccessCounts:
             assert counts.total_macs == 4_096_000
             assert counts.acc["weight"]["dram"] == 4_096_000
 
-    def test_overflow_guard(self, arch):
-        huge = make_conv(65536, 1024, 1024, 65536, 32, 32, batch=4)
-        with pytest.raises(OverflowError):
-            dc.layer_access_counts(DataflowKind.WS, huge, arch)
+    def test_overflow_guard(self):
+        # a shape whose access counts pass 2**63 - 1 never reaches counting:
+        # resolving it at this batch already exceeds the count budget
+        huge = dc.NetworkSpec("huge", 65536, 1024, 1024, (
+            dc.LayerSpec("conv", "probe", out_channels=65536, kernel=(32, 32)),))
+        with pytest.raises(NetworkSemanticError,
+                           match="^layer 'probe': macs exceeds the count budget"):
+            dc.resolve_shapes(huge, batch=4)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_counts_price_the_table_layer(self, arch, kind):

@@ -32,14 +32,19 @@ JSON = st.recursive(
     max_leaves=24)
 
 
-def mostly(values):
-    """``values`` fifteen times in sixteen, arbitrary JSON the rest."""
-    return st.sampled_from(range(16)).flatmap(lambda i: JSON if i == 15 else values)
+def mostly(values, otherwise=JSON):
+    """``values`` fifteen times in sixteen, ``otherwise`` the rest."""
+    return st.sampled_from(range(16)).flatmap(lambda i: otherwise if i == 15 else values)
+
+
+# mostly small sizes; now and then one up to 10**4000, whose counts pass both
+# netmodel.COUNT_BUDGET and Python's 4,300-digit int-to-str limit
+SIZES = mostly(st.integers(1, 8), st.integers(1, 10**4000))
 
 
 # network-shaped documents whose fields hold mostly valid values, so that many
 # of them parse and resolve and the commands get as far as pricing them
-LAYER_FIELDS = {"out_channels": st.integers(1, 8),
+LAYER_FIELDS = {"out_channels": SIZES,
                 "kernel": st.lists(st.integers(1, 3), min_size=2, max_size=2),
                 "stride": st.integers(1, 2), "pad": st.integers(0, 1), "bias": st.booleans()}
 # the fields each kind reads; any other field is an error
@@ -53,7 +58,7 @@ LAYERS = st.lists(
         lambda layers: [{"name": f"l{i}", **layer} for i, layer in enumerate(layers)])
 NETWORK_DOCS = JSON | st.fixed_dictionaries({
     "name": mostly(st.just("fuzz")),
-    "input": st.fixed_dictionaries({key: mostly(st.integers(1, 8))
+    "input": st.fixed_dictionaries({key: mostly(SIZES)
                                     for key in ("channels", "height", "width")}),
     "layers": mostly(LAYERS),
 })
@@ -112,6 +117,8 @@ class TestCommands:
 
     @settings(deadline=None, max_examples=40)
     @given(value=NETWORK_DOCS)
+    @example(value={"name": "wide", "input": {"channels": 10**4000, "height": 1, "width": 1},
+                    "layers": [{"type": "fc", "name": "f", "out_channels": 10**4000}]})
     def test_network_files(self, tmp_path_factory, value):
         path = tmp_path_factory.mktemp("net") / "net.json"
         path.write_text(json.dumps(value))

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import dnncost as dc
 from dnncost import zoo
 from dnncost.cli import main
-from dnncost.netmodel import (LAYER_KINDS, NetworkError, NetworkSemanticError,
-                              NetworkSyntaxError, ShapeError)
+from dnncost.netmodel import (COUNT_BUDGET, LAYER_KINDS, NetworkError,
+                              NetworkSemanticError, NetworkSyntaxError, ShapeError)
 
 
 def doc(layers, channels=1, height=8, width=8, name="net"):
@@ -204,6 +204,44 @@ class TestResolve:
         net = dc.resolve_shapes(dc.parse_network(doc([conv(), conv("b")])), batch=7)
         assert net.batch == 7
         assert [layer.batch for layer in net.layers] == [7, 7]
+
+
+def one_layer(layer, channels=1, height=1, width=1):
+    return dc.NetworkSpec("n", channels, height, width, (layer,))
+
+
+class TestCountBudget:
+    def test_layer_at_the_budget_resolves(self):
+        # fc on a 1x1x1 input: macs, dw and do all equal out_channels
+        layer = dc.resolve_shapes(one_layer(
+            dc.LayerSpec("fc", "f", out_channels=COUNT_BUDGET))).layers[0]
+        st = dc.layer_stats(layer)
+        assert st.macs == st.dw == st.do == COUNT_BUDGET
+        for kind in dc.DataflowKind:
+            counts = dc.layer_access_counts(kind, layer, dc.default_arch())
+            assert max(max(row.values()) for row in counts.acc.values()) <= 2**63 - 1
+
+    @pytest.mark.parametrize("what,net", [
+        ("macs", one_layer(dc.LayerSpec("fc", "x", out_channels=COUNT_BUDGET + 1))),
+        # a stride as wide as the input reads every input word for one output
+        ("di", one_layer(dc.LayerSpec("conv", "x", out_channels=1, stride=2**31),
+                         height=2**31, width=2**31)),
+        # one wired pair feeds every output channel
+        ("do", one_layer(dc.LayerSpec("conv", "x", out_channels=COUNT_BUDGET + 1,
+                                      connections=1))),
+    ], ids=["macs", "di", "do"])
+    def test_one_count_over_the_budget_is_named(self, what, net):
+        with pytest.raises(NetworkSemanticError, match=re.escape(
+                f"layer 'x': {what} exceeds the count budget {COUNT_BUDGET}") + "$"):
+            dc.resolve_shapes(net)
+
+    @pytest.mark.parametrize("name", dc.BUILTIN_NAMES)
+    def test_builtins_fit_with_wide_margin(self, name):
+        for batch in range(1, 5):
+            net = dc.resolve_shapes(dc.builtin(name), batch=batch)
+            largest = max(max(st.macs, st.di, st.dw, st.do)
+                          for st in map(dc.layer_stats, net.layers))
+            assert largest < COUNT_BUDGET >> 20
 
 
 REQUIRED = {"conv": {"out_channels": 1, "kernel": (3, 3)}, "fc": {"out_channels": 1},
