@@ -22,7 +22,7 @@ from .netmodel import (LayerSpec, NetworkError, NetworkSemanticError,
                        ResolvedNetwork, ShapeError, parse_network,
                        resolve_shapes, serialize_network)
 from .stats import (LayerStats, MultCount, NetworkStats, layer_stats,
-                    mult_count, network_stats, next_pow2, wired_pairs)
+                    mult_count, network_stats, next_pow2)
 from .zoo import BUILTIN_NAMES, builtin, builtin_document
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "prune_network", "quantize_uniform", "rle_decode", "rle_encode",
     "rle_pair_count", "sparse_stats",
     "LayerStats", "NetworkStats", "layer_stats", "network_stats",
-    "wired_pairs",
     "BUILTIN_NAMES", "builtin", "builtin_document",
     "__version__",
 ]

@@ -19,7 +19,7 @@ from .archmodel import LEVELS, ArchConfig, default_arch, parse_arch
 from .dataflow import DATA_TYPES, DataflowKind
 from .energy import Modifiers, compare_dataflows, network_energy
 from .netmodel import WEIGHTED_KINDS, ResolvedNetwork, parse_network, resolve_shapes
-from .stats import MULT_METHODS, layer_stats, mult_count, network_stats
+from .stats import MULT_METHODS, mult_count, network_stats
 from .zoo import BUILTIN_NAMES, builtin
 
 DATAFLOW_NAMES = tuple(k.value for k in DataflowKind)
@@ -382,8 +382,7 @@ def kernels_count_cmd(method, out_size, filter_size, matrix_size):
               help="Output path (required for --encode).")
 def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     """Run-length compression of sparse 16-bit streams."""
-    from .optkit import (MAX_VALUE, compression_ratio, rle_decode, rle_encode,
-                         rle_pair_count, sparse_stats)
+    from .optkit import MAX_VALUE, _pack, _pair_codes, _ratio, rle_decode, sparse_stats
     if encode_path is not None and decode_path is not None:
         raise click.UsageError("give at most one of --encode or --decode")
     if encode_path is not None and out_path is None:
@@ -392,12 +391,13 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
         if encode_path is not None:
             with open(encode_path, encoding="utf-8") as fh:
                 words = [int(token) for token in fh.read().split()]
-            data = rle_encode(words)
+            codes = _pair_codes(words)
+            ratio = _ratio(codes.size, len(words))  # raises on no words, so before writing
+            data = _pack(codes)
             with open(out_path, "wb") as fh:
                 fh.write(data)
-            click.echo(f"{len(words)} words -> {len(data)} bytes "
-                       f"({rle_pair_count(words)} pairs)")
-            click.echo(f"compression ratio {compression_ratio(words):.3f}")
+            click.echo(f"{len(words)} words -> {len(data)} bytes ({codes.size} pairs)")
+            click.echo(f"compression ratio {ratio:.3f}")
             return
         if decode_path is not None:
             with open(decode_path, "rb") as fh:
@@ -416,12 +416,13 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
         values = rng.integers(1, MAX_VALUE + 1, size=length)
         zero = rng.random(length) < sparsity
         words = [0 if z else int(v) for z, v in zip(zero, values)]
-        data = rle_encode(words)
+        codes = _pair_codes(words)
+        data = _pack(codes)
         st = sparse_stats(words)
         click.echo(f"elements {st.elements}  zeros {st.zeros}  "
                    f"density {st.density:.3f}")
-        click.echo(f"pairs {rle_pair_count(words)}  packed bytes {len(data)}")
-        click.echo(f"compression ratio {compression_ratio(words):.3f}")
+        click.echo(f"pairs {codes.size}  packed bytes {len(data)}")
+        click.echo(f"compression ratio {_ratio(codes.size, len(words)):.3f}")
         if rle_decode(data) != words:
             click.echo("round trip FAILED")
             raise SystemExit(1)
@@ -450,7 +451,7 @@ def prune_cmd(builtin_name, net_path, batch, fraction, order, arch_path, seed,
     weighted = [layer for layer in net.layers if layer.kind in WEIGHTED_KINDS]
     if not weighted:
         _fail(f"network {net.name!r} has no weighted layers")
-    sizes = {layer.name: layer_stats(layer).dw for layer in weighted}
+    sizes = {layer.name: layer.stats.dw for layer in weighted}
     if sum(sizes.values()) > MAX_PRUNE_WEIGHTS:
         _fail(f"network {net.name!r} has more than {MAX_PRUNE_WEIGHTS} weights, "
               f"the most prune draws")

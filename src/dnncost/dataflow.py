@@ -13,10 +13,11 @@ Each dataflow is summarized by a small table of reuse factors per data type:
 * ``multicast``      PEs fed by one buffer read over the network
 * ``spatial_accum``  partial sums combined across PEs before a buffer update
 
-A table also records the layer it was computed for, and with it the batch
-size the layer was resolved with, so counting a table needs nothing else.
+A table also records the layer it was computed for, which carries its batch
+size and its counts, so counting a table needs nothing else.
 
-Counting rules, with T = total MACs of the layer over its whole batch:
+Counting rules, with T (the MACs over the whole batch), Di, Dw and Do from
+``layer.stats``:
 
 * RF: T per resident read type, 2T for resident partial sums, else 0
 * NoC: deliveries = ceil(T / rf_reuse), floored at the unique volume
@@ -50,7 +51,6 @@ from enum import Enum
 
 from .archmodel import LEVELS, ArchConfig
 from .netmodel import WEIGHTED_KINDS, ResolvedLayer
-from .stats import layer_stats, wired_pairs
 
 DATA_TYPES = ("input", "weight", "psum")
 
@@ -115,7 +115,7 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig) ->
     p = arch.pe_count
     # MACs per output word, ceil(macs / do) with the E*F and batch factors
     # cancelled; equals (C/G)*R*S on densely wired layers
-    depth = max(1, _ceildiv(wired_pairs(layer) * r * s, m))
+    depth = max(1, _ceildiv(layer.stats.dw, m))
 
     if kind is DataflowKind.WS:
         # one weight per PE; a filter occupies an R*S block of the array
@@ -155,7 +155,7 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig) ->
 def access_counts(factors: ReuseFactors) -> AccessCounts:
     """Evaluate the counting rules for the layer of one factor table."""
     layer = factors.layer
-    st = layer_stats(layer)
+    st = layer.stats
     t = st.macs
 
     acc: dict[str, dict[str, int]] = {}

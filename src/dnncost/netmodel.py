@@ -30,7 +30,7 @@ module is safe for concurrent use.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 LAYER_KINDS = ("conv", "fc", "pool", "act", "concat", "add")
 
@@ -174,14 +174,34 @@ class NetworkSpec:
 
 
 @dataclass(frozen=True)
+class LayerStats:
+    """Counts for a single layer at the batch size it was resolved with.
+
+    ``weights`` counts stored words, biases included. di, dw, do are the
+    data-movement volumes in words: the input feature map, the weights
+    without biases (added once per output, not streamed per MAC), and the
+    output feature map.
+    """
+
+    name: str
+    kind: str
+    weights: int
+    macs: int
+    di: int
+    dw: int
+    do: int
+
+
+@dataclass(frozen=True)
 class ResolvedLayer:
     """A layer with its input and output shapes pinned down.
 
     For fc layers the kernel is set to the full input extent (R = H, S = W)
     and the output is 1 x 1, so downstream arithmetic treats conv and fc
     uniformly. Pool/act/concat/add keep kernel fields only where meaningful.
-    ``batch`` is the number of input images N the layer processes; every
-    per-layer count and reuse factor reads it from here.
+    ``batch`` is the number of input images N the layer processes, and
+    ``stats`` its counts at that batch: the constructor derives them, so a
+    layer built by hand or by ``dataclasses.replace`` is counted too.
 
     A weighted layer built by ``resolve_shapes`` has its MACs and its di, dw
     and do volumes within ``COUNT_BUDGET``. A layer built by hand is not
@@ -204,6 +224,22 @@ class ResolvedLayer:
     bias: bool
     connections: int | None
     inputs: tuple[str, ...]
+    stats: LayerStats = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        batch = self.batch
+        weights = macs = dw = 0
+        if self.kind in WEIGHTED_KINDS:
+            # wired (filter, input-channel) pairs; only conv reads connections
+            pairs = (self.connections if self.kind == "conv" and self.connections is not None
+                     else self.out_channels * (self.in_channels // self.groups))
+            dw = pairs * self.kernel[0] * self.kernel[1]
+            weights = dw + (self.out_channels if self.bias else 0)
+            macs = batch * dw * self.out_height * self.out_width
+        object.__setattr__(self, "stats", LayerStats(
+            name=self.name, kind=self.kind, weights=weights, macs=macs, dw=dw,
+            di=batch * self.in_channels * self.in_height * self.in_width,
+            do=batch * self.out_channels * self.out_height * self.out_width))
 
 
 @dataclass(frozen=True)
@@ -328,9 +364,6 @@ def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
     that batch exceed ``COUNT_BUDGET``, and ShapeError when a kernel does
     not fit or a channel count does not divide by the group count.
     """
-    # stats imports this module, so it is imported here, not at the top
-    from .stats import layer_stats
-
     _require_int(batch, 1, "", "batch")
     out_shapes: dict[str, tuple[int, int, int]] = {}
     resolved = []
@@ -370,10 +403,9 @@ def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
             stride=stride, pad=pad, groups=groups, bias=bias, connections=spec.connections,
             inputs=feed_names)
         if spec.kind in WEIGHTED_KINDS:
-            st = layer_stats(layer)
             # the count is not printed: it may pass Python's 4,300-digit int-to-str limit
             for what in ("macs", "di", "dw", "do"):
-                if getattr(st, what) > COUNT_BUDGET:
+                if getattr(layer.stats, what) > COUNT_BUDGET:
                     raise NetworkSemanticError(
                         f"{where}{what} exceeds the count budget {COUNT_BUDGET}")
         resolved.append(layer)

@@ -174,15 +174,26 @@ def _pair_codes(words: Sequence[int]) -> np.ndarray:
     return codes
 
 
+def _pack(codes: np.ndarray) -> bytes:
+    """Bit-pack 21-bit pair codes big-endian, zero-padded to a byte boundary."""
+    octets = codes.astype(">u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(octets, axis=1)[:, 32 - PAIR_BITS:]
+    return np.packbits(bits).tobytes()
+
+
+def _ratio(pairs: int, length: int) -> float:
+    if not pairs:
+        raise CodecError("ratio undefined for an empty stream")
+    return (VALUE_BITS * length) / (PAIR_BITS * pairs)
+
+
 def rle_pair_count(words: Sequence[int]) -> int:
     return _pair_codes(words).size
 
 
 def rle_encode(words: Sequence[int]) -> bytes:
     """Encode 16-bit words into the bit-packed run-length stream."""
-    codes = _pair_codes(words).astype(">u4").view(np.uint8).reshape(-1, 4)
-    bits = np.unpackbits(codes, axis=1)[:, 32 - PAIR_BITS:]
-    return np.packbits(bits).tobytes()
+    return _pack(_pair_codes(words))
 
 
 def rle_decode(data: bytes) -> list[int]:
@@ -209,7 +220,4 @@ def rle_decode(data: bytes) -> list[int]:
 
 def compression_ratio(words: Sequence[int]) -> float:
     """Raw bits over encoded pair bits; byte padding is not charged."""
-    pairs = rle_pair_count(words)
-    if not pairs:
-        raise CodecError("ratio undefined for an empty stream")
-    return (VALUE_BITS * len(words)) / (PAIR_BITS * pairs)
+    return _ratio(rle_pair_count(words), len(words))  # words checked before len()

@@ -1,13 +1,10 @@
 """Storage and compute tallies: per layer and per network, and the scalar
 multiplications of each convolution transform.
 
-Conventions: one MAC is one multiply-accumulate. Every count is taken at the
-batch size the layer was resolved with (``ResolvedLayer.batch``): MACs and the
-feature-map volumes grow with it, weights do not. Bias words count as stored
-weights but contribute neither MACs nor data-movement volume (they are added
-once per output, not streamed per MAC), so LayerStats carries both a weight
-count and a separate movement volume dw. Pool, act, concat, and add layers
-carry zero weights and zero MACs.
+Conventions: one MAC is one multiply-accumulate. A layer's counts are its
+``ResolvedLayer.stats``, a ``LayerStats`` taken at its batch size: MACs and
+the feature-map volumes grow with the batch, weights do not. Pool, act,
+concat, and add layers carry zero weights and zero MACs.
 
 ``mult_count`` estimates the multiplications of the transforms that
 ``kernels`` implements from the problem size alone, so it needs no arrays
@@ -18,24 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netmodel import WEIGHTED_KINDS, ResolvedLayer, ResolvedNetwork
-
-
-@dataclass(frozen=True)
-class LayerStats:
-    """Counts for a single layer at the batch size it was resolved with.
-
-    di, dw, do are the data-movement volumes in words: the input feature
-    map, the multiplicative weights, and the output feature map.
-    """
-
-    name: str
-    kind: str
-    weights: int
-    macs: int
-    di: int
-    dw: int
-    do: int
+from .netmodel import WEIGHTED_KINDS, LayerStats, ResolvedLayer, ResolvedNetwork
 
 
 @dataclass(frozen=True)
@@ -61,29 +41,9 @@ class NetworkStats:
         return self.conv_macs + self.fc_macs
 
 
-def wired_pairs(layer: ResolvedLayer) -> int:
-    """Number of wired (filter, input-channel) pairs of a weighted layer."""
-    if layer.kind == "conv" and layer.connections is not None:
-        return layer.connections
-    return layer.out_channels * (layer.in_channels // layer.groups)
-
-
 def layer_stats(layer: ResolvedLayer) -> LayerStats:
-    """Storage and compute counts for one resolved layer at its batch size."""
-    batch = layer.batch
-    di = batch * layer.in_channels * layer.in_height * layer.in_width
-    do = batch * layer.out_channels * layer.out_height * layer.out_width
-    if layer.kind in WEIGHTED_KINDS:
-        r, s = layer.kernel
-        dw = wired_pairs(layer) * r * s
-        weights = dw + (layer.out_channels if layer.bias else 0)
-        macs = batch * dw * layer.out_height * layer.out_width
-    else:
-        dw = 0
-        weights = 0
-        macs = 0
-    return LayerStats(name=layer.name, kind=layer.kind, weights=weights,
-                      macs=macs, di=di, dw=dw, do=do)
+    """Storage and compute counts for one resolved layer: ``layer.stats``."""
+    return layer.stats
 
 
 def network_stats(net: ResolvedNetwork) -> NetworkStats:
@@ -92,8 +52,7 @@ def network_stats(net: ResolvedNetwork) -> NetworkStats:
     Only conv and fc layers appear in the per-layer list; everything else is
     zero cost and would only pad the report.
     """
-    rows = tuple(layer_stats(layer) for layer in net.layers
-                 if layer.kind in WEIGHTED_KINDS)
+    rows = tuple(layer.stats for layer in net.layers if layer.kind in WEIGHTED_KINDS)
     conv = [r for r in rows if r.kind == "conv"]
     fc = [r for r in rows if r.kind == "fc"]
     return NetworkStats(

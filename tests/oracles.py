@@ -5,11 +5,14 @@ iteration per event, so the closed-form code has an independent witness.
 Keep these dumb; their value is that they cannot share a bug with the
 formulas under test.
 
-The pricing reference at the end is not an enumeration: it is the engine's
-earlier, plainer pricing path (depth from a second layer_stats call, a
-validated cost() lookup per cell, totals re-derived from the report
-properties, the batch passed explicitly rather than read off the layer),
-kept so the lean engine path can be held to it with ``==``.
+The two references at the end are not enumerations. The layer-count
+reference is the closed form that counted a layer before the count moved
+into the ``ResolvedLayer`` constructor, with wired pairs as its own
+function. The pricing reference is the engine's earlier, plainer pricing
+path (depth from a second count of the layer at batch 1, a validated cost()
+lookup per cell, totals re-derived from the report properties, the batch
+passed explicitly rather than read off the layer). Both are kept so the lean
+engine path can be held to them with ``==``.
 """
 
 from dataclasses import replace
@@ -20,9 +23,8 @@ from dnncost.archmodel import LEVELS
 from dnncost.dataflow import (DATA_TYPES, AccessCounts, DataflowKind, ReuseFactors,
                               TypeReuse)
 from dnncost.energy import ComparisonReport, DataflowComparison, EnergyReport
-from dnncost.netmodel import WEIGHTED_KINDS, ResolvedLayer
+from dnncost.netmodel import WEIGHTED_KINDS, LayerStats, ResolvedLayer
 from dnncost.optkit import MAX_RUN, MAX_VALUE, PAIR_BITS, VALUE_BITS, CodecError
-from dnncost.stats import layer_stats
 
 # Which data types live in the per-PE register file under each policy.
 # This restates the taxonomy definition, not the engine's factor table.
@@ -168,6 +170,33 @@ def reference_rle_encode(words):
     return bytes(out)
 
 
+# -- layer-count reference -----------------------------------------------------
+
+def reference_wired_pairs(layer):
+    """Number of wired (filter, input-channel) pairs of a weighted layer."""
+    if layer.kind == "conv" and layer.connections is not None:
+        return layer.connections
+    return layer.out_channels * (layer.in_channels // layer.groups)
+
+
+def reference_layer_stats(layer):
+    """Storage and compute counts for one resolved layer at its batch size."""
+    batch = layer.batch
+    di = batch * layer.in_channels * layer.in_height * layer.in_width
+    do = batch * layer.out_channels * layer.out_height * layer.out_width
+    if layer.kind in WEIGHTED_KINDS:
+        r, s = layer.kernel
+        dw = reference_wired_pairs(layer) * r * s
+        weights = dw + (layer.out_channels if layer.bias else 0)
+        macs = batch * dw * layer.out_height * layer.out_width
+    else:
+        dw = 0
+        weights = 0
+        macs = 0
+    return LayerStats(name=layer.name, kind=layer.kind, weights=weights,
+                      macs=macs, di=di, dw=dw, do=do)
+
+
 # -- pricing reference ---------------------------------------------------------
 
 def _ceildiv(a, b):
@@ -183,7 +212,7 @@ def reference_factors(kind, layer, arch, batch):
     e, f = layer.out_height, layer.out_width
     m = layer.out_channels
     p = arch.pe_count
-    st = layer_stats(replace(layer, batch=1))
+    st = reference_layer_stats(replace(layer, batch=1))
     depth = max(1, _ceildiv(st.macs, st.do))
     if kind is DataflowKind.WS:
         mp = min(max(p // (r * s), 1), m)
@@ -221,7 +250,7 @@ def reference_factors(kind, layer, arch, batch):
 def reference_counts(kind, layer, arch, batch):
     """Access counts with every clamp spelled out as max(lo, min(x, hi))."""
     factors = reference_factors(kind, layer, arch, batch)
-    st = layer_stats(replace(layer, batch=batch))
+    st = reference_layer_stats(replace(layer, batch=batch))
     t = st.macs
     unique = {"input": st.di, "weight": st.dw, "psum": st.do}
     acc = {}

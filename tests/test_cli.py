@@ -266,8 +266,21 @@ class TestCompress:
         assert dec.exit_code == 0
         assert decoded.read_text().split() == ["0", "0", "0", "5", "9", "0", "0"]
 
+    def test_empty_encode_writes_nothing(self, runner, tmp_path):
+        # the ratio of an empty stream is undefined, and that is known before
+        # anything is printed or written
+        source = tmp_path / "empty.txt"
+        source.write_text("")
+        packed = tmp_path / "e.bin"
+        result = runner.invoke(main, ["compress", "--encode", str(source),
+                                      "--out", str(packed)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: ratio undefined for an empty stream\n"
+        assert not packed.exists()
+
     def test_usage_guards(self, runner, tmp_path):
-        both = runner.invoke(main, ["compress", "--encode", "a", "--decode", "b"])
+        both =runner.invoke(main, ["compress", "--encode", "a", "--decode", "b"])
         assert both.exit_code == 2
         no_out = runner.invoke(main, ["compress", "--encode", "a"])
         assert no_out.exit_code == 2

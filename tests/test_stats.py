@@ -1,12 +1,14 @@
 """Per-layer and per-network weight and MAC counting."""
 
+import dataclasses
 import itertools
 
+import pytest
 from click.testing import CliRunner
 
 import dnncost as dc
 from dnncost.cli import main
-from oracles import brute_macs, make_conv
+from oracles import brute_macs, make_conv, reference_layer_stats
 
 
 class TestLayerStats:
@@ -22,6 +24,46 @@ class TestLayerStats:
                 want = brute_macs(batch, in_ch, hw, hw, out_ch, r, r,
                                   groups=groups)
                 assert got.macs == want, (in_ch, out_ch, hw, r, groups, batch)
+
+    def test_matches_reference_on_hand_built_sweep(self):
+        for (in_ch, out_ch, hw, r, groups, stride, pad, bias, connections,
+             batch) in itertools.product((1, 2, 4), (1, 2, 4), (3, 4), (1, 2, 3), (1, 2),
+                                         (1, 2), (0, 1), (False, True), (None, 1), (1, 3)):
+            if in_ch % groups or out_ch % groups or r > hw + 2 * pad:
+                continue
+            conv = make_conv(in_ch, hw, hw, out_ch, r, r, stride=stride, pad=pad,
+                             groups=groups, bias=bias, connections=connections, batch=batch)
+            # fc ignores connections; pool and act count no weights or MACs
+            for kind in ("conv", "fc", "pool", "act"):
+                layer = dataclasses.replace(conv, kind=kind)
+                assert layer.stats == reference_layer_stats(layer), layer
+
+    @pytest.mark.parametrize("batch", (1, 2, 4))
+    def test_matches_reference_on_builtins(self, batch):
+        kinds = set()
+        for name in dc.BUILTIN_NAMES:
+            net = dc.resolve_shapes(dc.builtin(name), batch=batch)
+            for layer in net.layers:
+                assert layer.stats == reference_layer_stats(layer), (name, layer.name)
+                kinds.add(layer.kind)
+        assert kinds == {"conv", "fc", "pool", "concat", "add"}  # no built-in has act
+
+    def test_replace_recounts(self, resolved_builtins):
+        one = resolved_builtins["alexnet"].layers[0]
+        four = dataclasses.replace(one, batch=4)
+        assert (four.stats.macs, four.stats.di, four.stats.do) == (
+            4 * one.stats.macs, 4 * one.stats.di, 4 * one.stats.do)
+        assert (four.stats.dw, four.stats.weights) == (one.stats.dw, one.stats.weights)
+
+    def test_stats_is_not_a_constructor_argument(self):
+        layer = make_conv(2, 4, 4, 3, 3, 3)
+        args = {f.name: getattr(layer, f.name) for f in dataclasses.fields(layer) if f.init}
+        with pytest.raises(TypeError):
+            dc.ResolvedLayer(**args, stats=layer.stats)
+
+    def test_layer_stats_reads_the_layer(self, resolved_builtins):
+        for layer in resolved_builtins["googlenet"].layers:
+            assert dc.layer_stats(layer) is layer.stats
 
     def test_brute_force_with_partial_wiring(self):
         layer = make_conv(4, 5, 5, 3, 2, 2, connections=7)
@@ -76,14 +118,24 @@ class TestLayerStats:
         assert st.di > 0 and st.do > 0
 
     def test_batch_must_be_positive(self, monkeypatch):
-        # a batch of 0 is rejected by resolve_shapes, before any layer is counted
-        counted = []
-        monkeypatch.setattr(dc.stats, "layer_stats", counted.append)
+        # a batch of 0 is rejected by resolve_shapes before any layer is built,
+        # and so before any layer is counted
+        built = []
+
+        def recorder(**kwargs):
+            built.append(kwargs["name"])
+            return dc.ResolvedLayer(**kwargs)
+
+        monkeypatch.setattr(dc.netmodel, "ResolvedLayer", recorder)
+        ok = CliRunner().invoke(main, ["stats", "--builtin", "lenet5", "--batch", "1"])
+        assert ok.exit_code == 0
+        assert built  # the recorder sees every layer resolve_shapes builds
+        built.clear()
         result = CliRunner().invoke(main, ["stats", "--builtin", "lenet5",
                                            "--batch", "0"])
         assert result.exit_code == 1
         assert "batch must be an integer >= 1, got 0\n" in result.stderr
-        assert counted == []
+        assert built == []
 
 
 class TestNetworkStats:
