@@ -29,7 +29,8 @@ MAX_STREAM_WORDS = 1 << 20
 # convolutions of a size x size input
 MAX_VERIFY_SIZE = 256
 MAX_VERIFY_TRIALS = 1000
-# most weights `prune` draws, one float64 each: vgg16's 138,344,128 fit
+# most weights `prune` takes, in either order; only the magnitude order draws
+# them, one float64 each: vgg16's 138,344,128 fit
 MAX_PRUNE_WEIGHTS = 150_000_000
 
 
@@ -382,7 +383,7 @@ def kernels_count_cmd(method, out_size, filter_size, matrix_size):
               help="Output path (required for --encode).")
 def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     """Run-length compression of sparse 16-bit streams."""
-    from .optkit import MAX_VALUE, _pack, _pair_codes, _ratio, rle_decode, sparse_stats
+    from .optkit import MAX_VALUE, SparseStats, _pack, _pair_codes, _ratio, rle_decode
     if encode_path is not None and decode_path is not None:
         raise click.UsageError("give at most one of --encode or --decode")
     if encode_path is not None and out_path is None:
@@ -415,10 +416,11 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
         rng = _rng(seed)
         values = rng.integers(1, MAX_VALUE + 1, size=length)
         zero = rng.random(length) < sparsity
-        words = [0 if z else int(v) for z, v in zip(zero, values)]
+        values[zero] = 0
+        words = values.tolist()
         codes = _pair_codes(words)
         data = _pack(codes)
-        st = sparse_stats(words)
+        st = SparseStats(elements=length, zeros=int(zero.sum()))  # values start at 1
         click.echo(f"elements {st.elements}  zeros {st.zeros}  "
                    f"density {st.density:.3f}")
         click.echo(f"pairs {codes.size}  packed bytes {len(data)}")
@@ -446,33 +448,33 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
 def prune_cmd(builtin_name, net_path, batch, fraction, order, arch_path, seed,
               fmt, out_path):
     """Prune synthetic weights for a network and report layer densities."""
-    from .optkit import prune_network
+    from .optkit import _budget, _drain, _keep_mask
     net = _load_network(builtin_name, net_path, batch)
-    weighted = [layer for layer in net.layers if layer.kind in WEIGHTED_KINDS]
-    if not weighted:
+    sizes = {layer.name: layer.stats.dw for layer in net.layers if layer.kind in WEIGHTED_KINDS}
+    if not sizes:
         _fail(f"network {net.name!r} has no weighted layers")
-    sizes = {layer.name: layer.stats.dw for layer in weighted}
-    if sum(sizes.values()) > MAX_PRUNE_WEIGHTS:
+    total = sum(sizes.values())
+    if total > MAX_PRUNE_WEIGHTS:
         _fail(f"network {net.name!r} has more than {MAX_PRUNE_WEIGHTS} weights, "
               f"the most prune draws")
-    rng = _rng(seed)
-    weights = {name: rng.standard_normal(size) for name, size in sizes.items()}
-    ranking = None
-    if order == "energy":
+    rng = _rng(seed)  # checks --seed in either order
+    if order == "energy":  # the drain needs no weight values, so none are drawn
         arch = _load_arch(arch_path)
         reports, _ = _checked(network_energy, net, DataflowKind.RS, arch, Modifiers())
-        ranking = {rep.layer: rep.total / weights[rep.layer].size
-                   for rep in reports}
-    pruned = _checked(prune_network, weights, fraction, order=ranking)
-
-    entries = []
-    for layer in weighted:
-        _, mask = pruned[layer.name]
-        kept = int(mask.sum())
-        entries.append((layer.name, mask.size, kept, kept / mask.size))
-    total_size = sum(size for _, size, _, _ in entries)
-    total_kept = sum(kept for _, _, kept, _ in entries)
-    totals = ("total", total_size, total_kept, total_kept / total_size)
+        ranking = {rep.layer: rep.total / sizes[rep.layer] for rep in reports}
+        lost = _checked(_drain, sizes, _checked(_budget, fraction, total), ranking)
+        kept = {name: size - lost[name] for name, size in sizes.items()}
+    else:
+        budget = _checked(_budget, fraction, total)  # before drawing
+        # one draw is the stream of per-layer draws; only its magnitudes are kept
+        keep = _keep_mask(abs(rng.standard_normal(total)), budget)
+        kept, offset = {}, 0
+        for name, size in sizes.items():
+            kept[name] = int(keep[offset:offset + size].sum())
+            offset += size
+    entries = [(name, size, kept[name], kept[name] / size) for name, size in sizes.items()]
+    total_kept = sum(kept.values())
+    totals = ("total", total, total_kept, total_kept / total)
 
     headers = ("layer", "weights", "kept", "density")
     obj = {

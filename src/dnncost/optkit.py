@@ -41,41 +41,57 @@ def sparse_stats(tensor) -> SparseStats:
     return SparseStats(elements=arr.size, zeros=int(np.count_nonzero(arr == 0)))
 
 
-def _smallest(mags: np.ndarray, k: int) -> np.ndarray:
-    """Flat indices of the k smallest entries of the 1-D ``mags``.
-
-    The set equals the first k of a stable argsort: every index below the
-    k-th value, then the lowest-index ties at that value.
-    """
-    if k == 0:
-        return np.empty(0, dtype=np.intp)
-    kth = np.partition(mags, k - 1)[k - 1]
-    if np.isnan(kth):  # a sort puts NaN last, after every number
-        before, tied = ~np.isnan(mags), np.isnan(mags)
-    else:
-        before, tied = mags < kth, mags == kth
-    below = np.flatnonzero(before)
-    return np.concatenate((below, np.flatnonzero(tied)[:k - below.size]))
+def _budget(fraction: float, n: int) -> int:
+    """The floor(fraction * n) weights a prune of n weights drops."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    return int(fraction * n)
 
 
 def _keep_mask(mags: np.ndarray, k: int) -> np.ndarray:
-    """Mask over the 1-D ``mags`` that is False at its k smallest entries."""
-    mask = np.ones(mags.size, dtype=bool)
-    mask[_smallest(mags, k)] = False
-    return mask
+    """Mask over the 1-D ``mags`` that is False at its k smallest entries.
+
+    The tie rule of every prune: the k smallest are the first k of a stable
+    argsort, that is every entry below the k-th value, then the lowest-index
+    ties at that value, with NaN last.
+    """
+    if k == 0:
+        return np.ones(mags.size, dtype=bool)
+    kth = np.partition(mags, k - 1)[k - 1]
+    if np.isnan(kth):  # a sort puts NaN last, after every number
+        keep = tied = np.isnan(mags)
+    else:
+        keep, tied = ~(mags < kth), mags == kth  # `mags >= kth` would drop NaN
+    below = mags.size - np.count_nonzero(keep)
+    keep[np.flatnonzero(tied)[:k - below]] = False
+    return keep
+
+
+def _drain(sizes: dict[str, int], budget: int, order: dict[str, float]) -> dict[str, int]:
+    """Weights each layer loses when layers are drained greedily in descending
+    ``order`` key, the name breaking ties, until ``budget`` is spent; in that
+    drain order."""
+    missing = set(sizes) - set(order)
+    if missing:
+        raise ValueError(f"order lacks keys for layers {sorted(missing)}")
+    lost = {}
+    for name in sorted(sizes, key=lambda nm: (-order[nm], nm)):
+        lost[name] = min(budget, sizes[name])
+        budget -= lost[name]
+    return lost
+
+
+def _masked(arr: np.ndarray, keep: np.ndarray):
+    keep = keep.reshape(arr.shape)
+    return np.where(keep, arr, 0.0), keep
 
 
 def prune_magnitude(weights, fraction: float):
-    """Zero the floor(fraction * n) smallest-magnitude weights.
-
-    Ties break toward the lower flat index. Returns the pruned copy and the
-    boolean keep-mask.
+    """Zero the floor(fraction * n) smallest-magnitude weights, by the tie
+    rule of ``_keep_mask``. Returns the pruned copy and the boolean keep-mask.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     arr = np.asarray(weights, dtype=float)
-    mask = _keep_mask(np.abs(arr).reshape(-1), int(fraction * arr.size)).reshape(arr.shape)
-    return np.where(mask, arr, 0.0), mask
+    return _masked(arr, _keep_mask(np.abs(arr).reshape(-1), _budget(fraction, arr.size)))
 
 
 def prune_network(layer_weights: dict[str, np.ndarray], fraction: float,
@@ -88,37 +104,17 @@ def prune_network(layer_weights: dict[str, np.ndarray], fraction: float,
     expensive layers lose their smallest weights first until the global
     budget floor(fraction * total) is spent.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     arrays = {name: np.asarray(w, dtype=float) for name, w in layer_weights.items()}
-    total = sum(a.size for a in arrays.values())
-    budget = int(fraction * total)
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    if order is None:
-        if not arrays:
-            return out
-        mask = _keep_mask(np.concatenate([np.abs(a).reshape(-1) for a in arrays.values()]),
-                          budget)
-        offset = 0
-        for name, a in arrays.items():
-            m = mask[offset:offset + a.size].reshape(a.shape)
-            out[name] = (np.where(m, a, 0.0), m)
-            offset += a.size
-        return out
-
-    missing = set(arrays) - set(order)
-    if missing:
-        raise ValueError(f"order lacks keys for layers {sorted(missing)}")
-    remaining = budget
-    # descending key; name breaks ties deterministically
-    for name in sorted(arrays, key=lambda nm: (-order[nm], nm)):
-        a = arrays[name]
-        k = min(remaining, a.size)
-        mask = _keep_mask(np.abs(a).reshape(-1), k).reshape(a.shape)
-        out[name] = (np.where(mask, a, 0.0), mask)
-        remaining -= k
-    return out
+    budget = _budget(fraction, sum(a.size for a in arrays.values()))
+    if order is not None:
+        lost = _drain({name: a.size for name, a in arrays.items()}, budget, order)
+        return {name: _masked(arrays[name], _keep_mask(np.abs(arrays[name]).reshape(-1), k))
+                for name, k in lost.items()}
+    if not arrays:
+        return {}
+    keep = _keep_mask(np.concatenate([np.abs(a).reshape(-1) for a in arrays.values()]), budget)
+    parts = np.split(keep, np.cumsum([a.size for a in arrays.values()])[:-1])
+    return {name: _masked(a, part) for (name, a), part in zip(arrays.items(), parts)}
 
 
 def quantize_uniform(tensor, bits: int) -> np.ndarray:

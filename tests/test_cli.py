@@ -6,15 +6,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dnncost as dc
 from dnncost.cli import (MAX_PRUNE_WEIGHTS, MAX_STREAM_WORDS, MAX_VERIFY_SIZE,
                          MAX_VERIFY_TRIALS, main)
-from dnncost.netmodel import COUNT_BUDGET
+from dnncost.netmodel import COUNT_BUDGET, WEIGHTED_KINDS
 from dnncost.stats import MAX_COUNT_SIZE
 
 
@@ -333,6 +337,86 @@ class TestPrune:
         assert result.exit_code == 1
         assert result.stderr == (f"error: network 'wide' has more than {MAX_PRUNE_WEIGHTS} "
                                  f"weights, the most prune draws\n")
+
+
+def weight_sizes(net):
+    return {layer.name: layer.stats.dw for layer in net.layers
+            if layer.kind in WEIGHTED_KINDS}
+
+
+def library_kept(net, fraction, seed, order):
+    """Kept weights per layer from prune_network's masks, on the per-layer
+    seeded weights and energy ranking that `prune` describes."""
+    rng = np.random.default_rng(seed)
+    weights = {nm: rng.standard_normal(size) for nm, size in weight_sizes(net).items()}
+    ranking = None
+    if order == "energy":
+        reports, _ = dc.network_energy(net, dc.DataflowKind.RS, dc.default_arch())
+        ranking = {rep.layer: rep.total / weights[rep.layer].size for rep in reports}
+    pruned = dc.prune_network(weights, fraction, order=ranking)
+    return {nm: int(mask.sum()) for nm, (_, mask) in pruned.items()}
+
+
+def assert_one_draw_is_per_layer_draws(sizes, seed):
+    whole = np.random.default_rng(seed).standard_normal(sum(sizes))
+    rng = np.random.default_rng(seed)
+    offset = 0
+    for size in sizes:
+        assert rng.standard_normal(size).tobytes() == whole[offset:offset + size].tobytes()
+        offset += size
+
+
+class TestPruneCounts:
+    """`prune` counts kept weights from one draw, or drains by energy without
+    drawing; both must agree with prune_network's masks."""
+
+    @pytest.mark.parametrize("order", ["magnitude", "energy"])
+    @pytest.mark.parametrize("name, fraction, seed", [
+        *[("lenet5", f, s) for f in (0.0, 0.1, 0.5, 0.9, 1.0) for s in (0, 3)],
+        ("googlenet", 0.5, 0)])
+    def test_kept_counts_equal_mask_sums(self, runner, resolved_builtins, name, fraction,
+                                         seed, order):
+        result = runner.invoke(main, ["prune", "--builtin", name, "--fraction", str(fraction),
+                                      "--seed", str(seed), "--order", order,
+                                      "--format", "json"])
+        assert result.exit_code == 0
+        kept = {row["layer"]: row["kept"] for row in json.loads(result.stdout)["layers"]}
+        assert kept == library_kept(resolved_builtins[name], fraction, seed, order)
+
+    @pytest.mark.parametrize("name", ["lenet5", "googlenet", "resnet50"])
+    def test_one_draw_is_per_layer_draws_on_builtin(self, resolved_builtins, name):
+        sizes = weight_sizes(resolved_builtins[name]).values()
+        assert_one_draw_is_per_layer_draws(list(sizes), seed=0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=500), max_size=12),
+           st.integers(min_value=0, max_value=2**32))
+    def test_one_draw_is_per_layer_draws(self, sizes, seed):
+        assert_one_draw_is_per_layer_draws(sizes, seed)
+
+    @pytest.mark.parametrize("order, bound", [("magnitude", 2.5), ("energy", 0.1)])
+    def test_allocation_peak(self, runner, order, bound):
+        """Peak bytes allocated, as a multiple of lenet5's float64 weights:
+        the magnitude order holds its magnitudes and one partition copy, the
+        energy order draws nothing."""
+        args = ["prune", "--builtin", "lenet5", "--order", order, "--format", "json"]
+        assert runner.invoke(main, args).exit_code == 0  # imports and caches first
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert peak < bound * 8 * 59_730
+
+    @pytest.mark.parametrize("order", ["magnitude", "energy"])
+    @pytest.mark.parametrize("fraction", ["1.5", "nan"])
+    def test_fraction_outside_unit_interval(self, runner, order, fraction):
+        result = runner.invoke(main, ["prune", "--builtin", "lenet5", "--order", order,
+                                      "--fraction", fraction])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: fraction must be in [0, 1], got {float(fraction)}\n"
 
 
 class TestCountBudget:

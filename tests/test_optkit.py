@@ -1,14 +1,17 @@
 """Pruning, quantization, sparsity stats, and the run-length codec."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dnncost as dc
-from dnncost.optkit import (MAX_VALUE, CodecError, compression_ratio, prune_magnitude,
-                            prune_network, quantize_uniform, rle_decode,
-                            rle_encode, rle_pair_count, sparse_stats)
+from dnncost.optkit import (MAX_VALUE, CodecError, _budget, _drain, _keep_mask,
+                            compression_ratio, prune_magnitude, prune_network,
+                            quantize_uniform, rle_decode, rle_encode, rle_pair_count,
+                            sparse_stats)
 from oracles import reference_rle_encode, reference_rle_pair_count
 
 word_lists = st.lists(st.integers(min_value=0, max_value=65535), max_size=300)
@@ -190,6 +193,49 @@ class TestPruneAgainstStableArgsort:
                 want_pruned, want_mask = stable_argsort_prune({nm: w}, fraction)[nm]
                 assert_bit_identical(mask, want_mask)
                 assert_bit_identical(pruned, want_pruned)
+
+
+class TestPruneRules:
+    """The budget, tie and drain rules that prune_network and the CLI compose,
+    each against the stable-argsort oracle."""
+
+    @pytest.mark.parametrize("fraction", [1.5, -0.1, float("nan"), float("inf")])
+    def test_budget_rejects_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"fraction must be in [0, 1], got {fraction}")):
+            _budget(fraction, 10)
+
+    def test_budget_floors(self):
+        assert [_budget(f, 7) for f in (0.0, 0.5, 0.99, 1.0)] == [0, 3, 6, 7]
+
+    @pytest.mark.parametrize("name", LAYER_SETS)
+    def test_keep_mask_matches_oracle(self, name):
+        weights = LAYER_SETS[name]
+        mags = np.concatenate([np.abs(w).ravel() for w in weights.values()])
+        for k in (0, 1, 2, mags.size // 2, mags.size - 1, mags.size):
+            want = stable_argsort_prune(weights, fraction_for(k, mags.size))
+            assert_bit_identical(_keep_mask(mags, k),
+                                 np.concatenate([mask.ravel() for _, mask in want.values()]))
+
+    @pytest.mark.parametrize("name", LAYER_SETS)
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_drain_then_keep_mask_matches_oracle(self, name, tied):
+        weights = LAYER_SETS[name]
+        keys = {nm: float(i % 2 if tied else i) for i, nm in enumerate(weights)}
+        sizes = {nm: w.size for nm, w in weights.items()}
+        n = sum(sizes.values())
+        for k in (0, 1, 2, n // 2, n - 1, n):
+            want = stable_argsort_prune(weights, fraction_for(k, n), order=keys)
+            lost = _drain(sizes, k, keys)
+            assert list(lost) == sorted(weights, key=lambda nm: (-keys[nm], nm))
+            for nm, w in weights.items():
+                assert lost[nm] == int((~want[nm][1]).sum())
+                assert_bit_identical(_keep_mask(np.abs(w).ravel(), lost[nm]),
+                                     want[nm][1].ravel())
+
+    def test_drain_needs_every_key(self):
+        with pytest.raises(ValueError, match=re.escape("order lacks keys for layers ['b']")):
+            _drain({"a": 2, "b": 3}, 1, {"a": 1.0})
 
 
 class TestQuantizeUniform:
