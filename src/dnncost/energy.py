@@ -7,6 +7,9 @@ two operand bitwidths and linearly with the product of the operand densities
 (a zero operand gates the MAC); sparsity does not modify movement here, which
 keeps the movement side a strict upper bound for compressed traffic.
 
+``network_energy`` prices each distinct layer shape once per call and gives
+every weighted layer its own report, which owns its ``movement`` dicts.
+
 Reports are in relative units (register-file access = 1).
 """
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 from .archmodel import LEVELS, ArchConfig
 from .dataflow import DATA_TYPES, AccessCounts, DataflowKind, layer_access_counts
-from .netmodel import WEIGHTED_KINDS, ResolvedNetwork
+from .netmodel import WEIGHTED_KINDS, ResolvedNetwork, shape_key
 
 
 @dataclass(frozen=True)
@@ -114,14 +117,30 @@ def network_energy(net: ResolvedNetwork, kind: DataflowKind, arch: ArchConfig,
                    mods: Modifiers = Modifiers()) -> tuple[list[EnergyReport], EnergyReport]:
     """Per-layer reports over the weighted layers, plus their aggregate.
 
+    Each distinct layer shape (``netmodel.shape_key``) is priced once per
+    call; a later layer of the same shape gets a report under its own name
+    with its own copies of the ``movement`` dicts, so mutating one report
+    changes no other.
+
     Raises ValueError when the aggregate total overflows to inf, which a
     finite but huge cost in the hardware description can cause.
     """
     kind = DataflowKind(kind)
-    reports = [
-        layer_energy(layer_access_counts(kind, layer, arch), arch, mods)
-        for layer in net.layers if layer.kind in WEIGHTED_KINDS
-    ]
+    priced: dict[tuple, EnergyReport] = {}
+    reports = []
+    for layer in net.layers:
+        if layer.kind not in WEIGHTED_KINDS:
+            continue
+        key = shape_key(layer)
+        first = priced.get(key)
+        if first is None:
+            report = priced[key] = layer_energy(layer_access_counts(kind, layer, arch),
+                                                arch, mods)
+        else:
+            report = EnergyReport(layer=layer.name, dataflow=first.dataflow,
+                                  movement={d: dict(row) for d, row in first.movement.items()},
+                                  compute=first.compute)
+        reports.append(report)
     agg = _aggregate(reports, "total", kind.value)
     if not math.isfinite(agg.total):
         raise ValueError(f"network {net.name!r}, dataflow {kind.value}: total energy is "

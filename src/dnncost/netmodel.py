@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 LAYER_KINDS = ("conv", "fc", "pool", "act", "concat", "add")
 
@@ -240,6 +241,12 @@ class ResolvedLayer:
             name=self.name, kind=self.kind, weights=weights, macs=macs, dw=dw,
             di=batch * self.in_channels * self.in_height * self.in_width,
             do=batch * self.out_channels * self.out_height * self.out_width))
+
+
+# A layer's shape: every init field but its name and its feeds. Two layers
+# with equal keys have equal counts and prices under any dataflow.
+shape_key = attrgetter(*(f.name for f in fields(ResolvedLayer)
+                         if f.init and f.name not in ("name", "inputs")))
 
 
 @dataclass(frozen=True)

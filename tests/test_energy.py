@@ -10,6 +10,7 @@ import dnncost as dc
 from dnncost.archmodel import ArchConfig, EnergyTable
 from dnncost.dataflow import DATA_TYPES, LEVELS, DataflowKind
 from dnncost.energy import Modifiers, layer_energy
+from dnncost.netmodel import WEIGHTED_KINDS, shape_key
 from oracles import make_conv, reference_compare, reference_network_energy
 
 TINY = make_conv(1, 3, 3, 1, 2, 2)  # T=16, Di=9, Dw=4, Do=4
@@ -127,6 +128,60 @@ class TestNetworkEnergy:
         reports, _ = dc.network_energy(net, DataflowKind.WS, arch)
         weighted = [l.name for l in net.layers if l.kind in ("conv", "fc")]
         assert [r.layer for r in reports] == weighted
+
+    def test_each_distinct_shape_is_priced_once(self, arch, resolved_builtins, monkeypatch):
+        priced = []
+
+        def counting(kind, layer, arch):
+            priced.append(layer.name)
+            return dc.dataflow.layer_access_counts(kind, layer, arch)
+
+        monkeypatch.setattr(dc.energy, "layer_access_counts", counting)
+        for kind in KINDS:
+            total = 0
+            for name, net in resolved_builtins.items():
+                weighted = [l for l in net.layers if l.kind in WEIGHTED_KINDS]
+                priced.clear()
+                dc.network_energy(net, kind, arch)
+                assert len(priced) == len({shape_key(l) for l in weighted})
+                if name == "resnet50":
+                    assert len(priced) == 21
+                total += len(priced)
+            assert total == 95
+
+    def test_reports_of_one_shape_share_no_dicts(self, arch, resolved_builtins):
+        net = resolved_builtins["resnet50"]
+        expected, _ = dc.network_energy(net, DataflowKind.RS, arch)
+        weighted = [l for l in net.layers if l.kind in WEIGHTED_KINDS]
+        for i, layer in enumerate(weighted):
+            same = [j for j, l in enumerate(weighted)
+                    if j != i and shape_key(l) == shape_key(layer)]
+            if not same:
+                continue
+            reports, _ = dc.network_energy(net, DataflowKind.RS, arch)
+            for row in reports[i].movement.values():
+                for level in row:
+                    row[level] += 1.0
+            assert reports[i] != expected[i]
+            assert [reports[j] for j in same] == [expected[j] for j in same]
+
+    def test_layers_of_one_shape_keep_their_names(self, arch):
+        # a and b are both 2 -> 2 channel 3x3 convs on 8x8; the pool between
+        # them keeps the extent
+        spec = dc.NetworkSpec("twins", 2, 8, 8, (
+            dc.LayerSpec("conv", "a", out_channels=2, kernel=(3, 3), pad=1),
+            dc.LayerSpec("pool", "p", kernel=(1, 1)),
+            dc.LayerSpec("conv", "b", out_channels=2, kernel=(3, 3), pad=1),
+        ))
+        net = dc.resolve_shapes(spec, batch=2)
+        weighted = [l for l in net.layers if l.kind in WEIGHTED_KINDS]
+        assert shape_key(weighted[0]) == shape_key(weighted[1])
+        mods = Modifiers(density_in=0.5, bits_w=8)
+        for kind in KINDS:
+            reports, _ = dc.network_energy(net, kind, arch, mods)
+            assert [r.layer for r in reports] == ["a", "b"]
+            assert reports == [layer_energy(dc.layer_access_counts(kind, l, arch), arch, mods)
+                               for l in weighted]
 
 
 class TestCompareDataflows:

@@ -13,7 +13,8 @@ import dnncost as dc
 from dnncost import zoo
 from dnncost.cli import main
 from dnncost.netmodel import (COUNT_BUDGET, LAYER_KINDS, NetworkError,
-                              NetworkSemanticError, NetworkSyntaxError, ShapeError)
+                              NetworkSemanticError, NetworkSyntaxError, ResolvedLayer,
+                              ShapeError, shape_key)
 
 
 def doc(layers, channels=1, height=8, width=8, name="net"):
@@ -204,6 +205,35 @@ class TestResolve:
         net = dc.resolve_shapes(dc.parse_network(doc([conv(), conv("b")])), batch=7)
         assert net.batch == 7
         assert [layer.batch for layer in net.layers] == [7, 7]
+
+
+def other_value(value):
+    """A different value of the same type as a ``ResolvedLayer`` field's."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, tuple):
+        return tuple(v + 1 for v in value)
+    return {"conv": "fc", None: 2}[value]
+
+
+class TestShapeKey:
+    # two 2-channel 3x3 convs, the second fed by the first
+    A, B = dc.resolve_shapes(dc.parse_network(doc([conv("a"), conv("b")], channels=2))).layers
+
+    def test_name_and_inputs_are_not_part_of_the_shape(self):
+        a, b = self.A, self.B
+        assert (a.name, a.inputs) != (b.name, b.inputs)
+        assert dataclasses.replace(a, name=b.name, inputs=b.inputs) == b
+        assert shape_key(a) == shape_key(b)
+
+    def test_every_other_field_is(self):
+        shaped = [f.name for f in dataclasses.fields(ResolvedLayer)
+                  if f.init and f.name not in ("name", "inputs")]
+        for name in shaped:
+            changed = dataclasses.replace(self.A, **{name: other_value(getattr(self.A, name))})
+            assert shape_key(changed) != shape_key(self.A), name
 
 
 def one_layer(layer, channels=1, height=1, width=1):
