@@ -108,7 +108,8 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig) ->
         raise ValueError(
             f"layer {layer.name!r}: access counts are defined for conv and fc "
             f"layers only, not {layer.kind!r}")
-    kind = DataflowKind(kind)
+    if not isinstance(kind, DataflowKind):
+        kind = DataflowKind(kind)
     r, s = layer.kernel
     e, f = layer.out_height, layer.out_width
     m = layer.out_channels

@@ -8,7 +8,8 @@ two operand bitwidths and linearly with the product of the operand densities
 keeps the movement side a strict upper bound for compressed traffic.
 
 ``network_energy`` prices each distinct layer shape once per call and gives
-every weighted layer its own report, which owns its ``movement`` dicts.
+every weighted layer its own report, which owns its ``movement`` dicts. A
+report's total is derived on each read, in one pass over ``movement``.
 
 Reports are in relative units (register-file access = 1).
 """
@@ -84,7 +85,10 @@ class EnergyReport:
 
     @property
     def total(self) -> float:
-        return self.movement_total + self.compute
+        # the sum() calls of movement_total + compute, in the same order,
+        # without building by_type
+        m = self.movement
+        return sum([sum([m[d][lv] for lv in LEVELS]) for d in DATA_TYPES]) + self.compute
 
 
 def layer_energy(counts: AccessCounts, arch: ArchConfig,
@@ -92,7 +96,8 @@ def layer_energy(counts: AccessCounts, arch: ArchConfig,
     """Price one layer's access counts."""
     bi, bw = _resolve_bits(mods, arch)
     word = arch.word_bits
-    costs = [(level, arch.energy.cost(level)) for level in LEVELS]
+    e = arch.energy  # its fields, in LEVELS order
+    costs = (("rf", e.rf), ("noc", e.noc), ("buf", e.buf), ("dram", e.dram))
     # count * cost * width / word, left to right: folding cost * width / word
     # into one factor would round differently
     movement = {}
@@ -102,15 +107,18 @@ def layer_energy(counts: AccessCounts, arch: ArchConfig,
     compute = (counts.total_macs * arch.mac_energy
                * (bi * bw) / (arch.word_bits * arch.word_bits)
                * mods.density_in * mods.density_w)
-    return EnergyReport(layer=counts.layer, dataflow=DataflowKind(counts.kind).value,
+    kind = counts.kind
+    if not isinstance(kind, DataflowKind):
+        kind = DataflowKind(kind)
+    return EnergyReport(layer=counts.layer, dataflow=kind.value,
                         movement=movement, compute=compute)
 
 
 def _aggregate(reports: list[EnergyReport], label: str, kind: str) -> EnergyReport:
-    movement = {d: {lv: sum(r.movement[d][lv] for r in reports) for lv in LEVELS}
+    movement = {d: {lv: sum([r.movement[d][lv] for r in reports]) for lv in LEVELS}
                 for d in DATA_TYPES}
     return EnergyReport(layer=label, dataflow=kind, movement=movement,
-                        compute=sum(r.compute for r in reports))
+                        compute=sum([r.compute for r in reports]))
 
 
 def network_energy(net: ResolvedNetwork, kind: DataflowKind, arch: ArchConfig,

@@ -10,9 +10,10 @@ reference is the closed form that counted a layer before the count moved
 into the ``ResolvedLayer`` constructor, with wired pairs as its own
 function. The pricing reference is the engine's earlier, plainer pricing
 path (depth from a second count of the layer at batch 1, a validated cost()
-lookup per cell, totals re-derived from the report properties, the batch
-passed explicitly rather than read off the layer). Both are kept so the lean
-engine path can be held to them with ``==``.
+lookup per cell, totals and breakdowns derived here with generator sums
+rather than read from the report properties, the batch passed explicitly
+rather than read off the layer). Both are kept so the lean engine path can be
+held to them with ``==``.
 """
 
 from dataclasses import replace
@@ -307,24 +308,38 @@ def reference_network_energy(net, kind, arch, mods):
     return reports, agg
 
 
+def reference_by_type(report):
+    return {d: sum(report.movement[d][lv] for lv in LEVELS) for d in DATA_TYPES}
+
+
+def reference_by_level(report):
+    return {lv: sum(report.movement[d][lv] for d in DATA_TYPES) for lv in LEVELS}
+
+
+def reference_total(report):
+    """Movement summed per data type, then over the types, plus compute."""
+    return sum(reference_by_type(report).values()) + report.compute
+
+
 def reference_compare(net, arch, mods):
-    """Dataflow comparison reading every total from the report properties."""
+    """Dataflow comparison with every total and breakdown derived here."""
     kinds = {layer.name: layer.kind for layer in net.layers}
     raw = []
     for kind in DataflowKind:
         reports, agg = reference_network_energy(net, kind, arch, mods)
-        conv_total = sum(r.total for r in reports if kinds[r.layer] == "conv")
-        raw.append((kind.value, agg, conv_total, {r.layer: r.total for r in reports}))
-    best = min(agg.total for _, agg, _, _ in raw)
-    conv_best = min(ct for _, _, ct, _ in raw)
+        conv_total = sum(reference_total(r) for r in reports if kinds[r.layer] == "conv")
+        raw.append((kind.value, agg, reference_total(agg), conv_total,
+                    {r.layer: reference_total(r) for r in reports}))
+    best = min(total for _, _, total, _, _ in raw)
+    conv_best = min(ct for _, _, _, ct, _ in raw)
     entries = tuple(
         DataflowComparison(
-            kind=kind, total=agg.total, conv_total=conv_total,
-            ratio=agg.total / best,
+            kind=kind, total=total, conv_total=conv_total,
+            ratio=total / best,
             conv_ratio=conv_total / conv_best if conv_best else 1.0,
-            by_type=agg.by_type, by_level=agg.by_level, compute=agg.compute,
-            layer_totals=layer_totals)
-        for kind, agg, conv_total, layer_totals in raw)
+            by_type=reference_by_type(agg), by_level=reference_by_level(agg),
+            compute=agg.compute, layer_totals=layer_totals)
+        for kind, agg, total, conv_total, layer_totals in raw)
     return ComparisonReport(
         network=net.name, batch=net.batch, entries=entries,
         winner=min(entries, key=lambda en: en.total).kind,

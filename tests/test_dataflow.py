@@ -92,6 +92,14 @@ class TestReuseFactors:
         assert factors.input.multicast == 1
         assert factors.psum.spatial_accum == 1
 
+    def test_kind_given_as_a_string(self, arch):
+        for kind in KINDS:
+            factors = reuse_factors(kind.value, TINY, arch)
+            assert factors.kind is kind
+            assert factors == reuse_factors(kind, TINY, arch)
+        with pytest.raises(ValueError, match="not a valid DataflowKind"):
+            reuse_factors("xs", TINY, arch)
+
     def test_rejects_unweighted_layers(self, arch, resolved_builtins):
         pool = next(l for l in resolved_builtins["lenet5"].layers
                     if l.kind == "pool")

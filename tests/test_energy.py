@@ -3,13 +3,16 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import dnncost as dc
 from dnncost.archmodel import ArchConfig, EnergyTable
-from dnncost.dataflow import DATA_TYPES, LEVELS, DataflowKind
-from dnncost.energy import Modifiers, layer_energy
+from dnncost.dataflow import DATA_TYPES, LEVELS, AccessCounts, DataflowKind
+from dnncost.energy import EnergyReport, Modifiers, _aggregate, layer_energy
 from dnncost.netmodel import WEIGHTED_KINDS, shape_key
 from oracles import make_conv, reference_compare, reference_network_energy
 
@@ -48,13 +51,22 @@ class TestLayerEnergy:
                 continue
             for kind in KINDS:
                 rep = energy(layer, kind, arch)
-                assert math.isclose(sum(rep.by_type.values()), rep.movement_total,
-                                    rel_tol=1e-12)
+                assert sum(rep.by_type.values()) == rep.movement_total
                 assert math.isclose(sum(rep.by_level.values()), rep.movement_total,
                                     rel_tol=1e-12)
                 assert rep.total == rep.movement_total + rep.compute
                 assert set(rep.by_type) == set(DATA_TYPES)
                 assert set(rep.by_level) == set(LEVELS)
+
+    def test_kind_given_as_a_string(self, arch):
+        counts = dc.layer_access_counts(DataflowKind.RS, TINY, arch)
+        by_hand = AccessCounts(layer=counts.layer, kind="rs",
+                               total_macs=counts.total_macs, acc=counts.acc)
+        rep = layer_energy(by_hand, arch)
+        assert rep.dataflow == "rs"
+        assert rep == layer_energy(counts, arch)
+        with pytest.raises(ValueError, match="not a valid DataflowKind"):
+            layer_energy(replace(by_hand, kind="xs"), arch)
 
     def test_dram_cost_dominates_and_scales(self, arch):
         pricey = dc.ArchConfig(energy=dc.EnergyTable(rf=1.0, noc=2.0,
@@ -108,6 +120,53 @@ class TestModifiers:
     def test_bitwidths_must_be_integers(self, field, bits):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             Modifiers(**{field: bits})
+
+
+# finite cells of both signs within a few decades of one another, so that
+# summing them in another order, or with math.fsum, rounds differently; the
+# decade they share ranges from about 1e-300 to 1e300 over the examples
+CELLS = st.builds(lambda mantissa, decade, offset: mantissa * 10.0 ** (decade + offset),
+                  st.floats(-10.0, 10.0), st.shared(st.integers(-290, 290), key="decade"),
+                  st.integers(-8, 8))
+
+
+@st.composite
+def reports(draw):
+    """A report whose matrix and rows may have their keys in shuffled order."""
+    movement = {d: {lv: draw(CELLS) for lv in draw(st.permutations(LEVELS))}
+                for d in draw(st.permutations(DATA_TYPES))}
+    return EnergyReport(layer="l", dataflow="ws", movement=movement, compute=draw(CELLS))
+
+
+# shrinking a failing example of these took about 5 minutes; the unshrunk
+# example already names the cell that differs
+NO_SHRINK = settings(deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+
+
+class TestSumsAreBitIdentical:
+    """Totals and aggregates call sum() on the same values in the same order
+    as the generator forms, so they agree bit for bit also under Python
+    3.12's compensated float sum()."""
+
+    @NO_SHRINK
+    @given(rep=reports())
+    def test_total_is_the_by_type_sum(self, rep):
+        expected = sum(rep.by_type.values()) + rep.compute
+        assert rep.total == expected
+        assert float.hex(rep.total) == float.hex(expected)
+
+    @NO_SHRINK
+    @given(parts=st.lists(reports(), min_size=1, max_size=6))
+    def test_aggregate_is_the_generator_sum(self, parts):
+        agg = _aggregate(parts, "total", "ws")
+        for d in DATA_TYPES:
+            for lv in LEVELS:
+                expected = sum(r.movement[d][lv] for r in parts)
+                assert agg.movement[d][lv] == expected
+                assert float.hex(agg.movement[d][lv]) == float.hex(expected)
+        expected = sum(r.compute for r in parts)
+        assert agg.compute == expected
+        assert float.hex(agg.compute) == float.hex(expected)
 
 
 class TestNetworkEnergy:
