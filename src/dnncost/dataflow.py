@@ -62,6 +62,11 @@ class DataflowKind(str, Enum):
     RS = "rs"
 
 
+def _as_kind(kind) -> DataflowKind:
+    """``DataflowKind(kind)``, without the enum call when kind is a member."""
+    return kind if isinstance(kind, DataflowKind) else DataflowKind(kind)
+
+
 @dataclass(frozen=True)
 class TypeReuse:
     resident: bool
@@ -108,8 +113,7 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig) ->
         raise ValueError(
             f"layer {layer.name!r}: access counts are defined for conv and fc "
             f"layers only, not {layer.kind!r}")
-    if not isinstance(kind, DataflowKind):
-        kind = DataflowKind(kind)
+    kind = _as_kind(kind)
     r, s = layer.kernel
     e, f = layer.out_height, layer.out_width
     m = layer.out_channels

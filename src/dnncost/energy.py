@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .archmodel import LEVELS, ArchConfig
-from .dataflow import DATA_TYPES, AccessCounts, DataflowKind, layer_access_counts
+from .dataflow import DATA_TYPES, AccessCounts, DataflowKind, _as_kind, layer_access_counts
 from .netmodel import WEIGHTED_KINDS, ResolvedNetwork, shape_key
 
 
@@ -81,14 +81,14 @@ class EnergyReport:
 
     @property
     def movement_total(self) -> float:
-        return sum(self.by_type.values())
+        # the sum() calls of sum(by_type.values()), in the same order,
+        # without building by_type
+        m = self.movement
+        return sum([sum([m[d][lv] for lv in LEVELS]) for d in DATA_TYPES])
 
     @property
     def total(self) -> float:
-        # the sum() calls of movement_total + compute, in the same order,
-        # without building by_type
-        m = self.movement
-        return sum([sum([m[d][lv] for lv in LEVELS]) for d in DATA_TYPES]) + self.compute
+        return self.movement_total + self.compute
 
 
 def layer_energy(counts: AccessCounts, arch: ArchConfig,
@@ -96,8 +96,8 @@ def layer_energy(counts: AccessCounts, arch: ArchConfig,
     """Price one layer's access counts."""
     bi, bw = _resolve_bits(mods, arch)
     word = arch.word_bits
-    e = arch.energy  # its fields, in LEVELS order
-    costs = (("rf", e.rf), ("noc", e.noc), ("buf", e.buf), ("dram", e.dram))
+    e = arch.energy
+    costs = [(level, getattr(e, level)) for level in LEVELS]
     # count * cost * width / word, left to right: folding cost * width / word
     # into one factor would round differently
     movement = {}
@@ -107,10 +107,7 @@ def layer_energy(counts: AccessCounts, arch: ArchConfig,
     compute = (counts.total_macs * arch.mac_energy
                * (bi * bw) / (arch.word_bits * arch.word_bits)
                * mods.density_in * mods.density_w)
-    kind = counts.kind
-    if not isinstance(kind, DataflowKind):
-        kind = DataflowKind(kind)
-    return EnergyReport(layer=counts.layer, dataflow=kind.value,
+    return EnergyReport(layer=counts.layer, dataflow=_as_kind(counts.kind).value,
                         movement=movement, compute=compute)
 
 

@@ -151,7 +151,9 @@ class TestSumsAreBitIdentical:
     @NO_SHRINK
     @given(rep=reports())
     def test_total_is_the_by_type_sum(self, rep):
-        expected = sum(rep.by_type.values()) + rep.compute
+        movement = sum(rep.by_type.values())
+        assert float.hex(rep.movement_total) == float.hex(movement)
+        expected = movement + rep.compute
         assert rep.total == expected
         assert float.hex(rep.total) == float.hex(expected)
 
