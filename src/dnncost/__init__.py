@@ -10,53 +10,36 @@ spatial accelerator, without simulating cycles:
 
 from importlib import import_module
 
-from .archmodel import (ArchConfig, ArchError, EnergyTable, default_arch,
-                        parse_arch, serialize_arch)
-from .dataflow import (AccessCounts, DataflowKind, ReuseFactors, TypeReuse,
-                       access_counts, layer_access_counts, reuse_factors)
-from .energy import (ComparisonReport, DataflowComparison, EnergyReport,
-                     Modifiers, compare_dataflows, layer_energy,
-                     network_energy)
-from .netmodel import (LayerSpec, NetworkError, NetworkSemanticError,
-                       NetworkSpec, NetworkSyntaxError, ResolvedLayer,
-                       ResolvedNetwork, ShapeError, parse_network,
-                       resolve_shapes, serialize_network)
-from .stats import (LayerStats, MultCount, NetworkStats, layer_stats,
-                    mult_count, network_stats, next_pow2)
-from .zoo import BUILTIN_NAMES, builtin, builtin_document
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArchConfig", "ArchError", "EnergyTable", "default_arch", "parse_arch",
-    "serialize_arch",
-    "AccessCounts", "DataflowKind", "ReuseFactors", "TypeReuse",
-    "access_counts", "layer_access_counts", "reuse_factors",
-    "ComparisonReport", "DataflowComparison", "EnergyReport", "Modifiers",
-    "compare_dataflows", "layer_energy", "network_energy",
-    "MultCount", "conv_direct", "conv_fft", "conv_im2col",
-    "conv_winograd_f22_33", "im2col_matrix", "mult_count", "next_pow2",
-    "LayerSpec", "NetworkError", "NetworkSemanticError", "NetworkSpec",
-    "NetworkSyntaxError", "ResolvedLayer", "ResolvedNetwork", "ShapeError",
-    "parse_network", "resolve_shapes", "serialize_network",
-    "CodecError", "SparseStats", "compression_ratio", "prune_magnitude",
-    "prune_network", "quantize_uniform", "rle_decode", "rle_encode",
-    "rle_pair_count", "sparse_stats",
-    "LayerStats", "NetworkStats", "layer_stats", "network_stats",
-    "BUILTIN_NAMES", "builtin", "builtin_document",
-    "__version__",
-]
-
-# The array code (and with it numpy) is imported on first use of one of its
-# names, so that the numpy-free commands start without it: name -> module.
+# Every public name, and every submodule by its own name -> the submodule
+# that defines it. A submodule is imported on first use of one of its names,
+# so a command loads only the modules it runs, and numpy only with
+# ``kernels`` or ``optkit``.
 _LAZY = {
+    **dict.fromkeys(("archmodel", "ArchConfig", "ArchError", "EnergyTable",
+                     "default_arch", "parse_arch", "serialize_arch"), "archmodel"),
+    **dict.fromkeys(("dataflow", "AccessCounts", "ReuseFactors", "TypeReuse",
+                     "access_counts", "layer_access_counts", "reuse_factors"), "dataflow"),
+    **dict.fromkeys(("energy", "ComparisonReport", "DataflowComparison", "EnergyReport",
+                     "Modifiers", "compare_dataflows", "layer_energy",
+                     "network_energy"), "energy"),
     **dict.fromkeys(("kernels", "conv_direct", "conv_fft", "conv_im2col",
-                     "conv_winograd_f22_33", "im2col_matrix"), "kernels"),
+                     "conv_winograd_f22_33"), "kernels"),
+    **dict.fromkeys(("names", "DataflowKind"), "names"),
+    **dict.fromkeys(("netmodel", "LayerSpec", "LayerStats", "NetworkError",
+                     "NetworkSemanticError", "NetworkSpec", "NetworkSyntaxError",
+                     "ResolvedLayer", "ResolvedNetwork", "ShapeError", "parse_network",
+                     "resolve_shapes", "serialize_network"), "netmodel"),
     **dict.fromkeys(("optkit", "CodecError", "SparseStats", "compression_ratio",
                      "prune_magnitude", "prune_network", "quantize_uniform",
-                     "rle_decode", "rle_encode", "rle_pair_count",
-                     "sparse_stats"), "optkit"),
+                     "rle_decode", "rle_encode", "rle_pair_count"), "optkit"),
+    **dict.fromkeys(("stats", "MultCount", "NetworkStats", "layer_stats", "mult_count",
+                     "network_stats", "next_pow2"), "stats"),
+    **dict.fromkeys(("zoo", "BUILTIN_NAMES", "builtin", "builtin_document"), "zoo"),
 }
+
+__all__ = [name for name, module in _LAZY.items() if name != module] + ["__version__"]
 
 
 def __getattr__(name):

@@ -60,6 +60,9 @@ class EnergyTable:
 
 @dataclass(frozen=True)
 class ArchConfig:
+    """A spatial array: PE count, native word width, access costs, MAC
+    energy, and the RS and NLR mapping parameters."""
+
     pe_count: int = 256
     word_bits: int = 16
     energy: EnergyTable = field(default_factory=EnergyTable)

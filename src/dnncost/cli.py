@@ -7,20 +7,21 @@ Output is deterministic: the same invocation always produces the same bytes.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import NoReturn
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 import click
 
-from .archmodel import LEVELS, ArchConfig, default_arch, parse_arch
-from .dataflow import DATA_TYPES, DataflowKind
-from .energy import Modifiers, compare_dataflows, network_energy
+from .names import MULT_METHODS, DataflowKind
 from .netmodel import WEIGHTED_KINDS, ResolvedNetwork, parse_network, resolve_shapes
-from .stats import MULT_METHODS, mult_count, network_stats
 from .zoo import BUILTIN_NAMES, builtin
+
+# archmodel, dataflow, energy, stats and csv are imported by the commands and
+# renderers that use them, so that a command loads only the modules it runs
+if TYPE_CHECKING:
+    from .archmodel import ArchConfig
+    from .energy import Modifiers
 
 DATAFLOW_NAMES = tuple(k.value for k in DataflowKind)
 # longest synthetic stream `compress --n` draws; its arrays grow with the length
@@ -84,6 +85,7 @@ def _load_network(builtin_name, net_path, batch) -> ResolvedNetwork:
 
 
 def _load_arch(arch_path) -> ArchConfig:
+    from .archmodel import default_arch, parse_arch
     if arch_path is None:
         return default_arch()
     try:
@@ -111,6 +113,7 @@ def _rng(seed: int):
 
 
 def _modifiers(bits, density_in, density_w) -> Modifiers:
+    from .energy import Modifiers
     return _checked(Modifiers, density_in=density_in, density_w=density_w,
                     bits_in=bits, bits_w=bits)
 
@@ -126,8 +129,7 @@ def _emit(text: str, out_path) -> None:
         _fail(str(exc))
 
 
-@dataclass(frozen=True)
-class _Report:
+class _Report(NamedTuple):
     """One command's result in every output form: a titled table, CSV rows
     (header row first) and a JSON object."""
 
@@ -163,6 +165,7 @@ def _render_table(report: _Report) -> str:
 
 
 def _render_csv(report: _Report) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in report.csv_rows:
@@ -192,6 +195,7 @@ def main():
 @_report_options
 def stats_cmd(builtin_name, net_path, batch, fmt, out_path):
     """Storage and compute counts for every weighted layer."""
+    from .stats import network_stats
     net = _load_network(builtin_name, net_path, batch)
     report = network_stats(net)
     headers = ("layer", "kind", "weights", "macs", "d_in", "d_w", "d_out")
@@ -230,6 +234,9 @@ def stats_cmd(builtin_name, net_path, batch, fmt, out_path):
 def analyze_cmd(builtin_name, net_path, batch, arch_path, bits, density_in,
                 density_w, dataflow, fmt, out_path):
     """Per-layer data-movement and compute energy under one dataflow."""
+    from .archmodel import LEVELS
+    from .dataflow import DATA_TYPES
+    from .energy import network_energy
     net = _load_network(builtin_name, net_path, batch)
     arch = _load_arch(arch_path)
     mods = _modifiers(bits, density_in, density_w)
@@ -271,6 +278,7 @@ def analyze_cmd(builtin_name, net_path, batch, arch_path, bits, density_in,
 def compare_cmd(builtin_name, net_path, batch, arch_path, bits, density_in,
                 density_w, fmt, out_path):
     """Rank all dataflows by total energy on one network."""
+    from .energy import compare_dataflows
     net = _load_network(builtin_name, net_path, batch)
     arch = _load_arch(arch_path)
     mods = _modifiers(bits, density_in, density_w)
@@ -358,6 +366,7 @@ def kernels_verify_cmd(trials, size, seed):
               help="Square matrix extent (strassen only).")
 def kernels_count_cmd(method, out_size, filter_size, matrix_size):
     """Scalar multiplication count of one method at one problem size."""
+    from .stats import mult_count
     mc = _checked(mult_count, method, out_size=out_size, filter_size=filter_size,
                   matrix_size=matrix_size)
     params = "  ".join(f"{k} {v}" for k, v in mc.params.items())
@@ -459,6 +468,7 @@ def prune_cmd(builtin_name, net_path, batch, fraction, order, arch_path, seed,
               f"the most prune draws")
     rng = _rng(seed)  # checks --seed in either order
     if order == "energy":  # the drain needs no weight values, so none are drawn
+        from .energy import Modifiers, network_energy
         arch = _load_arch(arch_path)
         reports, _ = _checked(network_energy, net, DataflowKind.RS, arch, Modifiers())
         ranking = {rep.layer: rep.total / sizes[rep.layer] for rep in reports}

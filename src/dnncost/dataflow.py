@@ -46,20 +46,15 @@ The four policies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from typing import TYPE_CHECKING, NamedTuple
 
-from .archmodel import LEVELS, ArchConfig
+from .names import DataflowKind
 from .netmodel import WEIGHTED_KINDS, ResolvedLayer
 
+if TYPE_CHECKING:
+    from .archmodel import ArchConfig
+
 DATA_TYPES = ("input", "weight", "psum")
-
-
-class DataflowKind(str, Enum):
-    WS = "ws"
-    OS = "os"
-    NLR = "nlr"
-    RS = "rs"
 
 
 def _as_kind(kind) -> DataflowKind:
@@ -67,16 +62,16 @@ def _as_kind(kind) -> DataflowKind:
     return kind if isinstance(kind, DataflowKind) else DataflowKind(kind)
 
 
-@dataclass(frozen=True)
-class TypeReuse:
+class TypeReuse(NamedTuple):
+    """Reuse factors of one data type under one dataflow."""
+
     resident: bool
     rf_reuse: int = 1
     multicast: int = 1
     spatial_accum: int = 1
 
 
-@dataclass(frozen=True)
-class ReuseFactors:
+class ReuseFactors(NamedTuple):
     """Reuse factors of one layer under one dataflow. The table carries the
     layer it was computed for, so counting it needs no other argument."""
 
@@ -86,12 +81,8 @@ class ReuseFactors:
     weight: TypeReuse
     psum: TypeReuse
 
-    def of(self, dtype: str) -> TypeReuse:
-        return getattr(self, dtype)
 
-
-@dataclass(frozen=True)
-class AccessCounts:
+class AccessCounts(NamedTuple):
     """Access counts per data type and hierarchy level for one layer."""
 
     layer: str

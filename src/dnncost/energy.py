@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .archmodel import LEVELS, ArchConfig
 from .dataflow import DATA_TYPES, AccessCounts, DataflowKind, _as_kind, layer_access_counts
@@ -58,8 +59,7 @@ def _resolve_bits(mods: Modifiers, arch: ArchConfig) -> tuple[int, int]:
     return bi, bw
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Energy for one layer (or an aggregate) under one dataflow.
 
     ``movement[dtype][level]`` is the movement energy matrix; totals and both
@@ -155,6 +155,9 @@ def network_energy(net: ResolvedNetwork, kind: DataflowKind, arch: ArchConfig,
 
 @dataclass(frozen=True)
 class DataflowComparison:
+    """One dataflow's network totals, its ratios to the cheapest dataflow,
+    its breakdowns and its per-layer totals."""
+
     kind: str
     total: float
     conv_total: float
@@ -168,6 +171,9 @@ class DataflowComparison:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """Every dataflow's entry on one network, and the cheapest overall and
+    on the conv layers alone."""
+
     network: str
     batch: int
     entries: tuple[DataflowComparison, ...]

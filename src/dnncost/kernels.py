@@ -97,12 +97,6 @@ def conv_direct(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
     return out
 
 
-def im2col_matrix(x, kernel: tuple[int, int], stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Lower an input to the patch matrix: one column of C*R*S values per
-    output position, E*F columns in row-major output order."""
-    return _columns(_windows(_check_input(x), kernel, stride, pad))
-
-
 def conv_im2col(x, w, stride: int = 1, pad: int = 0) -> np.ndarray:
     """The same cross-correlation as one matrix multiply over the lowering."""
     x, w = _check_operands(x, w)

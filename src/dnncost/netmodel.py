@@ -251,6 +251,8 @@ shape_key = attrgetter(*(f.name for f in fields(ResolvedLayer)
 
 @dataclass(frozen=True)
 class ResolvedNetwork:
+    """A network with every layer resolved at one batch size."""
+
     name: str
     batch: int
     in_channels: int

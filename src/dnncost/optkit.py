@@ -36,11 +36,6 @@ class SparseStats:
         return 1.0 if self.elements == 0 else 1.0 - self.zeros / self.elements
 
 
-def sparse_stats(tensor) -> SparseStats:
-    arr = np.asarray(tensor)
-    return SparseStats(elements=arr.size, zeros=int(np.count_nonzero(arr == 0)))
-
-
 def _budget(fraction: float, n: int) -> int:
     """The floor(fraction * n) weights a prune of n weights drops."""
     if not 0.0 <= fraction <= 1.0:

@@ -14,7 +14,9 @@ and this module imports no numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from .names import MULT_METHODS
 from .netmodel import WEIGHTED_KINDS, LayerStats, ResolvedLayer, ResolvedNetwork
 
 
@@ -81,16 +83,13 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class MultCount:
+class MultCount(NamedTuple):
     """Scalar multiplication count of one method at one problem size."""
 
     method: str
     count: int
     params: dict
 
-
-MULT_METHODS = ("direct", "im2col", "fft", "winograd", "strassen")
 
 # largest size mult_count accepts, so that every count stays far below the
 # 4,300 digits Python converts an int to a string with

@@ -256,7 +256,7 @@ def reference_counts(kind, layer, arch, batch):
     unique = {"input": st.di, "weight": st.dw, "psum": st.do}
     acc = {}
     for dtype in ("input", "weight"):
-        fac = factors.of(dtype)
+        fac = getattr(factors, dtype)
         deliveries = max(_ceildiv(t, fac.rf_reuse), unique[dtype])
         acc[dtype] = {
             "rf": t if fac.resident else 0,

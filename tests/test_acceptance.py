@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import dnncost as dc
-from dnncost.dataflow import DATA_TYPES, LEVELS, DataflowKind
+from dnncost.archmodel import LEVELS
+from dnncost.dataflow import DATA_TYPES, DataflowKind
 from dnncost.energy import Modifiers
 from dnncost.kernels import (conv_direct, conv_fft, conv_im2col,
                              conv_winograd_f22_33)

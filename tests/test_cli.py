@@ -530,20 +530,23 @@ class TestOutFile:
         assert target.read_text() == direct.stdout
 
 
-# run in a fresh interpreter: this process has loaded numpy long ago
+# run in a fresh interpreter: this process has loaded numpy long ago. The
+# last stdout line lists what the command loaded.
 _RUN_CLI = """
-import sys
+import json, sys
 from dnncost.cli import main
 try:
     main(sys.argv[1:])
 except SystemExit as exc:
     if exc.code:
         raise
-assert "numpy" not in sys.modules, "numpy was imported"
+print(json.dumps({"numpy": "numpy" in sys.modules,
+                  "dnncost": sorted(m for m in sys.modules if m.startswith("dnncost"))}))
 """
 _PACKAGE_API = """
 import sys
 import dnncost as dc
+assert [m for m in sys.modules if m.startswith("dnncost.")] == [], "a submodule was imported"
 assert "numpy" not in sys.modules, "numpy was imported"
 assert set(dc.__all__) <= set(dir(dc))
 from dnncost import conv_fft
@@ -560,12 +563,29 @@ else:
     raise AssertionError("unknown attribute resolved")
 """
 
+# the modules every command loads: the CLI and what it needs to declare its
+# options (the built-in networks, the dataflow and counting-method names)
+_CLI_MODULES = {"dnncost", "dnncost.cli", "dnncost.names", "dnncost.netmodel", "dnncost.zoo"}
+_PRICING = {"dnncost.archmodel", "dnncost.dataflow", "dnncost.energy"}
+# the further modules of each numpy-free command, by its first argument
+_REPORT_MODULES = {"stats": {"dnncost.stats"}, "analyze": _PRICING, "compare": _PRICING,
+                   "kernels": {"dnncost.stats"}}
+
 
 def _fresh_python(code, *args):
     src = Path(dc.__file__).resolve().parents[1]
     return subprocess.run([sys.executable, "-c", code, *args],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120)
+
+
+def _started(args):
+    """Whether a fresh ``dnncost ARGS`` loaded numpy, and its dnncost modules."""
+    result = _fresh_python(_RUN_CLI, *args)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    return loaded["numpy"], set(loaded["dnncost"])
 
 
 class TestNumpyFreeStart:
@@ -575,9 +595,20 @@ class TestNumpyFreeStart:
                                       ["kernels", "count", "--method", "fft",
                                        "--out-size", "32", "--filter-size", "5"]])
     def test_report_commands_do_not_import_numpy(self, args):
-        result = _fresh_python(_RUN_CLI, *args)
-        assert result.returncode == 0, result.stderr
-        assert result.stderr == ""
+        numpy, modules = _started(args)
+        assert not numpy, "numpy was imported"
+        assert modules == _CLI_MODULES | _REPORT_MODULES[args[0]]
+
+    @pytest.mark.parametrize("args, further", [
+        (["kernels", "verify", "--trials", "1"], {"dnncost.kernels", "dnncost.stats"}),
+        (["compress", "--n", "64"], {"dnncost.optkit"}),
+        (["prune", "--builtin", "lenet5"], {"dnncost.optkit"}),
+        (["prune", "--builtin", "lenet5", "--order", "energy"], {"dnncost.optkit", *_PRICING}),
+    ], ids=["kernels-verify", "compress", "prune-magnitude", "prune-energy"])
+    def test_array_commands_load_only_their_modules(self, args, further):
+        numpy, modules = _started(args)
+        assert numpy
+        assert modules == _CLI_MODULES | further
 
     def test_package_names_resolve_on_first_use(self):
         result = _fresh_python(_PACKAGE_API)

@@ -44,7 +44,7 @@ class TestReuseFactors:
     def test_stationarity_sets(self, arch):
         residency = {
             kind: {d for d in DATA_TYPES
-                   if reuse_factors(kind, TINY, arch).of(d).resident}
+                   if getattr(reuse_factors(kind, TINY, arch), d).resident}
             for kind in KINDS
         }
         assert residency[DataflowKind.WS] == {"weight"}
@@ -59,7 +59,7 @@ class TestReuseFactors:
             for kind in KINDS:
                 factors = reuse_factors(kind, layer, arch)
                 for dtype in DATA_TYPES:
-                    fac = factors.of(dtype)
+                    fac = getattr(factors, dtype)
                     if not fac.resident:
                         assert fac.rf_reuse == 1
                     assert fac.rf_reuse >= 1
@@ -224,5 +224,5 @@ class TestLoopNestOracle:
     def test_residency_table_matches_model(self, arch):
         for kind in KINDS:
             factors = reuse_factors(kind, TINY, arch)
-            model = {d for d in DATA_TYPES if factors.of(d).resident}
+            model = {d for d in DATA_TYPES if getattr(factors, d).resident}
             assert model == RESIDENT[kind.value]

@@ -3,15 +3,14 @@
 import json
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import dnncost as dc
-from dnncost.archmodel import ArchConfig, EnergyTable
-from dnncost.dataflow import DATA_TYPES, LEVELS, AccessCounts, DataflowKind
+from dnncost.archmodel import LEVELS, ArchConfig, EnergyTable
+from dnncost.dataflow import DATA_TYPES, AccessCounts, DataflowKind
 from dnncost.energy import EnergyReport, Modifiers, _aggregate, layer_energy
 from dnncost.netmodel import WEIGHTED_KINDS, shape_key
 from oracles import make_conv, reference_compare, reference_network_energy
@@ -66,7 +65,7 @@ class TestLayerEnergy:
         assert rep.dataflow == "rs"
         assert rep == layer_energy(counts, arch)
         with pytest.raises(ValueError, match="not a valid DataflowKind"):
-            layer_energy(replace(by_hand, kind="xs"), arch)
+            layer_energy(by_hand._replace(kind="xs"), arch)
 
     def test_dram_cost_dominates_and_scales(self, arch):
         pricey = dc.ArchConfig(energy=dc.EnergyTable(rf=1.0, noc=2.0,

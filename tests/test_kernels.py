@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from dnncost.kernels import (conv_direct, conv_fft, conv_im2col,
-                             conv_winograd_f22_33, im2col_matrix)
+from dnncost.kernels import (_check_input, _columns, _windows, conv_direct, conv_fft,
+                             conv_im2col, conv_winograd_f22_33)
 from dnncost.stats import MULT_METHODS, mult_count, next_pow2
 from oracles import window_conv
+
+
+def im2col_matrix(x, kernel, stride=1, pad=0):
+    """The patch matrix ``conv_im2col`` multiplies the filters by: one column
+    of C*R*S values per output position, E*F columns in row-major order."""
+    return _columns(_windows(_check_input(x), kernel, stride, pad))
 
 
 def rel_err(a, b):
