@@ -2,6 +2,10 @@
 
 Exit codes: 0 on success, 1 on bad input data (unreadable files, malformed
 descriptions, values out of range), 2 on command-line usage errors.
+``_Main.invoke`` is the one place where a library error becomes exit 1: a
+ValueError or OSError raised anywhere under a command prints
+``error: <message>``. The commands' own range checks print the same way
+through ``_fail``. A closed stdout pipe exits 1 quietly, as click handles it.
 Output is deterministic: the same invocation always produces the same bytes.
 """
 
@@ -73,34 +77,20 @@ def _modifier_options(fn):
 def _load_network(builtin_name, net_path, batch) -> ResolvedNetwork:
     if (builtin_name is None) == (net_path is None):
         raise click.UsageError("give exactly one of --builtin or --net")
-    try:
-        if builtin_name is not None:
-            spec = builtin(builtin_name)
-        else:
-            with open(net_path, encoding="utf-8") as fh:
-                spec = parse_network(fh.read())
-        return resolve_shapes(spec, batch=batch)
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
+    if builtin_name is not None:
+        spec = builtin(builtin_name)
+    else:
+        with open(net_path, encoding="utf-8") as fh:
+            spec = parse_network(fh.read())
+    return resolve_shapes(spec, batch=batch)
 
 
 def _load_arch(arch_path) -> ArchConfig:
     from .archmodel import default_arch, parse_arch
     if arch_path is None:
         return default_arch()
-    try:
-        with open(arch_path, encoding="utf-8") as fh:
-            return parse_arch(fh.read())
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
-
-
-def _checked(fn, *args, **kwargs):
-    """Call into the library; a value out of range is a data error."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        _fail(str(exc))
+    with open(arch_path, encoding="utf-8") as fh:
+        return parse_arch(fh.read())
 
 
 def _rng(seed: int):
@@ -114,19 +104,15 @@ def _rng(seed: int):
 
 def _modifiers(bits, density_in, density_w) -> Modifiers:
     from .energy import Modifiers
-    return _checked(Modifiers, density_in=density_in, density_w=density_w,
-                    bits_in=bits, bits_w=bits)
+    return Modifiers(density_in=density_in, density_w=density_w, bits_in=bits, bits_w=bits)
 
 
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         click.echo(text, nl=False)
         return
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        _fail(str(exc))
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 class _Report(NamedTuple):
@@ -185,7 +171,20 @@ def _emit_report(report: _Report, fmt: str, out_path) -> None:
     _emit(_RENDERERS[fmt](report), out_path)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: the one place where a ValueError or OSError from
+    any command becomes a data error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # a closed stdout: click exits 1 quietly
+        except (OSError, ValueError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Analytical cost modeling for neural-network inference hardware."""
 
@@ -240,7 +239,7 @@ def analyze_cmd(builtin_name, net_path, batch, arch_path, bits, density_in,
     net = _load_network(builtin_name, net_path, batch)
     arch = _load_arch(arch_path)
     mods = _modifiers(bits, density_in, density_w)
-    reports, agg = _checked(network_energy, net, DataflowKind(dataflow), arch, mods)
+    reports, agg = network_energy(net, DataflowKind(dataflow), arch, mods)
     everything = reports + [agg]
 
     def priced(rep):
@@ -282,7 +281,7 @@ def compare_cmd(builtin_name, net_path, batch, arch_path, bits, density_in,
     net = _load_network(builtin_name, net_path, batch)
     arch = _load_arch(arch_path)
     mods = _modifiers(bits, density_in, density_w)
-    report = _checked(compare_dataflows, net, arch, mods)
+    report = compare_dataflows(net, arch, mods)
     headers = ("dataflow", "total", "ratio", "conv_total", "conv_ratio")
     entries = [(e.kind, e.total, e.ratio, e.conv_total, e.conv_ratio)
                for e in report.entries]
@@ -367,8 +366,8 @@ def kernels_verify_cmd(trials, size, seed):
 def kernels_count_cmd(method, out_size, filter_size, matrix_size):
     """Scalar multiplication count of one method at one problem size."""
     from .stats import mult_count
-    mc = _checked(mult_count, method, out_size=out_size, filter_size=filter_size,
-                  matrix_size=matrix_size)
+    mc = mult_count(method, out_size=out_size, filter_size=filter_size,
+                    matrix_size=matrix_size)
     params = "  ".join(f"{k} {v}" for k, v in mc.params.items())
     click.echo(f"{mc.method}: {mc.count} multiplications  ({params})")
     if mc.method in ("fft", "winograd"):
@@ -392,54 +391,50 @@ def kernels_count_cmd(method, out_size, filter_size, matrix_size):
               help="Output path (required for --encode).")
 def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     """Run-length compression of sparse 16-bit streams."""
-    from .optkit import MAX_VALUE, SparseStats, _pack, _pair_codes, _ratio, rle_decode
+    from .optkit import MAX_VALUE, _pack, _pair_codes, _ratio, rle_decode
     if encode_path is not None and decode_path is not None:
         raise click.UsageError("give at most one of --encode or --decode")
     if encode_path is not None and out_path is None:
         raise click.UsageError("--encode needs --out for the packed stream")
-    try:
-        if encode_path is not None:
-            with open(encode_path, encoding="utf-8") as fh:
-                words = [int(token) for token in fh.read().split()]
-            codes = _pair_codes(words)
-            ratio = _ratio(codes.size, len(words))  # raises on no words, so before writing
-            data = _pack(codes)
-            with open(out_path, "wb") as fh:
-                fh.write(data)
-            click.echo(f"{len(words)} words -> {len(data)} bytes ({codes.size} pairs)")
-            click.echo(f"compression ratio {ratio:.3f}")
-            return
-        if decode_path is not None:
-            with open(decode_path, "rb") as fh:
-                data = fh.read()
-            words = rle_decode(data)
-            text = "".join(f"{word}\n" for word in words)
-            _emit(text, out_path)
-            if out_path is not None:
-                click.echo(f"{len(data)} bytes -> {len(words)} words")
-            return
-        if not 1 <= length <= MAX_STREAM_WORDS:
-            _fail(f"--n must be in [1, {MAX_STREAM_WORDS}], got {length}")
-        if not 0.0 <= sparsity <= 1.0:
-            _fail(f"--sparsity must be in [0, 1], got {sparsity}")
-        rng = _rng(seed)
-        values = rng.integers(1, MAX_VALUE + 1, size=length)
-        zero = rng.random(length) < sparsity
-        values[zero] = 0
-        words = values.tolist()
+    if encode_path is not None:
+        with open(encode_path, encoding="utf-8") as fh:
+            words = [int(token) for token in fh.read().split()]
         codes = _pair_codes(words)
+        ratio = _ratio(codes.size, len(words))  # raises on no words, so before writing
         data = _pack(codes)
-        st = SparseStats(elements=length, zeros=int(zero.sum()))  # values start at 1
-        click.echo(f"elements {st.elements}  zeros {st.zeros}  "
-                   f"density {st.density:.3f}")
-        click.echo(f"pairs {codes.size}  packed bytes {len(data)}")
-        click.echo(f"compression ratio {_ratio(codes.size, len(words)):.3f}")
-        if rle_decode(data) != words:
-            click.echo("round trip FAILED")
-            raise SystemExit(1)
-        click.echo("round trip ok")
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
+        with open(out_path, "wb") as fh:
+            fh.write(data)
+        click.echo(f"{len(words)} words -> {len(data)} bytes ({codes.size} pairs)")
+        click.echo(f"compression ratio {ratio:.3f}")
+        return
+    if decode_path is not None:
+        with open(decode_path, "rb") as fh:
+            data = fh.read()
+        words = rle_decode(data)
+        text = "".join(f"{word}\n" for word in words)
+        _emit(text, out_path)
+        if out_path is not None:
+            click.echo(f"{len(data)} bytes -> {len(words)} words")
+        return
+    if not 1 <= length <= MAX_STREAM_WORDS:
+        _fail(f"--n must be in [1, {MAX_STREAM_WORDS}], got {length}")
+    if not 0.0 <= sparsity <= 1.0:
+        _fail(f"--sparsity must be in [0, 1], got {sparsity}")
+    rng = _rng(seed)
+    values = rng.integers(1, MAX_VALUE + 1, size=length)
+    zero = rng.random(length) < sparsity
+    values[zero] = 0
+    words = values.tolist()
+    codes = _pair_codes(words)
+    data = _pack(codes)
+    zeros = int(zero.sum())  # values start at 1
+    click.echo(f"elements {length}  zeros {zeros}  density {1.0 - zeros / length:.3f}")
+    click.echo(f"pairs {codes.size}  packed bytes {len(data)}")
+    click.echo(f"compression ratio {_ratio(codes.size, len(words)):.3f}")
+    if rle_decode(data) != words:
+        click.echo("round trip FAILED")
+        raise SystemExit(1)
+    click.echo("round trip ok")
 
 
 @main.command("prune")
@@ -470,12 +465,12 @@ def prune_cmd(builtin_name, net_path, batch, fraction, order, arch_path, seed,
     if order == "energy":  # the drain needs no weight values, so none are drawn
         from .energy import Modifiers, network_energy
         arch = _load_arch(arch_path)
-        reports, _ = _checked(network_energy, net, DataflowKind.RS, arch, Modifiers())
+        reports, _ = network_energy(net, DataflowKind.RS, arch, Modifiers())
         ranking = {rep.layer: rep.total / sizes[rep.layer] for rep in reports}
-        lost = _checked(_drain, sizes, _checked(_budget, fraction, total), ranking)
+        lost = _drain(sizes, _budget(fraction, total), ranking)
         kept = {name: size - lost[name] for name, size in sizes.items()}
     else:
-        budget = _checked(_budget, fraction, total)  # before drawing
+        budget = _budget(fraction, total)  # before drawing
         # one draw is the stream of per-layer draws; only its magnitudes are kept
         keep = _keep_mask(abs(rng.standard_normal(total)), budget)
         kept, offset = {}, 0

@@ -33,30 +33,30 @@ import json
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
-LAYER_KINDS = ("conv", "fc", "pool", "act", "concat", "add")
+# per layer kind: the LayerSpec fields it reads besides kind, name and inputs
+# (a spec must leave every other field at its default), and the JSON keys its
+# description must give
+_KINDS = {
+    "conv": ({"out_channels", "kernel", "stride", "pad", "groups", "bias", "connections"},
+             {"out_channels", "kernel"}),
+    "fc": ({"out_channels", "bias"}, {"out_channels"}),
+    "pool": ({"kernel", "stride", "pad"}, {"kernel"}),
+    "act": (set(), set()),
+    "concat": (set(), {"inputs"}),
+    "add": (set(), {"inputs"}),
+}
+LAYER_KINDS = tuple(_KINDS)
 
 # the kinds that carry weights and MACs; every other kind is zero cost
 WEIGHTED_KINDS = ("conv", "fc")
 
 # the kinds that merge two or more named feeds; every other kind reads one
-_MERGE_KINDS = ("concat", "add")
+_MERGE_KINDS = tuple(kind for kind, (_, required) in _KINDS.items() if "inputs" in required)
 
 # the largest MAC count and data volume (di, dw, do) of a resolved weighted
 # layer. The largest count derived from a layer is its partial-sum RF count
 # 2T, and 2 * (2**62 - 1) still fits int64 (2**63 - 1).
 COUNT_BUDGET = 2**62 - 1
-
-
-# the LayerSpec fields each kind reads besides kind, name and inputs; a spec
-# must leave every other field at its default
-_FIELDS = {
-    "conv": {"out_channels", "kernel", "stride", "pad", "groups", "bias", "connections"},
-    "fc": {"out_channels", "bias"},
-    "pool": {"kernel", "stride", "pad"},
-    "act": set(),
-    "concat": set(),
-    "add": set(),
-}
 
 
 class NetworkError(ValueError):
@@ -137,7 +137,7 @@ class LayerSpec:
 # per kind, the (field, default) pairs of the LayerSpec fields it does not read
 _UNUSED_FIELDS = {kind: tuple((f.name, f.default) for f in fields(LayerSpec)
                               if f.name not in used and f.name not in ("kind", "name", "inputs"))
-                  for kind, used in _FIELDS.items()}
+                  for kind, (used, _) in _KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -261,17 +261,9 @@ class ResolvedNetwork:
     layers: tuple[ResolvedLayer, ...]
 
 
-# required and allowed JSON keys per layer kind
-_REQUIRED = {
-    "conv": {"out_channels", "kernel"},
-    "fc": {"out_channels"},
-    "pool": {"kernel"},
-    "act": set(),
-    "concat": {"inputs"},
-    "add": {"inputs"},
-}
-_ALLOWED = {kind: keys | {"type", "name", "inputs" if kind in _MERGE_KINDS else "input"}
-            for kind, keys in _FIELDS.items()}
+# the JSON keys a layer description of each kind may give
+_ALLOWED = {kind: used | {"type", "name", "inputs" if kind in _MERGE_KINDS else "input"}
+            for kind, (used, _) in _KINDS.items()}
 
 
 def _tuple(value):
@@ -294,12 +286,12 @@ def _parse_layer(doc, index):
         unknown = doc.keys() - _ALLOWED[kind]
         if unknown:
             raise NetworkSemanticError(f"{where}: unknown keys {sorted(unknown)}")
-        missing = _REQUIRED[kind] - doc.keys()
+        missing = _KINDS[kind][1] - doc.keys()
         if missing:
             raise NetworkSemanticError(f"{where}: missing required keys {sorted(missing)}")
     # conv reads every field but kind, name and inputs; the LayerSpec
     # defaults stand in for the absent ones
-    args = {key: doc[key] for key in _FIELDS["conv"] & doc.keys()}
+    args = {key: doc[key] for key in _KINDS["conv"][0] & doc.keys()}
     if "kernel" in args:
         args["kernel"] = _tuple(args["kernel"])
     feeds = doc["inputs"] if "inputs" in doc else [doc["input"]] if "input" in doc else []
@@ -333,7 +325,7 @@ def _layer_doc(spec: LayerSpec) -> dict:
     doc: dict = {"type": spec.kind, "name": spec.name}
     for field in fields(LayerSpec):
         value = getattr(spec, field.name)
-        if field.name in _FIELDS[spec.kind] and value is not None:
+        if field.name in _KINDS[spec.kind][0] and value is not None:
             doc[field.name] = list(value) if isinstance(value, tuple) else value
     if spec.kind in _MERGE_KINDS:
         doc["inputs"] = list(spec.inputs)

@@ -14,7 +14,6 @@ must come as a sequence, not a one-shot iterator: they are read repeatedly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,16 +23,6 @@ RUN_BITS = 5
 VALUE_BITS = 16
 MAX_RUN = (1 << RUN_BITS) - 1
 MAX_VALUE = (1 << VALUE_BITS) - 1
-
-
-@dataclass(frozen=True)
-class SparseStats:
-    elements: int
-    zeros: int
-
-    @property
-    def density(self) -> float:
-        return 1.0 if self.elements == 0 else 1.0 - self.zeros / self.elements
 
 
 def _budget(fraction: float, n: int) -> int:

@@ -572,11 +572,11 @@ _REPORT_MODULES = {"stats": {"dnncost.stats"}, "analyze": _PRICING, "compare": _
                    "kernels": {"dnncost.stats"}}
 
 
-def _fresh_python(code, *args):
+def _fresh_python(code, *args, stdout=subprocess.PIPE):
     src = Path(dc.__file__).resolve().parents[1]
     return subprocess.run([sys.executable, "-c", code, *args],
                           env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def _started(args):
@@ -613,3 +613,52 @@ class TestNumpyFreeStart:
     def test_package_names_resolve_on_first_use(self):
         result = _fresh_python(_PACKAGE_API)
         assert result.returncode == 0, result.stderr
+
+
+class TestErrorBoundary:
+    """A ValueError or OSError from the library ends every command the same
+    way: one ``error:`` line and exit 1, decided once by the command group."""
+
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    @pytest.mark.parametrize("args, target", [
+        (["stats", "--builtin", "lenet5"], "dnncost.stats.network_stats"),
+        (["analyze", "--builtin", "lenet5"], "dnncost.energy.network_energy"),
+        (["compare", "--builtin", "lenet5"], "dnncost.energy.compare_dataflows"),
+        (["prune", "--builtin", "lenet5"], "dnncost.optkit._keep_mask"),
+        (["prune", "--builtin", "lenet5", "--order", "energy"], "dnncost.optkit._drain"),
+        (["kernels", "verify", "--trials", "1"], "dnncost.kernels.conv_direct"),
+        (["kernels", "count", "--method", "direct", "--out-size", "4", "--filter-size", "3"],
+         "dnncost.stats.mult_count"),
+        (["compress", "--n", "64"], "dnncost.optkit._pair_codes"),
+    ], ids=["stats", "analyze", "compare", "prune-magnitude", "prune-energy",
+            "kernels-verify", "kernels-count", "compress"])
+    def test_library_error_is_a_data_error(self, runner, monkeypatch, args, target, error):
+        def boom(*_args, **_kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(target, boom)
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: boom\n"
+
+    @pytest.mark.parametrize("args", [["stats", "--builtin", "lenet5", "--net", "x.json"],
+                                      ["compress", "--encode", "a", "--decode", "b"]],
+                             ids=["stats", "compress"])
+    def test_usage_error_in_a_command_is_two(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("Usage: ")
+        assert "error: " not in result.stderr
+
+    @pytest.mark.parametrize("args", [["analyze", "--builtin", "googlenet", "--format", "csv"],
+                                      ["compress"]], ids=["analyze-csv", "compress"])
+    def test_closed_stdout_exits_one_quietly(self, args):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "wb") as closed:
+            result = _fresh_python("from dnncost.cli import main; main()", *args,
+                                   stdout=closed)
+        assert result.returncode == 1
+        assert result.stderr == ""

@@ -1,6 +1,7 @@
 """Arbitrary nested JSON against both description parsers and the commands
-that read description files: only the documented errors and exit codes may
-come out, never a traceback or a non-finite number in a report."""
+that read description files, and arbitrary words and bytes against the codec
+command: only the documented errors and exit codes may come out, never a
+traceback or a non-finite number in a report."""
 
 import json
 from unittest import mock
@@ -72,6 +73,15 @@ ARCH_DOCS = JSON | st.fixed_dictionaries({}, optional={
     "energy": mostly(st.fixed_dictionaries({}, optional={lv: mostly(COSTS) for lv in LEVELS})),
 })
 
+# text for `compress --encode`: mostly whitespace-separated integers, in and
+# out of the 16-bit range, past int64 and past Python's 4,300-digit limit on
+# reading an int; now and then any text
+TOKENS = ((st.integers(0, 65535) | st.integers()).map(str)
+          | st.sampled_from(["-1", "65536", str(2**63), "9" * 4301]))
+WORD_TEXT = mostly(st.lists(TOKENS | st.text(max_size=3), max_size=40).map(" ".join), st.text())
+# streams for `compress --decode`: arbitrary bytes, and encodings of valid words
+STREAMS = st.binary(max_size=200) | st.lists(st.integers(0, 65535), max_size=80).map(dc.rle_encode)
+
 
 def _reject_constant(token):
     raise AssertionError(f"report holds {token}")
@@ -104,16 +114,20 @@ class TestCommands:
 
     runner = CliRunner()
 
-    def _check(self, args):
-        result = self.runner.invoke(cli.main, [*args, "--format", "json"])
+    def _run(self, args):
+        result = self.runner.invoke(cli.main, args)
         # an uncaught exception also exits 1, so it is told apart here
         assert result.exception is None or isinstance(result.exception, SystemExit), \
             result.exception
         assert result.exit_code in (0, 1, 2)
+        if result.exit_code:
+            assert result.stdout == ""
+        return result
+
+    def _check(self, args):
+        result = self._run([*args, "--format", "json"])
         if result.exit_code == 0:
             json.loads(result.stdout, parse_constant=_reject_constant)
-        else:
-            assert result.stdout == ""
 
     @settings(deadline=None, max_examples=40)
     @given(value=NETWORK_DOCS)
@@ -139,3 +153,22 @@ class TestCommands:
             self._check([command, "--builtin", "lenet5", "--arch", str(path)])
         self._check(["prune", "--builtin", "lenet5", "--order", "energy", "--arch", str(path)])
 
+    @settings(deadline=None, max_examples=60)
+    @given(text=WORD_TEXT)
+    @example(text="")
+    @example(text="1 " + "9" * 4301)
+    def test_encode_text(self, tmp_path_factory, text):
+        folder = tmp_path_factory.mktemp("encode")
+        source, packed = folder / "words.txt", folder / "packed.bin"
+        source.write_text(text, encoding="utf-8")
+        result = self._run(["compress", "--encode", str(source), "--out", str(packed)])
+        # every check comes before the packed stream is written
+        assert packed.exists() == (result.exit_code == 0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=STREAMS)
+    @example(data=b"\xff")
+    def test_decode_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("decode") / "packed.bin"
+        path.write_bytes(data)
+        self._run(["compress", "--decode", str(path)])

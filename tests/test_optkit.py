@@ -1,4 +1,4 @@
-"""Pruning, quantization, sparsity stats, and the run-length codec."""
+"""Pruning, quantization and the run-length codec."""
 
 import re
 
@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dnncost as dc
-from dnncost.optkit import (MAX_VALUE, CodecError, SparseStats, _budget, _drain, _keep_mask,
+from dnncost.optkit import (MAX_VALUE, CodecError, _budget, _drain, _keep_mask,
                             compression_ratio, prune_magnitude, prune_network,
                             quantize_uniform, rle_decode, rle_encode, rle_pair_count)
 from oracles import reference_rle_encode, reference_rle_pair_count
@@ -25,18 +25,6 @@ run_streams = st.lists(st.tuples(zero_runs, st.lists(literals, max_size=3)), max
 # reference or fails with its message
 HOSTILE_WORDS = [True, np.uint16(MAX_VALUE), np.int8(-1), np.uint64(2**64 - 1), 2**70,
                  1.5, np.float64(2.0), "a", None, [1], b"\x01", np.array([1])]
-
-
-class TestSparseStats:
-    def test_counts_zeros(self):
-        st_ = SparseStats(elements=5, zeros=3)
-        assert st_.elements == 5
-        assert st_.zeros == 3
-        assert st_.density == pytest.approx(0.4)
-
-    def test_empty_tensor_is_fully_dense(self):
-        st_ = SparseStats(elements=0, zeros=0)
-        assert st_.density == 1.0
 
 
 class TestPruneMagnitude:
@@ -407,5 +395,4 @@ class TestCodecHostileInput:
 class TestPackageSurface:
     def test_reexports(self):
         assert dc.rle_encode is rle_encode
-        assert dc.SparseStats is SparseStats
         assert dc.CodecError is CodecError
