@@ -7,10 +7,14 @@ ValueError or OSError raised anywhere under a command prints
 ``error: <message>``. The commands' own range checks print the same way
 through ``_fail``. A closed stdout pipe exits 1 quietly, as click handles it.
 Output is deterministic: the same invocation always produces the same bytes.
+A report command receives its loaded inputs and returns one ``_Report``: the
+decorators that declare the shared options load them, and ``_report_options``
+renders the report in the ``--format`` asked for, to ``--out`` or stdout.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
@@ -18,17 +22,17 @@ from typing import TYPE_CHECKING, NamedTuple, NoReturn
 import click
 
 from .names import MULT_METHODS, DataflowKind
-from .netmodel import WEIGHTED_KINDS, ResolvedNetwork, parse_network, resolve_shapes
+from .netmodel import WEIGHTED_KINDS, parse_network, resolve_shapes
 from .zoo import BUILTIN_NAMES, builtin
 
 # archmodel, dataflow, energy, stats and csv are imported by the commands and
 # renderers that use them, so that a command loads only the modules it runs
 if TYPE_CHECKING:
     from .archmodel import ArchConfig
-    from .energy import Modifiers
 
 DATAFLOW_NAMES = tuple(k.value for k in DataflowKind)
-# longest synthetic stream `compress --n` draws; its arrays grow with the length
+# longest stream `compress` draws (--n) or decodes (--decode); its arrays
+# grow with the length
 MAX_STREAM_WORDS = 1 << 20
 # largest `kernels verify --size` and `--trials`: every trial runs four
 # convolutions of a size x size input
@@ -45,44 +49,54 @@ def _fail(message: str) -> NoReturn:
 
 
 def _network_options(fn):
-    fn = click.option("--batch", type=int, default=1, show_default=True,
-                      help="Batch size used when resolving shapes.")(fn)
-    fn = click.option("--net", "net_path", type=str, default=None,
-                      help="Path to a network description file.")(fn)
-    fn = click.option("--builtin", "builtin_name", type=str, default=None,
-                      help=f"Bundled network: one of {', '.join(BUILTIN_NAMES)}.")(fn)
-    return fn
+    # loaded inputs reach the command by position, so every wrapper passes *args on
+    @functools.wraps(fn)
+    def with_network(*args, builtin_name, net_path, batch, **kwargs):
+        if (builtin_name is None) == (net_path is None):
+            raise click.UsageError("give exactly one of --builtin or --net")
+        if builtin_name is not None:
+            spec = builtin(builtin_name)
+        else:
+            with open(net_path, encoding="utf-8") as fh:
+                spec = parse_network(fh.read())
+        return fn(resolve_shapes(spec, batch=batch), *args, **kwargs)
+
+    with_network = click.option("--batch", type=int, default=1, show_default=True,
+                                help="Batch size used when resolving shapes.")(with_network)
+    with_network = click.option("--net", "net_path", type=str, default=None,
+                                help="Path to a network description file.")(with_network)
+    return click.option("--builtin", "builtin_name", type=str, default=None,
+                        help=f"Bundled network: one of {', '.join(BUILTIN_NAMES)}.")(with_network)
 
 
 def _report_options(fn):
-    fn = click.option("--out", "out_path", type=str, default=None,
-                      help="Write the report to this file instead of stdout.")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(FORMATS),
-                      default="table", show_default=True)(fn)
-    return fn
+    @functools.wraps(fn)
+    def render(*args, fmt, out_path, **kwargs):
+        _emit(_RENDERERS[fmt](fn(*args, **kwargs)), out_path)
+
+    render = click.option("--out", "out_path", type=str, default=None,
+                          help="Write the report to this file instead of stdout.")(render)
+    return click.option("--format", "fmt", type=click.Choice(FORMATS),
+                        default="table", show_default=True)(render)
 
 
 def _modifier_options(fn):
-    fn = click.option("--density-w", type=float, default=1.0, show_default=True,
-                      help="Nonzero fraction of the weights.")(fn)
-    fn = click.option("--density-in", type=float, default=1.0, show_default=True,
-                      help="Nonzero fraction of the inputs.")(fn)
-    fn = click.option("--bits", type=int, default=None,
-                      help="Operand precision for inputs and weights (defaults to the word size).")(fn)
-    fn = click.option("--arch", "arch_path", type=str, default=None,
-                      help="Path to a hardware description file.")(fn)
-    return fn
+    @functools.wraps(fn)
+    def with_mods(*args, arch_path, bits, density_in, density_w, **kwargs):
+        from .energy import Modifiers
+        arch = _load_arch(arch_path)
+        mods = Modifiers(density_in=density_in, density_w=density_w, bits_in=bits, bits_w=bits)
+        return fn(*args, arch, mods, **kwargs)
 
-
-def _load_network(builtin_name, net_path, batch) -> ResolvedNetwork:
-    if (builtin_name is None) == (net_path is None):
-        raise click.UsageError("give exactly one of --builtin or --net")
-    if builtin_name is not None:
-        spec = builtin(builtin_name)
-    else:
-        with open(net_path, encoding="utf-8") as fh:
-            spec = parse_network(fh.read())
-    return resolve_shapes(spec, batch=batch)
+    with_mods = click.option("--density-w", type=float, default=1.0, show_default=True,
+                             help="Nonzero fraction of the weights.")(with_mods)
+    with_mods = click.option("--density-in", type=float, default=1.0, show_default=True,
+                             help="Nonzero fraction of the inputs.")(with_mods)
+    with_mods = click.option(
+        "--bits", type=int, default=None,
+        help="Operand precision for inputs and weights (defaults to the word size).")(with_mods)
+    return click.option("--arch", "arch_path", type=str, default=None,
+                        help="Path to a hardware description file.")(with_mods)
 
 
 def _load_arch(arch_path) -> ArchConfig:
@@ -100,11 +114,6 @@ def _rng(seed: int):
         _fail(f"--seed must be >= 0, got {seed}")
     import numpy as np
     return np.random.default_rng(seed)
-
-
-def _modifiers(bits, density_in, density_w) -> Modifiers:
-    from .energy import Modifiers
-    return Modifiers(density_in=density_in, density_w=density_w, bits_in=bits, bits_w=bits)
 
 
 def _emit(text: str, out_path) -> None:
@@ -167,10 +176,6 @@ _RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
 FORMATS = tuple(_RENDERERS)
 
 
-def _emit_report(report: _Report, fmt: str, out_path) -> None:
-    _emit(_RENDERERS[fmt](report), out_path)
-
-
 class _Main(click.Group):
     """The command group: the one place where a ValueError or OSError from
     any command becomes a data error."""
@@ -192,10 +197,9 @@ def main():
 @main.command("stats")
 @_network_options
 @_report_options
-def stats_cmd(builtin_name, net_path, batch, fmt, out_path):
+def stats_cmd(net):
     """Storage and compute counts for every weighted layer."""
     from .stats import network_stats
-    net = _load_network(builtin_name, net_path, batch)
     report = network_stats(net)
     headers = ("layer", "kind", "weights", "macs", "d_in", "d_w", "d_out")
     layers = [(r.name, r.kind, r.weights, r.macs, r.di, r.dw, r.do)
@@ -219,9 +223,8 @@ def stats_cmd(builtin_name, net_path, batch, fmt, out_path):
                       sum(r.di for r in report.layers),
                       sum(r.dw for r in report.layers),
                       sum(r.do for r in report.layers))]
-    _emit_report(_Report(title=f"{report.network}  batch {report.batch}",
-                         headers=headers, rows=rows, csv_rows=[headers, *rows], json_obj=obj),
-                 fmt, out_path)
+    return _Report(title=f"{report.network}  batch {report.batch}",
+                   headers=headers, rows=rows, csv_rows=[headers, *rows], json_obj=obj)
 
 
 @main.command("analyze")
@@ -230,15 +233,11 @@ def stats_cmd(builtin_name, net_path, batch, fmt, out_path):
 @click.option("--dataflow", type=click.Choice(DATAFLOW_NAMES), default="rs",
               show_default=True, help="Mapping policy to price.")
 @_report_options
-def analyze_cmd(builtin_name, net_path, batch, arch_path, bits, density_in,
-                density_w, dataflow, fmt, out_path):
+def analyze_cmd(net, arch, mods, dataflow):
     """Per-layer data-movement and compute energy under one dataflow."""
     from .archmodel import LEVELS
     from .dataflow import DATA_TYPES
     from .energy import network_energy
-    net = _load_network(builtin_name, net_path, batch)
-    arch = _load_arch(arch_path)
-    mods = _modifiers(bits, density_in, density_w)
     reports, agg = network_energy(net, DataflowKind(dataflow), arch, mods)
     everything = reports + [agg]
 
@@ -263,24 +262,19 @@ def analyze_cmd(builtin_name, net_path, batch, arch_path, bits, density_in,
              rep.by_type["psum"], rep.compute, rep.total)
             for rep in everything]
     levels = "  ".join(f"{lv} {_cell(agg.by_level[lv])}" for lv in LEVELS)
-    _emit_report(_Report(title=f"{net.name}  batch {net.batch}  dataflow {dataflow}",
-                         headers=("layer", "input", "weight", "psum", "compute", "total"),
-                         rows=rows, csv_rows=long_rows, json_obj=obj,
-                         footer=(f"movement by level: {levels}",)),
-                 fmt, out_path)
+    return _Report(title=f"{net.name}  batch {net.batch}  dataflow {dataflow}",
+                   headers=("layer", "input", "weight", "psum", "compute", "total"),
+                   rows=rows, csv_rows=long_rows, json_obj=obj,
+                   footer=(f"movement by level: {levels}",))
 
 
 @main.command("compare")
 @_network_options
 @_modifier_options
 @_report_options
-def compare_cmd(builtin_name, net_path, batch, arch_path, bits, density_in,
-                density_w, fmt, out_path):
+def compare_cmd(net, arch, mods):
     """Rank all dataflows by total energy on one network."""
     from .energy import compare_dataflows
-    net = _load_network(builtin_name, net_path, batch)
-    arch = _load_arch(arch_path)
-    mods = _modifiers(bits, density_in, density_w)
     report = compare_dataflows(net, arch, mods)
     headers = ("dataflow", "total", "ratio", "conv_total", "conv_ratio")
     entries = [(e.kind, e.total, e.ratio, e.conv_total, e.conv_ratio)
@@ -298,10 +292,9 @@ def compare_cmd(builtin_name, net_path, batch, arch_path, bits, density_in,
     }
     rows = [(kind, total, f"{ratio:.3f}", conv_total, f"{conv_ratio:.3f}")
             for kind, total, ratio, conv_total, conv_ratio in entries]
-    _emit_report(_Report(title=f"{report.network}  batch {report.batch}",
-                         headers=headers, rows=rows, csv_rows=[headers, *entries], json_obj=obj,
-                         footer=(f"winner {report.winner}  conv winner {report.conv_winner}",)),
-                 fmt, out_path)
+    return _Report(title=f"{report.network}  batch {report.batch}",
+                   headers=headers, rows=rows, csv_rows=[headers, *entries], json_obj=obj,
+                   footer=(f"winner {report.winner}  conv winner {report.conv_winner}",))
 
 
 # (name, kernels function, tolerance) of each transform verify checks
@@ -391,7 +384,7 @@ def kernels_count_cmd(method, out_size, filter_size, matrix_size):
               help="Output path (required for --encode).")
 def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     """Run-length compression of sparse 16-bit streams."""
-    from .optkit import MAX_VALUE, _pack, _pair_codes, _ratio, rle_decode
+    from .optkit import MAX_VALUE, _pack, _pair_codes, _ratio, rle_decode, rle_word_count
     if encode_path is not None and decode_path is not None:
         raise click.UsageError("give at most one of --encode or --decode")
     if encode_path is not None and out_path is None:
@@ -410,6 +403,8 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     if decode_path is not None:
         with open(decode_path, "rb") as fh:
             data = fh.read()
+        if (count := rle_word_count(data)) > MAX_STREAM_WORDS:  # before any word is built
+            _fail(f"--decode stream must hold at most {MAX_STREAM_WORDS} words, got {count}")
         words = rle_decode(data)
         text = "".join(f"{word}\n" for word in words)
         _emit(text, out_path)
@@ -449,11 +444,9 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
               help="Hardware description used for energy ordering.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @_report_options
-def prune_cmd(builtin_name, net_path, batch, fraction, order, arch_path, seed,
-              fmt, out_path):
+def prune_cmd(net, fraction, order, arch_path, seed):
     """Prune synthetic weights for a network and report layer densities."""
     from .optkit import _budget, _drain, _keep_mask
-    net = _load_network(builtin_name, net_path, batch)
     sizes = {layer.name: layer.stats.dw for layer in net.layers if layer.kind in WEIGHTED_KINDS}
     if not sizes:
         _fail(f"network {net.name!r} has no weighted layers")
@@ -491,12 +484,10 @@ def prune_cmd(builtin_name, net_path, batch, fraction, order, arch_path, seed,
         "total": dict(zip(headers[1:], totals[1:])),
     }
     rows = entries + [totals]
-    _emit_report(_Report(title=f"{net.name}  fraction {fraction}  order {order}  seed {seed}",
-                         headers=headers,
-                         rows=[(name, size, kept, f"{dens:.3f}")
-                               for name, size, kept, dens in rows],
-                         csv_rows=[headers, *rows], json_obj=obj),
-                 fmt, out_path)
+    return _Report(title=f"{net.name}  fraction {fraction}  order {order}  seed {seed}",
+                   headers=headers,
+                   rows=[(name, size, kept, f"{dens:.3f}") for name, size, kept, dens in rows],
+                   csv_rows=[headers, *rows], json_obj=obj)
 
 
 if __name__ == "__main__":

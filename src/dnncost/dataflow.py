@@ -22,15 +22,15 @@ Counting rules, with T (the MACs over the whole batch), Di, Dw and Do from
 * RF: T per resident read type, 2T for resident partial sums, else 0
 * NoC: deliveries = ceil(T / rf_reuse), floored at the unique volume
   (deliveries can never undercut the distinct words consumed)
-* buffer: deliveries / multicast for read types, clamped to
-  [unique volume, deliveries]; partial-sum updates count read + write, so
-  2 * ceil(T / (rf_reuse * spatial_accum)) clamped to [Do, 2T]
+* buffer: ceil(deliveries / multicast) for read types, floored at the
+  unique volume; partial-sum updates count read + write, so
+  2 * ceil(T / (rf_reuse * spatial_accum)), floored at Do
 * DRAM: the unique volume, fetched or written exactly once (ideal DRAM,
   no capacity-induced refetch)
 
-No count exceeds 2T or a unique volume, so for a layer from
-``resolve_shapes``, whose counts are within ``netmodel.COUNT_BUDGET``, every
-count fits int64.
+Every reuse factor is an integer >= 1, so no rule needs a ceiling: no count
+exceeds 2T or a unique volume, and for a layer from ``resolve_shapes``, whose
+counts are within ``netmodel.COUNT_BUDGET``, every count fits int64.
 
 The four policies:
 
@@ -161,8 +161,7 @@ def access_counts(factors: ReuseFactors) -> AccessCounts:
         acc[dtype] = {
             "rf": t if fac.resident else 0,
             "noc": deliveries,
-            # buffer reads clamped to [unique, deliveries]
-            "buf": max(unique, min(_ceildiv(deliveries, fac.multicast), deliveries)),
+            "buf": max(unique, _ceildiv(deliveries, fac.multicast)),
             "dram": unique,
         }
 
@@ -171,7 +170,7 @@ def access_counts(factors: ReuseFactors) -> AccessCounts:
     acc["psum"] = {
         "rf": 2 * t if fac.resident else 0,
         "noc": max(_ceildiv(t, fac.rf_reuse), st.do),
-        "buf": max(st.do, min(2 * updates, 2 * t)),  # clamped to [Do, 2T]
+        "buf": max(st.do, 2 * updates),
         "dram": st.do,  # output writes only
     }
     return AccessCounts(layer=layer.name, kind=factors.kind, total_macs=t, acc=acc)

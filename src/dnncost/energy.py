@@ -112,10 +112,10 @@ def layer_energy(counts: AccessCounts, arch: ArchConfig,
 
 
 def _aggregate(reports: list[EnergyReport], label: str, kind: str) -> EnergyReport:
-    movement = {d: {lv: sum([r.movement[d][lv] for r in reports]) for lv in LEVELS}
+    movement = {d: {lv: sum([r.movement[d][lv] for r in reports], 0.0) for lv in LEVELS}
                 for d in DATA_TYPES}
     return EnergyReport(layer=label, dataflow=kind, movement=movement,
-                        compute=sum([r.compute for r in reports]))
+                        compute=sum([r.compute for r in reports], 0.0))
 
 
 def network_energy(net: ResolvedNetwork, kind: DataflowKind, arch: ArchConfig,

@@ -69,8 +69,6 @@ def _windows(x, kernel, stride, pad):
     if stride < 1 or pad < 0:
         raise ValueError("stride must be >= 1 and pad >= 0")
     r, s = kernel
-    if r < 1 or s < 1:
-        raise ValueError(f"kernel must be positive, got {r}x{s}")
     _, h, wd = x.shape
     # out_extent rejects a kernel that does not fit; the view has its E x F windows
     out_extent(h, r, stride, pad)

@@ -176,21 +176,32 @@ def rle_encode(words: Sequence[int]) -> bytes:
     return _pack(_pair_codes(words))
 
 
-def rle_decode(data: bytes) -> list[int]:
-    """Invert rle_encode. Rejects streams with dangling or dirty pad bits."""
+def _pairs(data: bytes) -> np.ndarray:
+    """The 21-bit pairs of a packed stream. Rejects dangling or dirty pad bits."""
     data = bytes(data)
     npairs, leftover = divmod(8 * len(data), PAIR_BITS)
     if leftover >= 8:
         raise CodecError(f"truncated pair: {leftover} dangling bits")
     if leftover and data[-1] & ((1 << leftover) - 1):
         raise CodecError("nonzero padding bits")
-    if not npairs:
-        return []
     # one big-endian 4-byte window per byte offset; pair i starts at bit 21 i
     windows = np.ndarray(len(data), dtype=">u4", buffer=data + bytes(3), strides=(1,))
     start = np.arange(npairs, dtype=np.int64) * PAIR_BITS
     window = windows[start >> 3].astype(np.int64)
-    pairs = (window >> (32 - PAIR_BITS - (start & 7))) & ((1 << PAIR_BITS) - 1)
+    return (window >> (32 - PAIR_BITS - (start & 7))) & ((1 << PAIR_BITS) - 1)
+
+
+def rle_word_count(data: bytes) -> int:
+    """Words ``rle_decode(data)`` returns, counted from the pairs alone."""
+    pairs = _pairs(data)
+    return pairs.size + int((pairs >> VALUE_BITS).sum())
+
+
+def rle_decode(data: bytes) -> list[int]:
+    """Invert rle_encode. Rejects streams with dangling or dirty pad bits."""
+    pairs = _pairs(data)
+    if not pairs.size:
+        return []
     # each pair is `run` zeros then its literal
     ends = np.cumsum((pairs >> VALUE_BITS) + 1)
     words = np.zeros(int(ends[-1]), dtype=np.int64)

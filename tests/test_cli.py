@@ -186,6 +186,17 @@ class TestKernelsCommands:
         assert all(line.endswith("ok") for line in lines[:3])
         assert lines[3] == "3 random problems checked"
 
+    def test_verify_fails_on_a_deviating_route(self, runner, monkeypatch):
+        conv_fft = dc.kernels.conv_fft
+        monkeypatch.setattr(dc.kernels, "conv_fft", lambda x, w: conv_fft(x, w) * 1.01)
+        result = runner.invoke(main, ["kernels", "verify", "--trials", "2"])
+        assert result.exit_code == 1
+        lines = result.stdout.splitlines()
+        assert lines[0].endswith("ok") and lines[1].endswith("ok")
+        assert lines[2].startswith("fft      vs direct: max rel 1.0")
+        assert lines[2].endswith("tol 1e-06  FAIL")
+        assert lines[3] == "2 random problems checked"
+
     def test_verify_fixed_size(self, runner):
         result = runner.invoke(main, ["kernels", "verify", "--trials", "2",
                                       "--size", "8"])
@@ -292,6 +303,46 @@ class TestCompress:
                                        str(tmp_path / "absent.txt"),
                                        "--out", str(tmp_path / "o.bin")])
         assert missing.exit_code == 1
+
+    @pytest.mark.parametrize("sparsity", ["-0.1", "1.5"])
+    def test_sparsity_range(self, runner, sparsity):
+        result = runner.invoke(main, ["compress", "--sparsity", sparsity])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: --sparsity must be in [0, 1], got {float(sparsity)}\n"
+
+    def test_round_trip_failure(self, runner, monkeypatch):
+        monkeypatch.setattr(dc.optkit, "rle_decode", lambda data: [])
+        result = runner.invoke(main, ["compress", "--n", "64"])
+        assert result.exit_code == 1
+        assert result.stdout.splitlines()[-1] == "round trip FAILED"
+
+    def test_decode_length_cap(self, runner, tmp_path):
+        # 256 zeros encode as 8 (31, 0) filler pairs in 21 bytes, so this
+        # 262,500-byte stream would decode to 3,200,000 words
+        packed = tmp_path / "filler.bin"
+        packed.write_bytes(dc.rle_encode([0] * 256) * 12_500)
+        out = tmp_path / "words.txt"
+        result = runner.invoke(main, ["compress", "--decode", str(packed), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (f"error: --decode stream must hold at most "
+                                 f"{MAX_STREAM_WORDS} words, got 3200000\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, code", [([], 0), ([7], 1)], ids=["at-cap", "one-over"])
+    def test_decode_at_the_cap(self, runner, tmp_path, extra, code):
+        packed = tmp_path / "zeros.bin"
+        packed.write_bytes(dc.rle_encode([0] * MAX_STREAM_WORDS + extra))
+        out = tmp_path / "words.txt"
+        result = runner.invoke(main, ["compress", "--decode", str(packed), "--out", str(out)])
+        assert result.exit_code == code
+        if code:
+            assert f"got {MAX_STREAM_WORDS + 1}" in result.stderr
+            assert not out.exists()
+        else:
+            assert result.stdout.endswith(f" bytes -> {MAX_STREAM_WORDS} words\n")
+            assert out.read_text() == "0\n" * MAX_STREAM_WORDS
 
     def test_stream_length_cap(self, runner):
         over = runner.invoke(main, ["compress", "--n", str(MAX_STREAM_WORDS + 1)])
@@ -470,11 +521,20 @@ class TestExitCodes:
         assert compare.exit_code == 1
         assert "network 'nw' has no weighted layers" in compare.stderr
         assert "Traceback" not in compare.output
-        for command in ("stats", "analyze"):
+        # stats counts are integers; analyze energies are floats, also at zero
+        for command, zero in (("stats", "0"), ("analyze", "0.0")):
             result = runner.invoke(main, [command, "--net", str(path), "--format", "csv"])
             assert result.exit_code == 0
             total = rows_of(result.stdout)[-1]
-            assert (total[0], total[-1]) == ("total", "0")
+            assert (total[0], total[-1]) == ("total", zero)
+        table = runner.invoke(main, ["analyze", "--net", str(path)])
+        assert table.stdout.splitlines()[3:] == [
+            "total    0.0     0.0   0.0      0.0    0.0",
+            "movement by level: rf 0.0  noc 0.0  buf 0.0  dram 0.0"]
+        obj = json.loads(runner.invoke(main, ["analyze", "--net", str(path),
+                                              "--format", "json"]).stdout)
+        assert obj["layers"] == []
+        assert obj["total"]["total"] == 0.0 and isinstance(obj["total"]["total"], float)
 
     @pytest.mark.parametrize("command", ["compare", "analyze"])
     def test_overflowing_costs_are_a_data_error(self, runner, tmp_path, command):

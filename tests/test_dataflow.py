@@ -4,11 +4,13 @@ import itertools
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dnncost as dc
 from dnncost.cli import main
 from dnncost.dataflow import DATA_TYPES, DataflowKind, access_counts, reuse_factors
-from dnncost.netmodel import NetworkSemanticError
+from dnncost.netmodel import NetworkSemanticError, ResolvedLayer
 from oracles import RESIDENT, make_conv, simulate_accesses
 
 KINDS = list(DataflowKind)
@@ -120,6 +122,48 @@ class TestReuseFactors:
         assert result.exit_code == 1
         assert f"batch must be an integer >= 1, got {batch}\n" in result.stderr
         assert built == []
+
+
+@st.composite
+def hand_built_layers(draw):
+    """A weighted layer built in code: fc over any input extent, or conv with
+    any stride, pad, grouping and wiring whose kernel fits the padded input."""
+    groups = draw(st.integers(1, 4))
+    c, m = groups * draw(st.integers(1, 6)), groups * draw(st.integers(1, 6))
+    h, w, batch = draw(st.integers(1, 32)), draw(st.integers(1, 32)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return ResolvedLayer(kind="fc", name="probe", batch=batch, in_channels=c,
+                             in_height=h, in_width=w, out_channels=m, out_height=1,
+                             out_width=1, kernel=(h, w), stride=1, pad=0, groups=1,
+                             bias=False, connections=None, inputs=("input",))
+    pad = draw(st.integers(0, 2))
+    r, s = draw(st.integers(1, h + 2 * pad)), draw(st.integers(1, w + 2 * pad))
+    connections = draw(st.none() | st.integers(1, m * c // groups))
+    return make_conv(c, h, w, m, r, s, stride=draw(st.integers(1, 3)), pad=pad,
+                     groups=groups, connections=connections, batch=batch)
+
+
+ARCHS = st.builds(dc.ArchConfig, pe_count=st.integers(1, 4096),
+                  rs_channels_per_pe=st.integers(1, 64), nlr_lane_width=st.integers(1, 64))
+
+
+class TestCountsNeedNoCeiling:
+    """Every reuse factor is an int >= 1, so ceil(d / multicast) <= d and the
+    partial-sum updates are at most T: the counting rules need floors only."""
+
+    @given(layer=hand_built_layers(), arch=ARCHS, kind=st.sampled_from(KINDS))
+    @settings(deadline=None, max_examples=300)
+    def test_factors_are_whole_numbers_of_at_least_one(self, layer, arch, kind):
+        factors = reuse_factors(kind, layer, arch)
+        for dtype in DATA_TYPES:
+            fac = getattr(factors, dtype)
+            for value in (fac.rf_reuse, fac.multicast, fac.spatial_accum):
+                assert type(value) is int and value >= 1
+        acc = access_counts(factors).acc
+        t = layer.stats.macs
+        assert acc["input"]["buf"] <= acc["input"]["noc"]
+        assert acc["weight"]["buf"] <= acc["weight"]["noc"]
+        assert acc["psum"]["buf"] <= max(2 * t, layer.stats.do)
 
 
 class TestAccessCounts:

@@ -183,6 +183,16 @@ class TestNetworkEnergy:
                 assert agg.movement[dtype][level] == pytest.approx(
                     sum(r.movement[dtype][level] for r in reports))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_weighted_layers_aggregate_to_float_zeros(self, arch, kind):
+        net = dc.resolve_shapes(dc.NetworkSpec("pools", 2, 6, 6, (
+            dc.LayerSpec("pool", "p", kernel=(2, 2), stride=2), dc.LayerSpec("act", "a"))))
+        reports, agg = dc.network_energy(net, kind, arch)
+        assert reports == []
+        for value in (*(v for row in agg.movement.values() for v in row.values()),
+                      agg.compute, agg.total):
+            assert type(value) is float and value == 0.0
+
     def test_reports_follow_network_order(self, arch, resolved_builtins):
         net = resolved_builtins["vgg16"]
         reports, _ = dc.network_energy(net, DataflowKind.WS, arch)

@@ -126,11 +126,7 @@ class TestIm2col:
     @pytest.mark.parametrize("x_shape, kernel, match", [
         ((4, 4), (2, 2), "C x H x W"),
         ((0, 4, 4), (2, 2), "input has an empty axis"),
-        ((1, 3, 5), (0, 2), "kernel must be positive"),
-        ((1, 3, 5), (2, 0), "kernel must be positive"),
-        ((1, 3, 5), (-1, 2), "kernel must be positive"),
-    ], ids=["2d-input", "no-channels", "no-kernel-rows", "no-kernel-columns",
-            "negative-kernel"])
+    ], ids=["2d-input", "no-channels"])
     def test_input_and_kernel_validation(self, x_shape, kernel, match):
         with pytest.raises(ValueError, match=match):
             im2col_matrix(np.ones(x_shape), kernel)

@@ -109,6 +109,12 @@ class TestParse:
         with pytest.raises(NetworkSemanticError):
             dc.parse_network(doc([]))
 
+    @pytest.mark.parametrize("layer, kind", [(["conv"], "list"), ("conv", "str"), (3, "int")])
+    def test_layer_must_be_an_object(self, layer, kind):
+        with pytest.raises(NetworkSyntaxError,
+                           match=f"^layer 1: expected an object, got {kind}$"):
+            dc.parse_network(doc([conv("a"), layer]))
+
     @pytest.mark.parametrize("key", ["connections", "stride", "bias", "kernel", "input", "name"])
     def test_null_value_rejected(self, key):
         # a null connections would otherwise read as dense wiring
@@ -182,6 +188,12 @@ class TestResolve:
                   {"type": "add", "name": "m", "inputs": ["a", "b"]}]
         with pytest.raises(ShapeError, match="disagree"):
             dc.resolve_shapes(dc.parse_network(doc(layers)))
+
+    def test_code_built_spec_holds_only_layer_specs(self):
+        layer = dc.LayerSpec("act", "a")
+        with pytest.raises(NetworkSemanticError,
+                           match="^network 'n': layers must be LayerSpec objects, got 'b'$"):
+            dc.NetworkSpec("n", 1, 8, 8, (layer, "b"))
 
     def test_unknown_feed_in_code_built_spec(self):
         with pytest.raises(NetworkSemanticError, match="'a'.*input 'zz' does not name"):

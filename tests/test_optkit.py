@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import dnncost as dc
 from dnncost.optkit import (MAX_VALUE, CodecError, _budget, _drain, _keep_mask,
                             compression_ratio, prune_magnitude, prune_network,
-                            quantize_uniform, rle_decode, rle_encode, rle_pair_count)
+                            quantize_uniform, rle_decode, rle_encode, rle_pair_count,
+                            rle_word_count)
 from oracles import reference_rle_encode, reference_rle_pair_count
 
 word_lists = st.lists(st.integers(min_value=0, max_value=65535), max_size=300)
@@ -383,6 +384,24 @@ class TestCodecHostileInput:
 
     def test_empty_stream(self):
         assert rle_decode(b"") == []
+        assert rle_word_count(b"") == 0
+
+    @given(st.binary(max_size=200))
+    @settings(deadline=None, max_examples=300)
+    def test_word_count_is_the_decoded_length(self, data):
+        try:
+            words = rle_decode(data)
+        except CodecError as exc:
+            with pytest.raises(CodecError, match=f"^{re.escape(str(exc))}$"):
+                rle_word_count(data)
+        else:
+            assert rle_word_count(data) == len(words)
+
+    def test_word_count_of_filler_pairs(self):
+        # 256 zeros encode as 8 (31, 0) pairs, exactly 21 bytes
+        filler = rle_encode([0] * 256)
+        assert len(filler) == 21
+        assert rle_word_count(filler * 12_500) == 3_200_000
 
     def test_million_word_round_trip(self):
         rng = np.random.default_rng(4)
