@@ -34,6 +34,9 @@ DATAFLOW_NAMES = tuple(k.value for k in DataflowKind)
 # longest stream `compress` draws (--n) or decodes (--decode); its arrays
 # grow with the length
 MAX_STREAM_WORDS = 1 << 20
+# largest --decode file: every 21-bit pair decodes to at least one word, so a
+# stream within MAX_STREAM_WORDS packs into at most this many bytes
+MAX_DECODE_BYTES = MAX_STREAM_WORDS * 21 // 8
 # largest `kernels verify --size` and `--trials`: every trial runs four
 # convolutions of a size x size input
 MAX_VERIFY_SIZE = 256
@@ -384,7 +387,10 @@ def kernels_count_cmd(method, out_size, filter_size, matrix_size):
               help="Output path (required for --encode).")
 def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     """Run-length compression of sparse 16-bit streams."""
-    from .optkit import MAX_VALUE, _pack, _pair_codes, _ratio, rle_decode, rle_word_count
+    import numpy as np
+
+    from .optkit import (MAX_VALUE, _pack, _pair_codes, _ratio, _word_array, rle_decode,
+                         rle_word_count)
     if encode_path is not None and decode_path is not None:
         raise click.UsageError("give at most one of --encode or --decode")
     if encode_path is not None and out_path is None:
@@ -402,7 +408,10 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
         return
     if decode_path is not None:
         with open(decode_path, "rb") as fh:
-            data = fh.read()
+            data = fh.read(MAX_DECODE_BYTES + 1)  # bounded, so a long file or a pipe is cheap
+        if len(data) > MAX_DECODE_BYTES:
+            _fail(f"--decode file must be at most {MAX_DECODE_BYTES} bytes, "
+                  f"the packed size of {MAX_STREAM_WORDS} pairs")
         if (count := rle_word_count(data)) > MAX_STREAM_WORDS:  # before any word is built
             _fail(f"--decode stream must hold at most {MAX_STREAM_WORDS} words, got {count}")
         words = rle_decode(data)
@@ -419,14 +428,13 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     values = rng.integers(1, MAX_VALUE + 1, size=length)
     zero = rng.random(length) < sparsity
     values[zero] = 0
-    words = values.tolist()
-    codes = _pair_codes(words)
+    codes = _pair_codes(values)  # an int64 array: no per-word type check
     data = _pack(codes)
     zeros = int(zero.sum())  # values start at 1
     click.echo(f"elements {length}  zeros {zeros}  density {1.0 - zeros / length:.3f}")
     click.echo(f"pairs {codes.size}  packed bytes {len(data)}")
-    click.echo(f"compression ratio {_ratio(codes.size, len(words)):.3f}")
-    if rle_decode(data) != words:
+    click.echo(f"compression ratio {_ratio(codes.size, length):.3f}")
+    if not np.array_equal(_word_array(data), values):
         click.echo("round trip FAILED")
         raise SystemExit(1)
     click.echo("round trip ok")

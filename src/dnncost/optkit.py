@@ -1,5 +1,10 @@
 """Approximation toolkit: pruning, quantization, sparse-stream compression.
 
+Pruned copies are made by a branch-free select: each weight's float64 bits
+are ANDed with all ones where it is kept and with zero where it is dropped,
+so the copies are bit for bit ``np.where(keep, weights, 0.0)`` without a
+branch per weight for a random mask to mispredict.
+
 The compression codec targets post-activation streams, which are mostly
 zeros: each encoded pair is a 5-bit zero-run length (0..31) followed by one
 16-bit literal, packed big-endian and zero-padded to a byte boundary. A pair
@@ -66,13 +71,22 @@ def _drain(sizes: dict[str, int], budget: int, order: dict[str, float]) -> dict[
 
 
 def _masked(arr: np.ndarray, keep: np.ndarray):
+    """A copy of the float64 ``arr`` that is +0.0 where ``keep`` is False,
+    and ``keep`` in ``arr``'s shape. The copy is the branch-free select of
+    the module docstring: bit for bit ``np.where(keep, arr, 0.0)``, -0.0,
+    infinities and NaN payloads included.
+    """
     keep = keep.reshape(arr.shape)
-    return np.where(keep, arr, 0.0), keep
+    bits = keep.astype(np.int64)
+    np.negative(bits, out=bits)  # 1 -> all ones; `out` keeps a 0-d result an array
+    bits &= arr.view(np.int64)
+    return bits.view(np.float64), keep
 
 
 def prune_magnitude(weights, fraction: float):
     """Zero the floor(fraction * n) smallest-magnitude weights, by the tie
-    rule of ``_keep_mask``. Returns the pruned copy and the boolean keep-mask.
+    rule of ``_keep_mask``. Returns the pruned copy, made by the branch-free
+    select of ``_masked``, and the boolean keep-mask.
     """
     arr = np.asarray(weights, dtype=float)
     return _masked(arr, _keep_mask(np.abs(arr).reshape(-1), _budget(fraction, arr.size)))
@@ -91,13 +105,23 @@ def prune_network(layer_weights: dict[str, np.ndarray], fraction: float,
     arrays = {name: np.asarray(w, dtype=float) for name, w in layer_weights.items()}
     budget = _budget(fraction, sum(a.size for a in arrays.values()))
     if order is not None:
-        lost = _drain({name: a.size for name, a in arrays.items()}, budget, order)
-        return {name: _masked(arrays[name], _keep_mask(np.abs(arrays[name]).reshape(-1), k))
-                for name, k in lost.items()}
+        pruned = {}
+        for name, k in _drain({nm: a.size for nm, a in arrays.items()}, budget, order).items():
+            a = arrays[name]
+            if k in (0, a.size):  # a layer the drain leaves whole or empties
+                pruned[name] = _masked(a, np.full(a.size, not k))
+            else:
+                pruned[name] = _masked(a, _keep_mask(np.abs(a).reshape(-1), k))
+        return pruned
     if not arrays:
         return {}
-    keep = _keep_mask(np.concatenate([np.abs(a).reshape(-1) for a in arrays.values()]), budget)
-    parts = np.split(keep, np.cumsum([a.size for a in arrays.values()])[:-1])
+    # every layer's magnitudes, written into one buffer in layer order
+    ends = np.cumsum([a.size for a in arrays.values()])
+    mags = np.empty(ends[-1])
+    for a, end in zip(arrays.values(), ends):
+        np.abs(a, out=mags[end - a.size:end].reshape(a.shape))
+    parts = np.split(_keep_mask(mags, budget), ends[:-1])
+    del mags  # before the pruned copies, so that it does not raise the peak
     return {name: _masked(a, part) for (name, a), part in zip(arrays.items(), parts)}
 
 
@@ -112,12 +136,21 @@ def quantize_uniform(tensor, bits: int) -> np.ndarray:
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in [1, 16], got {bits}")
     arr = np.asarray(tensor, dtype=float)
-    peak = float(np.max(np.abs(arr))) if arr.size else 0.0
+    # the largest magnitude without an array of magnitudes; a NaN peak is
+    # taken from the magnitudes, since NaN outputs carry its sign and payload
+    peak = float(max(arr.max(), -arr.min())) if arr.size else 0.0
+    if np.isnan(peak):
+        peak = float(np.max(np.abs(arr)))
     if peak == 0.0:
         return np.zeros_like(arr)
     levels = max((1 << (bits - 1)) - 1, 1)
     delta = peak / levels
-    return np.round(arr / delta) * delta
+    out = arr / delta
+    if not out.ndim:  # a 0-d tensor divides to a scalar, which has no buffer
+        return np.round(out) * delta
+    np.round(out, out=out)  # round(arr / delta) * delta, in the quotient's buffer
+    out *= delta
+    return out
 
 
 class CodecError(ValueError):
@@ -125,26 +158,39 @@ class CodecError(ValueError):
 
 
 def _word_error(words) -> CodecError:
-    value = next(v for v in words
-                 if not isinstance(v, (int, np.integer)) or not 0 <= v <= MAX_VALUE)
-    return CodecError(f"stream words must be integers in [0, {MAX_VALUE}], got {value!r}")
+    """The error naming the first word that is not an integer in
+    [0, MAX_VALUE]; without such a word, one naming none."""
+    message = f"stream words must be integers in [0, {MAX_VALUE}]"
+    for value in words:
+        if not isinstance(value, (int, np.integer)) or not 0 <= value <= MAX_VALUE:
+            return CodecError(f"{message}, got {value!r}")
+    return CodecError(message)
 
 
 def _pair_codes(words: Sequence[int]) -> np.ndarray:
-    """Validate the words and return their pair codes, run << 16 | value."""
+    """Validate the words and return their pair codes, run << 16 | value.
+
+    A 1-D integer ndarray is taken as it is: its words are all numpy
+    integers, so only their range is checked. Any other sequence has each
+    word's type checked before numpy converts it, because numpy would also
+    convert a float, a numpy bool or a 0-d array that the codec rejects.
+    """
     try:
         n = len(words)
     except TypeError:
         raise CodecError(f"stream words must be a sequence, got {type(words).__name__}") from None
-    if not all(issubclass(t, (int, np.integer)) for t in set(map(type, words))):
+    if type(words) is np.ndarray and words.ndim == 1 and words.dtype.kind in "iu":
+        arr = words.astype(np.int64, copy=False)  # a uint64 past int64 wraps negative
+    elif not all(issubclass(t, (int, np.integer)) for t in set(map(type, words))):
         raise _word_error(words)
-    try:
-        arr = np.fromiter(words, np.int64, count=n)
-    except OverflowError:  # beyond int64
-        raise _word_error(words) from None
+    else:
+        try:
+            arr = np.fromiter(words, np.int64, count=n)
+        except OverflowError:  # beyond int64
+            raise _word_error(words) from None
     if n and (arr.min() < 0 or arr.max() > MAX_VALUE):
         raise _word_error(words)
-    literals = np.flatnonzero(arr)
+    literals = np.flatnonzero(arr != 0)  # numpy scans a bool array without a branch per word
     if n and not arr[-1]:  # trailing zeros end in a literal zero
         literals = np.append(literals, n - 1)
     gaps = np.diff(literals, prepend=-1) - 1
@@ -197,16 +243,19 @@ def rle_word_count(data: bytes) -> int:
     return pairs.size + int((pairs >> VALUE_BITS).sum())
 
 
-def rle_decode(data: bytes) -> list[int]:
-    """Invert rle_encode. Rejects streams with dangling or dirty pad bits."""
+def _word_array(data: bytes) -> np.ndarray:
+    """The int64 words of a packed stream. Rejects dangling or dirty pad bits."""
     pairs = _pairs(data)
-    if not pairs.size:
-        return []
     # each pair is `run` zeros then its literal
     ends = np.cumsum((pairs >> VALUE_BITS) + 1)
-    words = np.zeros(int(ends[-1]), dtype=np.int64)
+    words = np.zeros(int(ends[-1]) if ends.size else 0, dtype=np.int64)
     words[ends - 1] = pairs & MAX_VALUE
-    return words.tolist()
+    return words
+
+
+def rle_decode(data: bytes) -> list[int]:
+    """Invert rle_encode. Rejects streams with dangling or dirty pad bits."""
+    return _word_array(data).tolist()
 
 
 def compression_ratio(words: Sequence[int]) -> float:

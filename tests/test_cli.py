@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnncost as dc
-from dnncost.cli import (MAX_PRUNE_WEIGHTS, MAX_STREAM_WORDS, MAX_VERIFY_SIZE,
-                         MAX_VERIFY_TRIALS, main)
+from dnncost.cli import (MAX_DECODE_BYTES, MAX_PRUNE_WEIGHTS, MAX_STREAM_WORDS,
+                         MAX_VERIFY_SIZE, MAX_VERIFY_TRIALS, main)
 from dnncost.netmodel import COUNT_BUDGET, WEIGHTED_KINDS
 from dnncost.stats import MAX_COUNT_SIZE
 
@@ -312,7 +312,8 @@ class TestCompress:
         assert result.stderr == f"error: --sparsity must be in [0, 1], got {float(sparsity)}\n"
 
     def test_round_trip_failure(self, runner, monkeypatch):
-        monkeypatch.setattr(dc.optkit, "rle_decode", lambda data: [])
+        # the synthetic stream's round trip decodes to an array, not a list
+        monkeypatch.setattr(dc.optkit, "_word_array", lambda data: np.zeros(0, np.int64))
         result = runner.invoke(main, ["compress", "--n", "64"])
         assert result.exit_code == 1
         assert result.stdout.splitlines()[-1] == "round trip FAILED"
@@ -342,6 +343,35 @@ class TestCompress:
             assert not out.exists()
         else:
             assert result.stdout.endswith(f" bytes -> {MAX_STREAM_WORDS} words\n")
+            assert out.read_text() == "0\n" * MAX_STREAM_WORDS
+
+    def test_decode_byte_cap_is_the_packed_word_cap(self):
+        assert MAX_DECODE_BYTES == -(-MAX_STREAM_WORDS * dc.optkit.PAIR_BITS // 8)
+
+    @pytest.mark.parametrize("size, code", [(MAX_DECODE_BYTES, 0), (MAX_DECODE_BYTES + 1, 1),
+                                            (21_000_000, 1)],
+                             ids=["at-cap", "one-over", "21MB"])
+    def test_decode_byte_cap(self, runner, tmp_path, size, code):
+        # zero bytes are (0, 0) pairs, one word each: at the cap, exactly
+        # MAX_STREAM_WORDS of them
+        packed = tmp_path / "zeros.bin"
+        packed.write_bytes(bytes(size))
+        out = tmp_path / "words.txt"
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["compress", "--decode", str(packed), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == code
+        if code:
+            assert result.stdout == ""
+            assert result.stderr == (f"error: --decode file must be at most {MAX_DECODE_BYTES} "
+                                     f"bytes, the packed size of {MAX_STREAM_WORDS} pairs\n")
+            assert not out.exists()
+            assert peak < 2 * MAX_DECODE_BYTES  # read no further than the cap
+        else:
+            assert result.stdout == f"{size} bytes -> {MAX_STREAM_WORDS} words\n"
             assert out.read_text() == "0\n" * MAX_STREAM_WORDS
 
     def test_stream_length_cap(self, runner):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dnncost as dc
-from dnncost.optkit import (MAX_VALUE, CodecError, _budget, _drain, _keep_mask,
-                            compression_ratio, prune_magnitude, prune_network,
+from dnncost.optkit import (MAX_VALUE, CodecError, _budget, _drain, _keep_mask, _pair_codes,
+                            _word_error, compression_ratio, prune_magnitude, prune_network,
                             quantize_uniform, rle_decode, rle_encode, rle_pair_count,
                             rle_word_count)
 from oracles import reference_rle_encode, reference_rle_pair_count
@@ -25,7 +26,18 @@ run_streams = st.lists(st.tuples(zero_runs, st.lists(literals, max_size=3)), max
 # words of every type the codec may be handed: each either encodes like the
 # reference or fails with its message
 HOSTILE_WORDS = [True, np.uint16(MAX_VALUE), np.int8(-1), np.uint64(2**64 - 1), 2**70,
-                 1.5, np.float64(2.0), "a", None, [1], b"\x01", np.array([1])]
+                 1.5, np.float64(2.0), "a", None, [1], b"\x01", np.array([1]),
+                 np.True_, np.array(3)]
+
+# lists mixing the word types numpy converts to one dtype in different ways
+# (np.int64 with np.uint64 gives float64), in range and out of it
+in_range = st.integers(min_value=0, max_value=MAX_VALUE)
+mixed_words = st.lists(st.one_of(
+    in_range, st.booleans(), in_range.map(np.int64), in_range.map(np.uint64),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=2**64 - 1).map(np.uint64),
+    st.sampled_from([0.0, 1.0, 2.5]) | st.floats(allow_nan=False)), max_size=40)
 
 
 class TestPruneMagnitude:
@@ -58,6 +70,12 @@ class TestPruneMagnitude:
         assert (~mask).sum() == int(0.25 * w.size)
         # survivors never lie below the pruned magnitudes
         assert np.abs(pruned[mask]).min() >= np.abs(w[~mask]).max()
+
+    def test_scalar_weight(self):
+        for fraction in (0.0, 1.0):
+            pruned, mask = prune_magnitude(-np.nan, fraction)
+            assert isinstance(pruned, np.ndarray)
+            assert_bit_identical(pruned, np.where(mask, -np.nan, 0.0))
 
 
 class TestPruneNetwork:
@@ -118,7 +136,19 @@ def stable_argsort_prune(weights, fraction, order=None):
     return out
 
 
+def nan_with(bits):
+    return np.array([bits], dtype=np.int64).view(np.float64)[0]
+
+
+# quiet NaNs with a sign bit or a payload, beside the infinities and both zeros
+ODD_FLOATS = [np.nan, -np.nan, nan_with(0x7FF8_0000_0000_0123), nan_with(-0x7_FFFF_FFFF_FFF7),
+              np.inf, -np.inf, 0.0, -0.0]
+
+
 def _layer_sets():
+    odd = np.random.default_rng(7).standard_normal(48)
+    odd[::3] = ODD_FLOATS * 2
+    grid = np.round(np.random.default_rng(8).standard_normal((6, 5)), 1)
     rng = np.random.default_rng(5)
     normal = {f"l{i}": rng.standard_normal(n) for i, n in enumerate((7, 40, 1, 23))}
     special = {nm: w.copy() for nm, w in normal.items()}
@@ -131,6 +161,10 @@ def _layer_sets():
         "special": special,
         "shaped": {"conv": np.round(rng.standard_normal((3, 2, 3, 3)), 1),
                    "fc": np.round(rng.standard_normal((4, 5)), 1)},
+        "odd": {"a": odd[:20], "b": odd[20:].reshape(4, 7)},
+        "all-tied": {"a": np.tile([1.5, -1.5], 9), "b": np.full((3, 4), -1.5),
+                     "c": np.array([0.0, -0.0] * 5)},
+        "strided": {"a": grid[:, ::2], "b": np.asfortranarray(grid)},
     }
 
 
@@ -252,6 +286,53 @@ class TestQuantizeUniform:
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
 
+def reference_quantize(a, bits):
+    """``round(a / d) * d`` with d the peak magnitude over the top level."""
+    a = np.asarray(a, dtype=float)
+    peak = float(np.max(np.abs(a))) if a.size else 0.0
+    if peak == 0.0:
+        return np.zeros_like(a)
+    d = peak / max((1 << (bits - 1)) - 1, 1)
+    return np.round(a / d) * d
+
+
+QUANT_INPUTS = {
+    "normal": np.random.default_rng(8).standard_normal(300),
+    "odd": np.array(ODD_FLOATS + [1.0, -2.5, 3.25]),
+    "nan-first": np.array([-np.nan, 1.0, -3.0]),
+    "inf": np.array([-np.inf, 0.5, -0.0]),
+    "negative-peak": np.array([-4.0, 1.0, -0.0, 3.0]),
+    "zeros": np.array([0.0, -0.0, -0.0]),
+    "empty": np.zeros(0),
+    "fortran": np.asfortranarray(np.random.default_rng(9).standard_normal((5, 4))),
+    "strided": np.arange(-10.0, 10.0)[::3],
+}
+
+
+@np.errstate(all="ignore")  # inf / inf, overflow and a zero step on extreme input
+def quantized_pair(a, bits):
+    return quantize_uniform(a, bits), reference_quantize(a, bits)
+
+
+class TestQuantizeIsBitIdentical:
+    @pytest.mark.parametrize("name", QUANT_INPUTS)
+    @pytest.mark.parametrize("bits", [1, 2, 8, 16])
+    def test_matches_round_of_quotient(self, name, bits):
+        assert_bit_identical(*quantized_pair(QUANT_INPUTS[name], bits))
+
+    @pytest.mark.parametrize("value", [2.5, -0.0, -np.nan, -np.inf])
+    def test_scalar(self, value):
+        got, want = quantized_pair(value, 4)
+        assert type(got) is type(want)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=32),
+           st.integers(min_value=1, max_value=16))
+    @settings(deadline=None, max_examples=200)
+    def test_property(self, values, bits):
+        assert_bit_identical(*quantized_pair(np.array(values, dtype=float), bits))
+
+
 class TestCodec:
     def test_byte_frozen_encoding(self):
         # (run 3, value 5) -> 00011 0000000000000101 padded to 24 bits
@@ -326,6 +407,21 @@ class TestCodec:
             assert pairs <= len(words)  # never more pairs than words
 
 
+def assert_codec_matches_scan(words):
+    """The codec accepts exactly the words the per-word type scan of the
+    reference accepts, and rejects the rest with the reference's message."""
+    try:
+        want = reference_rle_encode(words)
+    except CodecError as exc:
+        for fn in (rle_encode, rle_pair_count, compression_ratio):
+            with pytest.raises(CodecError) as info:
+                fn(words)
+            assert str(info.value) == str(exc)
+    else:
+        assert rle_encode(words) == want
+        assert rle_pair_count(words) == reference_rle_pair_count(words)
+
+
 class TestCodecAgainstReference:
     @given(run_streams)
     @settings(deadline=None, max_examples=300)
@@ -346,19 +442,50 @@ class TestCodecAgainstReference:
 
     @pytest.mark.parametrize("value", HOSTILE_WORDS, ids=repr)
     def test_hostile_word(self, value):
-        words = [0, 5, value, 0]
-        try:
-            want = reference_rle_encode(words)
-        except CodecError as exc:
-            message = f"stream words must be integers in [0, {MAX_VALUE}], got {value!r}"
-            assert str(exc) == message
-            for fn in (rle_encode, rle_pair_count, compression_ratio):
-                with pytest.raises(CodecError) as info:
-                    fn(words)
-                assert str(info.value) == message
-        else:
-            assert rle_encode(words) == want
-            assert rle_pair_count(words) == reference_rle_pair_count(words)
+        assert_codec_matches_scan([0, 5, value, 0])
+
+
+class TestCodecInputTypes:
+    @given(mixed_words)
+    @settings(deadline=None, max_examples=300)
+    @example([np.int64(1), np.uint64(2)])
+    @example([np.uint64(2**64 - 1), np.int64(1)])
+    @example([True, np.uint64(5), 0])
+    @example([2**63, 1])
+    @example([-1, 2**64])
+    def test_mixed_lists_match_the_scan(self, words):
+        assert_codec_matches_scan(words)
+
+    @given(st.sampled_from(["i1", "u1", "i2", "u2", "i4", "u4", "i8", "u8"]).flatmap(
+        lambda dtype: hnp.arrays(dtype, st.integers(min_value=0, max_value=40))))
+    @settings(deadline=None, max_examples=200)
+    def test_integer_arrays_match_the_scan(self, arr):
+        assert_codec_matches_scan(arr)
+        if arr.size and arr.min() >= 0 and arr.max() <= MAX_VALUE:
+            np.testing.assert_array_equal(_pair_codes(arr), _pair_codes(arr.tolist()))
+
+    @pytest.mark.parametrize("arr", [np.array([0, 1], dtype=bool), np.array([0.0, 1.0]),
+                                     np.array([[0, 1]]), np.array([0, 1], dtype=object),
+                                     np.array([1, 2**70], dtype=object)],
+                             ids=["bool", "float", "2-d", "object", "object-huge"])
+    def test_other_arrays_match_the_scan(self, arr):
+        assert_codec_matches_scan(arr)
+
+    def test_array_is_not_copied_or_scanned(self, monkeypatch):
+        want = rle_encode([0, 0, 7, 0])
+
+        def refuse(*args):
+            raise AssertionError("the list path ran")
+
+        monkeypatch.setattr(np, "fromiter", refuse)  # the list path's conversion
+        monkeypatch.setattr(dc.optkit, "map", refuse, raising=False)  # and its type scan
+        assert rle_encode(np.array([0, 0, 7, 0], dtype=np.int64)) == want
+
+    def test_word_error_without_a_bad_word(self):
+        # the caller found a bad word; a scan that finds none still gives an error
+        assert str(_word_error([0, 1])) == f"stream words must be integers in [0, {MAX_VALUE}]"
+        assert str(_word_error([0, -1])) == \
+            f"stream words must be integers in [0, {MAX_VALUE}], got -1"
 
 
 class TestCodecHostileInput:
