@@ -31,12 +31,15 @@ if TYPE_CHECKING:
     from .archmodel import ArchConfig
 
 DATAFLOW_NAMES = tuple(k.value for k in DataflowKind)
-# longest stream `compress` draws (--n) or decodes (--decode); its arrays
-# grow with the length
+# longest stream `compress` draws (--n), encodes (--encode) or decodes
+# (--decode); its arrays grow with the length
 MAX_STREAM_WORDS = 1 << 20
 # largest --decode file: every 21-bit pair decodes to at least one word, so a
 # stream within MAX_STREAM_WORDS packs into at most this many bytes
 MAX_DECODE_BYTES = MAX_STREAM_WORDS * 21 // 8
+# longest --encode file: the text --decode writes for MAX_STREAM_WORDS words,
+# each at most five digits and a newline
+MAX_ENCODE_CHARS = MAX_STREAM_WORDS * 6
 # largest `kernels verify --size` and `--trials`: every trial runs four
 # convolutions of a size x size input
 MAX_VERIFY_SIZE = 256
@@ -397,7 +400,14 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
         raise click.UsageError("--encode needs --out for the packed stream")
     if encode_path is not None:
         with open(encode_path, encoding="utf-8") as fh:
-            words = [int(token) for token in fh.read().split()]
+            text = fh.read(MAX_ENCODE_CHARS + 1)  # bounded, as --decode reads
+        if len(text) > MAX_ENCODE_CHARS:
+            _fail(f"--encode file must be at most {MAX_ENCODE_CHARS} characters")
+        if len(tokens := text.split()) > MAX_STREAM_WORDS:  # before any word is built
+            _fail(f"--encode file must hold at most {MAX_STREAM_WORDS} words, got {len(tokens)}")
+        del text
+        words = [int(token) for token in tokens]
+        del tokens  # so neither the text nor its tokens is alive for the pair codes
         codes = _pair_codes(words)
         ratio = _ratio(codes.size, len(words))  # raises on no words, so before writing
         data = _pack(codes)

@@ -16,19 +16,19 @@ Each dataflow is summarized by a small table of reuse factors per data type:
 A table also records the layer it was computed for, which carries its batch
 size and its counts, so counting a table needs nothing else.
 
-Counting rules, with T (the MACs over the whole batch), Di, Dw and Do from
-``layer.stats``:
+One counting rule covers every data type, with T (the MACs over the whole
+batch) and the type's unique volume U (Di, Dw or Do) from ``layer.stats``.
+k = 2 for partial sums, whose RF accesses and buffer updates each read and
+write, and 1 for inputs and weights; share is ``multicast`` for inputs and
+weights, ``spatial_accum`` for partial sums:
 
-* RF: T per resident read type, 2T for resident partial sums, else 0
-* NoC: deliveries = ceil(T / rf_reuse), floored at the unique volume
-  (deliveries can never undercut the distinct words consumed)
-* buffer: ceil(deliveries / multicast) for read types, floored at the
-  unique volume; partial-sum updates count read + write, so
-  2 * ceil(T / (rf_reuse * spatial_accum)), floored at Do
-* DRAM: the unique volume, fetched or written exactly once (ideal DRAM,
-  no capacity-induced refetch)
+* RF: k * T if the type is resident, else 0
+* NoC: ceil(T / rf_reuse), floored at U (deliveries can never undercut the
+  distinct words consumed)
+* buffer: k * ceil(T / (rf_reuse * share)), floored at U
+* DRAM: U, each word fetched or written once (ideal DRAM, no refetch)
 
-Every reuse factor is an integer >= 1, so no rule needs a ceiling: no count
+Every reuse factor is an integer >= 1, so the rule needs no ceiling: no count
 exceeds 2T or a unique volume, and for a layer from ``resolve_shapes``, whose
 counts are within ``netmodel.COUNT_BUDGET``, every count fits int64.
 
@@ -149,34 +149,26 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig) ->
 
 
 def access_counts(factors: ReuseFactors) -> AccessCounts:
-    """Evaluate the counting rules for the layer of one factor table."""
+    """Evaluate the counting rule for the layer of one factor table."""
     layer = factors.layer
     st = layer.stats
     t = st.macs
 
     acc: dict[str, dict[str, int]] = {}
-    for dtype, fac, unique in (("input", factors.input, st.di),
-                               ("weight", factors.weight, st.dw)):
-        deliveries = max(_ceildiv(t, fac.rf_reuse), unique)
+    for dtype, fac, unique, k, share in (
+            ("input", factors.input, st.di, 1, factors.input.multicast),
+            ("weight", factors.weight, st.dw, 1, factors.weight.multicast),
+            ("psum", factors.psum, st.do, 2, factors.psum.spatial_accum)):
         acc[dtype] = {
-            "rf": t if fac.resident else 0,
-            "noc": deliveries,
-            "buf": max(unique, _ceildiv(deliveries, fac.multicast)),
+            "rf": k * t if fac.resident else 0,
+            "noc": max(_ceildiv(t, fac.rf_reuse), unique),
+            "buf": max(k * _ceildiv(t, fac.rf_reuse * share), unique),
             "dram": unique,
         }
-
-    fac = factors.psum
-    updates = _ceildiv(t, fac.rf_reuse * fac.spatial_accum)
-    acc["psum"] = {
-        "rf": 2 * t if fac.resident else 0,
-        "noc": max(_ceildiv(t, fac.rf_reuse), st.do),
-        "buf": max(st.do, 2 * updates),
-        "dram": st.do,  # output writes only
-    }
     return AccessCounts(layer=layer.name, kind=factors.kind, total_macs=t, acc=acc)
 
 
 def layer_access_counts(kind: DataflowKind, layer: ResolvedLayer,
                         arch: ArchConfig) -> AccessCounts:
-    """Convenience: factor table and counting rules in one step."""
+    """Convenience: factor table and counting rule in one step."""
     return access_counts(reuse_factors(kind, layer, arch))

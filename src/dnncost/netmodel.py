@@ -251,13 +251,10 @@ shape_key = attrgetter(*(f.name for f in fields(ResolvedLayer)
 
 @dataclass(frozen=True)
 class ResolvedNetwork:
-    """A network with every layer resolved at one batch size."""
+    """A network resolved at one batch size; ``layers[0]`` reads its input."""
 
     name: str
     batch: int
-    in_channels: int
-    in_height: int
-    in_width: int
     layers: tuple[ResolvedLayer, ...]
 
 
@@ -384,15 +381,15 @@ def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
         elif spec.kind == "add":
             if len(set(feeds)) != 1:
                 raise ShapeError(f"{where}add feeds disagree on shape")
-        elif spec.kind == "fc":
-            m, e, f, kernel, bias = spec.out_channels, 1, 1, (h, w), spec.bias
-        elif spec.kind in ("conv", "pool"):
-            if spec.kind == "conv":
+        elif spec.kind in ("conv", "fc", "pool"):
+            if spec.kind in WEIGHTED_KINDS:
                 m, groups, bias = spec.out_channels, spec.groups, spec.bias
                 if c % groups or m % groups:
                     raise ShapeError(
                         f"{where}channels {c} -> {m} not divisible by groups {groups}")
-            kernel, stride, pad = spec.kernel, spec.stride, spec.pad
+            # LayerSpec pins an fc's stride, pad and groups to 1, 0, 1: output 1 x 1
+            kernel = (h, w) if spec.kind == "fc" else spec.kernel
+            stride, pad = spec.stride, spec.pad
             e = out_extent(h, kernel[0], stride, pad, where)
             f = out_extent(w, kernel[1], stride, pad, where)
             if spec.connections is not None and spec.connections > m * (c // groups):
@@ -412,6 +409,4 @@ def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
         resolved.append(layer)
         out_shapes[spec.name] = (m, e, f)
         prev = (spec.name,)
-    return ResolvedNetwork(name=net.name, batch=batch, in_channels=net.in_channels,
-                           in_height=net.in_height, in_width=net.in_width,
-                           layers=tuple(resolved))
+    return ResolvedNetwork(name=net.name, batch=batch, layers=tuple(resolved))

@@ -128,10 +128,12 @@ def prune_network(layer_weights: dict[str, np.ndarray], fraction: float,
 def quantize_uniform(tensor, bits: int) -> np.ndarray:
     """Symmetric uniform quantization to 2**(bits-1) - 1 magnitude levels.
 
-    The peak magnitude maps exactly to the top level, so requantizing a
-    quantized tensor is the identity. An all-zero tensor stays all zero.
-    At bits = 1 the level count degenerates; it is clamped to one level,
-    leaving outputs in {-peak, 0, +peak}.
+    The step is the peak magnitude over the level count, so the peak maps to
+    the top level, whose value may differ from the peak in the last bit:
+    [7.37] at 4 bits gives 7.370000000000001. Requantizing keeps every value
+    on its level, and an all-zero tensor stays all zero. At bits = 1 the
+    level count degenerates; it is clamped to one level, leaving outputs in
+    {-peak, 0, +peak}.
     """
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in [1, 16], got {bits}")

@@ -249,9 +249,15 @@ def reference_factors(kind, layer, arch, batch):
 
 
 def reference_counts(kind, layer, arch, batch):
-    """Access counts with every clamp spelled out as max(lo, min(x, hi))."""
-    factors = reference_factors(kind, layer, arch, batch)
-    st = reference_layer_stats(replace(layer, batch=batch))
+    """Access counts of ``layer`` at ``batch`` under one dataflow."""
+    return reference_table_counts(reference_factors(kind, layer, arch, batch))
+
+
+def reference_table_counts(factors):
+    """Access counts of any factor table, its layer's batch included, with
+    every clamp spelled out as max(lo, min(x, hi))."""
+    layer = factors.layer
+    st = reference_layer_stats(layer)
     t = st.macs
     unique = {"input": st.di, "weight": st.dw, "psum": st.do}
     acc = {}

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnncost as dc
-from dnncost.cli import (MAX_DECODE_BYTES, MAX_PRUNE_WEIGHTS, MAX_STREAM_WORDS,
-                         MAX_VERIFY_SIZE, MAX_VERIFY_TRIALS, main)
+from dnncost.cli import (MAX_DECODE_BYTES, MAX_ENCODE_CHARS, MAX_PRUNE_WEIGHTS,
+                         MAX_STREAM_WORDS, MAX_VERIFY_SIZE, MAX_VERIFY_TRIALS, main)
 from dnncost.netmodel import COUNT_BUDGET, WEIGHTED_KINDS
 from dnncost.stats import MAX_COUNT_SIZE
 
@@ -374,6 +374,43 @@ class TestCompress:
             assert result.stdout == f"{size} bytes -> {MAX_STREAM_WORDS} words\n"
             assert out.read_text() == "0\n" * MAX_STREAM_WORDS
 
+    def test_encode_at_the_caps(self, runner, tmp_path):
+        # the longest text --decode writes encodes to a file --decode accepts
+        source = tmp_path / "words.txt"
+        source.write_text("65535\n" * MAX_STREAM_WORDS)
+        packed = tmp_path / "packed.bin"
+        result = runner.invoke(main, ["compress", "--encode", str(source), "--out", str(packed)])
+        assert result.exit_code == 0
+        assert result.stdout.startswith(f"{MAX_STREAM_WORDS} words -> {MAX_DECODE_BYTES} bytes ")
+        assert packed.read_bytes() == dc.rle_encode([65535] * MAX_STREAM_WORDS)
+
+    @pytest.mark.parametrize("word, count, tail, error", [
+        ("1 ", MAX_STREAM_WORDS + 1, "",
+         f"must hold at most {MAX_STREAM_WORDS} words, got {MAX_STREAM_WORDS + 1}"),
+        ("65535\n", MAX_STREAM_WORDS, "7", f"must be at most {MAX_ENCODE_CHARS} characters"),
+        ("12345 ", 3_500_000, "", f"must be at most {MAX_ENCODE_CHARS} characters"),
+    ], ids=["one-word-over", "one-char-over", "21MB"])
+    def test_encode_over_a_cap(self, runner, tmp_path, word, count, tail, error):
+        source = tmp_path / "words.txt"
+        source.write_text(word * count + tail)
+        packed = tmp_path / "packed.bin"
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["compress", "--encode", str(source),
+                                          "--out", str(packed)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: --encode file {error}\n"
+        assert not packed.exists()
+        # the text read up to the cap and one pointer per token; no word built
+        assert peak < 3 * MAX_ENCODE_CHARS
+
+    def test_encode_char_cap_is_the_longest_decoded_text(self):
+        assert MAX_ENCODE_CHARS == len(f"{dc.optkit.MAX_VALUE}\n") * MAX_STREAM_WORDS
+
     def test_stream_length_cap(self, runner):
         over = runner.invoke(main, ["compress", "--n", str(MAX_STREAM_WORDS + 1)])
         assert over.exit_code == 1
@@ -703,6 +740,10 @@ class TestNumpyFreeStart:
     def test_package_names_resolve_on_first_use(self):
         result = _fresh_python(_PACKAGE_API)
         assert result.returncode == 0, result.stderr
+
+    def test_dir_lists_every_lazy_name(self):
+        # _PACKAGE_API checks the public names only, and in a fresh process
+        assert set(dc._LAZY) <= set(dir(dc))
 
 
 class TestErrorBoundary:

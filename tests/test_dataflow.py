@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import dnncost as dc
 from dnncost.cli import main
-from dnncost.dataflow import DATA_TYPES, DataflowKind, access_counts, reuse_factors
+from dnncost.dataflow import (DATA_TYPES, DataflowKind, ReuseFactors, TypeReuse, access_counts,
+                              reuse_factors)
 from dnncost.netmodel import NetworkSemanticError, ResolvedLayer
-from oracles import RESIDENT, make_conv, simulate_accesses
+from oracles import RESIDENT, make_conv, reference_table_counts, simulate_accesses
 
 KINDS = list(DataflowKind)
 
@@ -164,6 +165,24 @@ class TestCountsNeedNoCeiling:
         assert acc["input"]["buf"] <= acc["input"]["noc"]
         assert acc["weight"]["buf"] <= acc["weight"]["noc"]
         assert acc["psum"]["buf"] <= max(2 * t, layer.stats.do)
+
+
+FACTORS = st.integers(1, 8) | st.integers(1, 10**6)
+REUSE = st.builds(TypeReuse, resident=st.booleans(), rf_reuse=FACTORS, multicast=FACTORS,
+                  spatial_accum=FACTORS)
+
+
+class TestOneRule:
+    """One rule counts every data type. On any table whose factors are ints
+    >= 1, hand-built ones included, it equals the reference's chained
+    clamps, which count partial sums apart and floor the NoC count before
+    dividing it by the multicast."""
+
+    @given(factors=st.builds(ReuseFactors, kind=st.sampled_from(KINDS),
+                             layer=hand_built_layers(), input=REUSE, weight=REUSE, psum=REUSE))
+    @settings(deadline=None, max_examples=500)
+    def test_equals_the_chained_clamps_on_any_table(self, factors):
+        assert access_counts(factors) == reference_table_counts(factors)
 
 
 class TestAccessCounts:

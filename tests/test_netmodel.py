@@ -168,14 +168,28 @@ class TestResolve:
         with pytest.raises(ShapeError, match="connections"):
             dc.resolve_shapes(net)
 
-    def test_fc_takes_full_input_extent(self):
-        net = dc.parse_network(doc(
-            [{"type": "fc", "name": "f", "out_channels": 10}],
-            channels=3, height=7, width=5))
-        layer = dc.resolve_shapes(net).layers[0]
-        assert layer.kernel == (7, 5)
-        assert (layer.out_height, layer.out_width) == (1, 1)
-        assert layer.out_channels == 10
+    @pytest.mark.parametrize("feeds, net_input, fc_input, bias", [
+        ([], (3, 7, 5), (3, 7, 5), True),
+        ([conv("a", out_channels=4, stride=2)], (1, 8, 8), (4, 4, 4), True),
+        ([{"type": "pool", "name": "a", "kernel": [2, 2], "stride": 2}], (2, 8, 6), (2, 4, 3),
+         True),
+        ([conv("a", out_channels=3), conv("b", input="a", out_channels=5),
+          {"type": "concat", "name": "m", "inputs": ["a", "b"]}], (1, 8, 8), (8, 8, 8), True),
+        ([conv("a", out_channels=3), conv("b", input="a", out_channels=3),
+          {"type": "add", "name": "m", "inputs": ["a", "b"]}], (1, 8, 8), (3, 8, 8), True),
+        ([], (3, 1, 1), (3, 1, 1), True),
+        ([], (3, 7, 5), (3, 7, 5), False),
+    ], ids=["input", "conv", "pool", "concat", "add", "1x1", "no-bias"])
+    def test_fc_takes_full_input_extent(self, feeds, net_input, fc_input, bias):
+        fc = {"type": "fc", "name": "f", "out_channels": 10, "bias": bias}
+        net = dc.resolve_shapes(dc.parse_network(doc([*feeds, fc], *net_input)), batch=2)
+        c, h, w = fc_input
+        want = ResolvedLayer(kind="fc", name="f", batch=2, in_channels=c, in_height=h,
+                             in_width=w, out_channels=10, out_height=1, out_width=1,
+                             kernel=(h, w), stride=1, pad=0, groups=1, bias=bias,
+                             connections=None, inputs=(feeds[-1]["name"],) if feeds else ())
+        assert net.layers[-1] == want
+        assert net.layers[-1].stats == want.stats
 
     def test_concat_sums_channels(self):
         layers = [conv("a", out_channels=3), conv("b", input="a", out_channels=5),
