@@ -31,9 +31,9 @@ _LAZY = {
                      "NetworkSemanticError", "NetworkSpec", "NetworkSyntaxError",
                      "ResolvedLayer", "ResolvedNetwork", "ShapeError", "parse_network",
                      "resolve_shapes", "serialize_network"), "netmodel"),
-    **dict.fromkeys(("optkit", "CodecError", "compression_ratio", "prune_magnitude",
-                     "prune_network", "quantize_uniform", "rle_decode", "rle_encode",
-                     "rle_pair_count", "rle_word_count"), "optkit"),
+    **dict.fromkeys(("optkit", "CodecError", "compression_ratio", "prune_network",
+                     "quantize_uniform", "rle_decode", "rle_encode", "rle_pair_count",
+                     "rle_word_count"), "optkit"),
     **dict.fromkeys(("stats", "MultCount", "NetworkStats", "layer_stats", "mult_count",
                      "network_stats", "next_pow2"), "stats"),
     **dict.fromkeys(("zoo", "BUILTIN_NAMES", "builtin", "builtin_document"), "zoo"),

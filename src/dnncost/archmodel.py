@@ -52,11 +52,6 @@ class EnergyTable:
                 f"energy costs must be ordered rf <= noc <= buf <= dram, got "
                 f"({self.rf}, {self.noc}, {self.buf}, {self.dram})")
 
-    def cost(self, level: str) -> float:
-        if level not in LEVELS:
-            raise ArchError(f"unknown hierarchy level {level!r}")
-        return getattr(self, level)
-
 
 @dataclass(frozen=True)
 class ArchConfig:

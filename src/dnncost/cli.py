@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success, 1 on bad input data (unreadable files, malformed
 descriptions, values out of range), 2 on command-line usage errors.
-``_Main.invoke`` is the one place where a library error becomes exit 1: a
-ValueError or OSError raised anywhere under a command prints
-``error: <message>``. The commands' own range checks print the same way
-through ``_fail``. A closed stdout pipe exits 1 quietly, as click handles it.
+``_Main.invoke`` is the one place where any data error becomes exit 1: a
+ValueError or OSError raised anywhere under a command, the CLI's own range
+and cap checks included, prints ``error: <message>``. A closed stdout pipe
+exits 1 quietly, as click handles it.
 Output is deterministic: the same invocation always produces the same bytes.
 A report command receives its loaded inputs and returns one ``_Report``: the
 decorators that declare the shared options load them, and ``_report_options``
@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import io
 import json
-from typing import TYPE_CHECKING, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, NamedTuple
 
 import click
 
@@ -47,11 +47,18 @@ MAX_VERIFY_TRIALS = 1000
 # most weights `prune` takes, in either order; only the magnitude order draws
 # them, one float64 each: vgg16's 138,344,128 fit
 MAX_PRUNE_WEIGHTS = 150_000_000
+# longest --net or --arch file: 63 times googlenet's 16,703 characters
+MAX_DESCRIPTION_CHARS = 1 << 20
 
 
-def _fail(message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
-    raise SystemExit(1)
+def _read_text(path: str, flag: str, cap: int) -> str:
+    """The text of a file named by ``flag``, read no further than one
+    character past ``cap``, so that a long file or a pipe is cheap."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read(cap + 1)
+    if len(text) > cap:
+        raise ValueError(f"{flag} file must be at most {cap} characters")
+    return text
 
 
 def _network_options(fn):
@@ -63,8 +70,7 @@ def _network_options(fn):
         if builtin_name is not None:
             spec = builtin(builtin_name)
         else:
-            with open(net_path, encoding="utf-8") as fh:
-                spec = parse_network(fh.read())
+            spec = parse_network(_read_text(net_path, "--net", MAX_DESCRIPTION_CHARS))
         return fn(resolve_shapes(spec, batch=batch), *args, **kwargs)
 
     with_network = click.option("--batch", type=int, default=1, show_default=True,
@@ -109,15 +115,14 @@ def _load_arch(arch_path) -> ArchConfig:
     from .archmodel import default_arch, parse_arch
     if arch_path is None:
         return default_arch()
-    with open(arch_path, encoding="utf-8") as fh:
-        return parse_arch(fh.read())
+    return parse_arch(_read_text(arch_path, "--arch", MAX_DESCRIPTION_CHARS))
 
 
 def _rng(seed: int):
     """A seeded numpy generator. numpy is imported here, not at module level,
     so that the commands that never touch an array start without it."""
     if seed < 0:
-        _fail(f"--seed must be >= 0, got {seed}")
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     import numpy as np
     return np.random.default_rng(seed)
 
@@ -192,7 +197,8 @@ class _Main(click.Group):
         except BrokenPipeError:
             raise  # a closed stdout: click exits 1 quietly
         except (OSError, ValueError) as exc:
-            _fail(str(exc))
+            click.echo(f"error: {exc}", err=True)
+            raise SystemExit(1)
 
 
 @click.group(cls=_Main)
@@ -325,10 +331,10 @@ def kernels_verify_cmd(trials, size, seed):
     """Cross-check all transforms against direct convolution."""
     from . import kernels
     if not 1 <= trials <= MAX_VERIFY_TRIALS:
-        _fail(f"--trials must be in [1, {MAX_VERIFY_TRIALS}], got {trials}")
+        raise ValueError(f"--trials must be in [1, {MAX_VERIFY_TRIALS}], got {trials}")
     # the smallest input a 3x3 filter fits
     if size is not None and not 3 <= size <= MAX_VERIFY_SIZE:
-        _fail(f"--size must be in [3, {MAX_VERIFY_SIZE}], got {size}")
+        raise ValueError(f"--size must be in [3, {MAX_VERIFY_SIZE}], got {size}")
     rng = _rng(seed)
     worst = {name: 0.0 for name, _, _ in _VERIFY_ROUTES}
     for _ in range(trials):
@@ -399,12 +405,10 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     if encode_path is not None and out_path is None:
         raise click.UsageError("--encode needs --out for the packed stream")
     if encode_path is not None:
-        with open(encode_path, encoding="utf-8") as fh:
-            text = fh.read(MAX_ENCODE_CHARS + 1)  # bounded, as --decode reads
-        if len(text) > MAX_ENCODE_CHARS:
-            _fail(f"--encode file must be at most {MAX_ENCODE_CHARS} characters")
+        text = _read_text(encode_path, "--encode", MAX_ENCODE_CHARS)
         if len(tokens := text.split()) > MAX_STREAM_WORDS:  # before any word is built
-            _fail(f"--encode file must hold at most {MAX_STREAM_WORDS} words, got {len(tokens)}")
+            raise ValueError(f"--encode file must hold at most {MAX_STREAM_WORDS} words, "
+                             f"got {len(tokens)}")
         del text
         words = [int(token) for token in tokens]
         del tokens  # so neither the text nor its tokens is alive for the pair codes
@@ -420,10 +424,11 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
         with open(decode_path, "rb") as fh:
             data = fh.read(MAX_DECODE_BYTES + 1)  # bounded, so a long file or a pipe is cheap
         if len(data) > MAX_DECODE_BYTES:
-            _fail(f"--decode file must be at most {MAX_DECODE_BYTES} bytes, "
-                  f"the packed size of {MAX_STREAM_WORDS} pairs")
+            raise ValueError(f"--decode file must be at most {MAX_DECODE_BYTES} bytes, "
+                             f"the packed size of {MAX_STREAM_WORDS} pairs")
         if (count := rle_word_count(data)) > MAX_STREAM_WORDS:  # before any word is built
-            _fail(f"--decode stream must hold at most {MAX_STREAM_WORDS} words, got {count}")
+            raise ValueError(f"--decode stream must hold at most {MAX_STREAM_WORDS} words, "
+                             f"got {count}")
         words = rle_decode(data)
         text = "".join(f"{word}\n" for word in words)
         _emit(text, out_path)
@@ -431,9 +436,9 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
             click.echo(f"{len(data)} bytes -> {len(words)} words")
         return
     if not 1 <= length <= MAX_STREAM_WORDS:
-        _fail(f"--n must be in [1, {MAX_STREAM_WORDS}], got {length}")
+        raise ValueError(f"--n must be in [1, {MAX_STREAM_WORDS}], got {length}")
     if not 0.0 <= sparsity <= 1.0:
-        _fail(f"--sparsity must be in [0, 1], got {sparsity}")
+        raise ValueError(f"--sparsity must be in [0, 1], got {sparsity}")
     rng = _rng(seed)
     values = rng.integers(1, MAX_VALUE + 1, size=length)
     zero = rng.random(length) < sparsity
@@ -467,11 +472,11 @@ def prune_cmd(net, fraction, order, arch_path, seed):
     from .optkit import _budget, _drain, _keep_mask
     sizes = {layer.name: layer.stats.dw for layer in net.layers if layer.kind in WEIGHTED_KINDS}
     if not sizes:
-        _fail(f"network {net.name!r} has no weighted layers")
+        raise ValueError(f"network {net.name!r} has no weighted layers")
     total = sum(sizes.values())
     if total > MAX_PRUNE_WEIGHTS:
-        _fail(f"network {net.name!r} has more than {MAX_PRUNE_WEIGHTS} weights, "
-              f"the most prune draws")
+        raise ValueError(f"network {net.name!r} has more than {MAX_PRUNE_WEIGHTS} weights, "
+                         f"the most prune draws")
     rng = _rng(seed)  # checks --seed in either order
     if order == "energy":  # the drain needs no weight values, so none are drawn
         from .energy import Modifiers, network_energy

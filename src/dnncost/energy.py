@@ -155,8 +155,8 @@ def network_energy(net: ResolvedNetwork, kind: DataflowKind, arch: ArchConfig,
 
 @dataclass(frozen=True)
 class DataflowComparison:
-    """One dataflow's network totals, its ratios to the cheapest dataflow,
-    its breakdowns and its per-layer totals."""
+    """One dataflow's network totals, its ratios to the cheapest dataflow
+    and its breakdowns."""
 
     kind: str
     total: float
@@ -166,7 +166,6 @@ class DataflowComparison:
     by_type: dict[str, float]
     by_level: dict[str, float]
     compute: float
-    layer_totals: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -190,13 +189,11 @@ def compare_dataflows(net: ResolvedNetwork, arch: ArchConfig,
     raw = []
     for kind in DataflowKind:
         reports, agg = network_energy(net, kind, arch, mods)
-        totals = [(r.layer, r.total) for r in reports]  # each total read once
-        conv_total = sum(t for name, t in totals if kinds[name] == "conv")
-        layer_totals = dict(totals)
-        raw.append((kind.value, agg, agg.total, conv_total, layer_totals))
+        conv_total = sum(r.total for r in reports if kinds[r.layer] == "conv")
+        raw.append((kind.value, agg, agg.total, conv_total))
 
-    best = min(total for _, _, total, _, _ in raw)
-    conv_best = min(ct for _, _, _, ct, _ in raw)
+    best = min(total for _, _, total, _ in raw)
+    conv_best = min(ct for _, _, _, ct in raw)
     entries = tuple(
         DataflowComparison(
             kind=kind,
@@ -207,9 +204,8 @@ def compare_dataflows(net: ResolvedNetwork, arch: ArchConfig,
             by_type=agg.by_type,
             by_level=agg.by_level,
             compute=agg.compute,
-            layer_totals=layer_totals,
         )
-        for kind, agg, total, conv_total, layer_totals in raw
+        for kind, agg, total, conv_total in raw
     )
     winner = min(entries, key=lambda en: en.total).kind
     conv_winner = min(entries, key=lambda en: en.conv_total).kind

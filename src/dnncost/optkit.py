@@ -19,6 +19,7 @@ must come as a sequence, not a one-shot iterator: they are read repeatedly.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -83,15 +84,6 @@ def _masked(arr: np.ndarray, keep: np.ndarray):
     return bits.view(np.float64), keep
 
 
-def prune_magnitude(weights, fraction: float):
-    """Zero the floor(fraction * n) smallest-magnitude weights, by the tie
-    rule of ``_keep_mask``. Returns the pruned copy, made by the branch-free
-    select of ``_masked``, and the boolean keep-mask.
-    """
-    arr = np.asarray(weights, dtype=float)
-    return _masked(arr, _keep_mask(np.abs(arr).reshape(-1), _budget(fraction, arr.size)))
-
-
 def prune_network(layer_weights: dict[str, np.ndarray], fraction: float,
                   order: dict[str, float] | None = None):
     """Prune a per-layer weight dictionary to a global fraction.
@@ -133,7 +125,9 @@ def quantize_uniform(tensor, bits: int) -> np.ndarray:
     [7.37] at 4 bits gives 7.370000000000001. Requantizing keeps every value
     on its level, and an all-zero tensor stays all zero. At bits = 1 the
     level count degenerates; it is clamped to one level, leaving outputs in
-    {-peak, 0, +peak}.
+    {-peak, 0, +peak}. Finite input gives finite output: a step that
+    underflows to zero returns the values as they are, each its own nearest
+    level, and a step whose top level would overflow is taken one ulp lower.
     """
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in [1, 16], got {bits}")
@@ -147,6 +141,10 @@ def quantize_uniform(tensor, bits: int) -> np.ndarray:
         return np.zeros_like(arr)
     levels = max((1 << (bits - 1)) - 1, 1)
     delta = peak / levels
+    if delta == 0.0:  # a subnormal peak: the step is below the float spacing
+        return arr * 1.0  # a copy, and a scalar for a 0-d tensor as below
+    if math.isinf(levels * delta) and not math.isinf(peak):  # delta rounded up
+        delta = math.nextafter(delta, 0.0)
     out = arr / delta
     if not out.ndim:  # a 0-d tensor divides to a scalar, which has no buffer
         return np.round(out) * delta

@@ -282,13 +282,13 @@ def reference_table_counts(factors):
 
 
 def reference_layer_energy(counts, arch, mods):
-    """Price each (type, level) cell with its own cost() lookup."""
+    """Price each (type, level) cell with its own cost lookup."""
     bi = arch.word_bits if mods.bits_in is None else mods.bits_in
     bw = arch.word_bits if mods.bits_w is None else mods.bits_w
     width = {"input": bi, "weight": bw, "psum": arch.word_bits}
     movement = {
         dtype: {
-            level: counts.acc[dtype][level] * arch.energy.cost(level)
+            level: counts.acc[dtype][level] * getattr(arch.energy, level)
                    * width[dtype] / arch.word_bits
             for level in LEVELS
         }
@@ -334,18 +334,17 @@ def reference_compare(net, arch, mods):
     for kind in DataflowKind:
         reports, agg = reference_network_energy(net, kind, arch, mods)
         conv_total = sum(reference_total(r) for r in reports if kinds[r.layer] == "conv")
-        raw.append((kind.value, agg, reference_total(agg), conv_total,
-                    {r.layer: reference_total(r) for r in reports}))
-    best = min(total for _, _, total, _, _ in raw)
-    conv_best = min(ct for _, _, _, ct, _ in raw)
+        raw.append((kind.value, agg, reference_total(agg), conv_total))
+    best = min(total for _, _, total, _ in raw)
+    conv_best = min(ct for _, _, _, ct in raw)
     entries = tuple(
         DataflowComparison(
             kind=kind, total=total, conv_total=conv_total,
             ratio=total / best,
             conv_ratio=conv_total / conv_best if conv_best else 1.0,
             by_type=reference_by_type(agg), by_level=reference_by_level(agg),
-            compute=agg.compute, layer_totals=layer_totals)
-        for kind, agg, total, conv_total, layer_totals in raw)
+            compute=agg.compute)
+        for kind, agg, total, conv_total in raw)
     return ComparisonReport(
         network=net.name, batch=net.batch, entries=entries,
         winner=min(entries, key=lambda en: en.total).kind,

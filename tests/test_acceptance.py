@@ -97,14 +97,17 @@ def test_criterion_03_transform_agreement():
 
 def test_criterion_04_dataflow_ranking():
     net = dc.resolve_shapes(dc.builtin("alexnet"))
-    report = dc.compare_dataflows(net, dc.default_arch())
+    arch = dc.default_arch()
+    report = dc.compare_dataflows(net, arch)
     entries = {e.kind: e for e in report.entries}
     conv_names = [l.name for l in net.layers if l.kind == "conv"]
+    per_layer = {kind.value: {rep.layer: rep.total
+                              for rep in dc.network_energy(net, kind, arch)[0]}
+                 for kind in dc.DataflowKind}
 
     assert report.conv_winner == "rs"
-    rs_layers = entries["rs"].layer_totals
     wins = sum(
-        all(rs_layers[name] <= entries[k].layer_totals[name]
+        all(per_layer["rs"][name] <= per_layer[k][name]
             for k in ("ws", "os", "nlr"))
         for name in conv_names)
     assert wins >= 4, f"rs cheapest on only {wins}/5 conv layers"

@@ -22,12 +22,6 @@ class TestDefaults:
         assert (arch.energy.rf, arch.energy.noc,
                 arch.energy.buf, arch.energy.dram) == (1, 2, 6, 200)
 
-    def test_cost_lookup(self, arch):
-        assert [arch.energy.cost(lv) for lv in ("rf", "noc", "buf", "dram")] \
-            == [1, 2, 6, 200]
-        with pytest.raises(ArchError):
-            arch.energy.cost("l2")
-
 
 class TestValidation:
     def test_energy_ordering_enforced(self):

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnncost as dc
-from dnncost.cli import (MAX_DECODE_BYTES, MAX_ENCODE_CHARS, MAX_PRUNE_WEIGHTS,
-                         MAX_STREAM_WORDS, MAX_VERIFY_SIZE, MAX_VERIFY_TRIALS, main)
+from dnncost.cli import (MAX_DECODE_BYTES, MAX_DESCRIPTION_CHARS, MAX_ENCODE_CHARS,
+                         MAX_PRUNE_WEIGHTS, MAX_STREAM_WORDS, MAX_VERIFY_SIZE,
+                         MAX_VERIFY_TRIALS, main)
 from dnncost.netmodel import COUNT_BUDGET, WEIGHTED_KINDS
 from dnncost.stats import MAX_COUNT_SIZE
 
@@ -205,13 +206,16 @@ class TestKernelsCommands:
     def test_verify_rejects_tiny_size(self, runner):
         result = runner.invoke(main, ["kernels", "verify", "--size", "2"])
         assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: --size must be in [3, {MAX_VERIFY_SIZE}], got 2\n"
 
     @pytest.mark.parametrize("flag, cap", [("--size", MAX_VERIFY_SIZE),
                                            ("--trials", MAX_VERIFY_TRIALS)])
     def test_verify_caps(self, runner, flag, cap):
+        low = {"--size": 3, "--trials": 1}[flag]
         result = runner.invoke(main, ["kernels", "verify", flag, str(cap + 1)])
         assert result.exit_code == 1
-        assert f", {cap}], got {cap + 1}" in result.stderr
+        assert result.stderr == f"error: {flag} must be in [{low}, {cap}], got {cap + 1}\n"
         assert result.stdout == ""
 
     @pytest.mark.parametrize("args", [
@@ -339,7 +343,9 @@ class TestCompress:
         result = runner.invoke(main, ["compress", "--decode", str(packed), "--out", str(out)])
         assert result.exit_code == code
         if code:
-            assert f"got {MAX_STREAM_WORDS + 1}" in result.stderr
+            assert result.stdout == ""
+            assert result.stderr == (f"error: --decode stream must hold at most "
+                                     f"{MAX_STREAM_WORDS} words, got {MAX_STREAM_WORDS + 1}\n")
             assert not out.exists()
         else:
             assert result.stdout.endswith(f" bytes -> {MAX_STREAM_WORDS} words\n")
@@ -414,8 +420,9 @@ class TestCompress:
     def test_stream_length_cap(self, runner):
         over = runner.invoke(main, ["compress", "--n", str(MAX_STREAM_WORDS + 1)])
         assert over.exit_code == 1
-        assert f"--n must be in [1, {MAX_STREAM_WORDS}], got {MAX_STREAM_WORDS + 1}" \
-            in over.stderr
+        assert over.stdout == ""
+        assert over.stderr == (f"error: --n must be in [1, {MAX_STREAM_WORDS}], "
+                               f"got {MAX_STREAM_WORDS + 1}\n")
 
 
 class TestPrune:
@@ -445,16 +452,21 @@ class TestPrune:
             drawn = sum(dc.layer_stats(layer).dw for layer in net.layers)
             assert drawn <= MAX_PRUNE_WEIGHTS, name
 
-    @pytest.mark.parametrize("out_channels", [MAX_PRUNE_WEIGHTS + 1])
-    def test_weight_cap(self, runner, tmp_path, out_channels):
+    # prune takes from 1 to MAX_PRUNE_WEIGHTS weights
+    @pytest.mark.parametrize("layer, message", [
+        ({"type": "fc", "name": "f", "out_channels": MAX_PRUNE_WEIGHTS + 1},
+         f"network 'wide' has more than {MAX_PRUNE_WEIGHTS} weights, the most prune draws"),
+        ({"type": "act", "name": "a"}, "network 'wide' has no weighted layers"),
+    ], ids=[str(MAX_PRUNE_WEIGHTS + 1), "no-weights"])
+    def test_weight_cap(self, runner, tmp_path, layer, message):
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({
             "name": "wide", "input": {"channels": 1, "height": 1, "width": 1},
-            "layers": [{"type": "fc", "name": "f", "out_channels": out_channels}]}))
+            "layers": [layer]}))
         result = runner.invoke(main, ["prune", "--net", str(path)])
         assert result.exit_code == 1
-        assert result.stderr == (f"error: network 'wide' has more than {MAX_PRUNE_WEIGHTS} "
-                                 f"weights, the most prune draws\n")
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
 
 def weight_sizes(net):
@@ -635,7 +647,36 @@ class TestExitCodes:
     def test_negative_seed_is_a_data_error(self, runner, args):
         result = runner.invoke(main, [*args, "--seed", "-1"])
         assert result.exit_code == 1
+        assert result.stdout == ""
         assert result.stderr == "error: --seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("flag", ["--net", "--arch"])
+    @pytest.mark.parametrize("source", ["at-cap", "one-over", "dev-zero"])
+    def test_description_file_cap(self, runner, tmp_path, flag, source):
+        if flag == "--net":
+            doc, args = dc.serialize_network(dc.builtin("lenet5")), ["stats"]
+        else:
+            doc, args = dc.serialize_arch(dc.default_arch()), ["compare", "--builtin", "lenet5"]
+        path = tmp_path / "doc.json"
+        if source == "dev-zero":  # endless: read only up to the cap
+            path = "/dev/zero"
+        else:  # a valid document padded with spaces
+            path.write_text(doc.ljust(MAX_DESCRIPTION_CHARS + (source == "one-over")))
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, [*args, flag, str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if source == "at-cap":
+            assert result.exit_code == 0
+            assert result.stdout.startswith("lenet5  batch 1\n")
+            return
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (f"error: {flag} file must be at most "
+                                 f"{MAX_DESCRIPTION_CHARS} characters\n")
+        assert peak < 8 * MAX_DESCRIPTION_CHARS
 
     def test_help_lists_commands(self, runner):
         result = runner.invoke(main, ["--help"])

@@ -4,17 +4,17 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dnncost as dc
 from dnncost.optkit import (MAX_VALUE, CodecError, _budget, _drain, _keep_mask, _pair_codes,
-                            _word_error, compression_ratio, prune_magnitude, prune_network,
-                            quantize_uniform, rle_decode, rle_encode, rle_pair_count,
-                            rle_word_count)
+                            _word_error, compression_ratio, prune_network, quantize_uniform,
+                            rle_decode, rle_encode, rle_pair_count, rle_word_count)
 from oracles import reference_rle_encode, reference_rle_pair_count
 
+MAX_FLOAT = np.finfo(float).max
 word_lists = st.lists(st.integers(min_value=0, max_value=65535), max_size=300)
 
 # zero runs around the 32-word filler boundary, and literals up to MAX_VALUE
@@ -40,32 +40,37 @@ mixed_words = st.lists(st.one_of(
     st.sampled_from([0.0, 1.0, 2.5]) | st.floats(allow_nan=False)), max_size=40)
 
 
+def prune_one(weights, fraction):
+    """(pruned copy, keep-mask) of one array, pruned as a one-layer network."""
+    return prune_network({"w": weights}, fraction)["w"]
+
+
 class TestPruneMagnitude:
     def test_worked_example(self):
-        pruned, mask = prune_magnitude([0.1, -0.5, 0.3, -0.2], 0.5)
+        pruned, mask = prune_one([0.1, -0.5, 0.3, -0.2], 0.5)
         np.testing.assert_allclose(pruned, [0.0, -0.5, 0.3, 0.0])
         np.testing.assert_array_equal(mask, [False, True, True, False])
 
     def test_fraction_bounds(self):
         arr = [1.0, 2.0]
-        pruned, mask = prune_magnitude(arr, 0.0)
+        pruned, mask = prune_one(arr, 0.0)
         assert mask.all()
-        pruned, mask = prune_magnitude(arr, 1.0)
+        pruned, mask = prune_one(arr, 1.0)
         assert not mask.any()
         np.testing.assert_array_equal(pruned, [0.0, 0.0])
         with pytest.raises(ValueError, match="fraction"):
-            prune_magnitude(arr, 1.5)
+            prune_one(arr, 1.5)
         with pytest.raises(ValueError, match="fraction"):
-            prune_magnitude(arr, -0.1)
+            prune_one(arr, -0.1)
 
     def test_ties_zero_earlier_indices_first(self):
-        pruned, mask = prune_magnitude([1.0, 1.0, 1.0, 1.0], 0.5)
+        pruned, mask = prune_one([1.0, 1.0, 1.0, 1.0], 0.5)
         np.testing.assert_array_equal(mask, [False, False, True, True])
 
     def test_preserves_shape(self):
         rng = np.random.default_rng(0)
         w = rng.standard_normal((4, 3, 2))
-        pruned, mask = prune_magnitude(w, 0.25)
+        pruned, mask = prune_one(w, 0.25)
         assert pruned.shape == w.shape == mask.shape
         assert (~mask).sum() == int(0.25 * w.size)
         # survivors never lie below the pruned magnitudes
@@ -73,7 +78,7 @@ class TestPruneMagnitude:
 
     def test_scalar_weight(self):
         for fraction in (0.0, 1.0):
-            pruned, mask = prune_magnitude(-np.nan, fraction)
+            pruned, mask = prune_one(-np.nan, fraction)
             assert isinstance(pruned, np.ndarray)
             assert_bit_identical(pruned, np.where(mask, -np.nan, 0.0))
 
@@ -84,7 +89,7 @@ class TestPruneNetwork:
         layers = {"a": rng.standard_normal(20), "b": rng.standard_normal(30)}
         out = prune_network(layers, 0.4)
         flat = np.concatenate([layers["a"], layers["b"]])
-        _, ref_mask = prune_magnitude(flat, 0.4)
+        _, ref_mask = prune_one(flat, 0.4)
         got = np.concatenate([out["a"][1], out["b"][1]])
         np.testing.assert_array_equal(got, ref_mask)
 
@@ -204,7 +209,7 @@ class TestPruneAgainstStableArgsort:
         for nm, w in LAYER_SETS[name].items():
             for k in sorted({0, 1, w.size // 3, w.size}):
                 fraction = fraction_for(k, w.size)
-                pruned, mask = prune_magnitude(w, fraction)
+                pruned, mask = prune_one(w, fraction)
                 want_pruned, want_mask = stable_argsort_prune({nm: w}, fraction)[nm]
                 assert_bit_identical(mask, want_mask)
                 assert_bit_identical(pruned, want_pruned)
@@ -285,9 +290,26 @@ class TestQuantizeUniform:
         twice = quantize_uniform(once, bits)
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
+    @given(st.lists(st.sampled_from([MAX_FLOAT, -MAX_FLOAT, 5e-324, -5e-324, 2.2e-308])
+                    | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=32),
+           st.integers(min_value=1, max_value=16))
+    @example([MAX_FLOAT], 3)
+    @example([5e-324, 0.0], 16)
+    @settings(deadline=None, max_examples=300)
+    def test_finite_input_gives_finite_output(self, values, bits):
+        assert np.isfinite(quantize_uniform(values, bits)).all()
+
+    def test_extreme_steps(self):
+        # a step that underflows to zero leaves every value as it is
+        assert_bit_identical(quantize_uniform([5e-324, -0.0], 16), np.array([5e-324, -0.0]))
+        assert type(quantize_uniform(np.float64(-5e-324), 16)) is np.float64
+        # a top level past the largest float takes the step one ulp lower
+        assert quantize_uniform([MAX_FLOAT], 3).tolist() == [np.nextafter(MAX_FLOAT, 0.0)]
+
 
 def reference_quantize(a, bits):
-    """``round(a / d) * d`` with d the peak magnitude over the top level."""
+    """``round(a / d) * d`` with d the peak magnitude over the top level.
+    Where that is not finite for finite input, ``extreme_step`` holds."""
     a = np.asarray(a, dtype=float)
     peak = float(np.max(np.abs(a))) if a.size else 0.0
     if peak == 0.0:
@@ -309,12 +331,27 @@ QUANT_INPUTS = {
 }
 
 
-@np.errstate(all="ignore")  # inf / inf, overflow and a zero step on extreme input
+def extreme_step(a, bits):
+    """Whether a finite, nonzero peak's step underflows to zero or its top
+    level overflows to inf: the inputs ``quantize_uniform`` keeps finite
+    where ``reference_quantize`` gives NaN or inf."""
+    a = np.asarray(a, dtype=float)
+    peak = float(np.max(np.abs(a))) if a.size else 0.0
+    if not 0.0 < peak < np.inf:  # False for a NaN peak
+        return False
+    levels = max((1 << (bits - 1)) - 1, 1)
+    return peak / levels == 0.0 or levels * (peak / levels) == np.inf
+
+
+@np.errstate(all="ignore")  # inf / inf and inf * 0 on infinite input
 def quantized_pair(a, bits):
     return quantize_uniform(a, bits), reference_quantize(a, bits)
 
 
 class TestQuantizeIsBitIdentical:
+    """``quantize_uniform`` is ``reference_quantize`` bit for bit, except on
+    the input ``extreme_step`` names, which ``TestQuantizeUniform`` covers."""
+
     @pytest.mark.parametrize("name", QUANT_INPUTS)
     @pytest.mark.parametrize("bits", [1, 2, 8, 16])
     def test_matches_round_of_quotient(self, name, bits):
@@ -330,6 +367,7 @@ class TestQuantizeIsBitIdentical:
            st.integers(min_value=1, max_value=16))
     @settings(deadline=None, max_examples=200)
     def test_property(self, values, bits):
+        assume(not extreme_step(values, bits))
         assert_bit_identical(*quantized_pair(np.array(values, dtype=float), bits))
 
 
