@@ -2,11 +2,13 @@
 
 Exit codes: 0 on success, 1 on bad input data (unreadable files, malformed
 descriptions, values out of range), 2 on command-line usage errors.
-``_Main.invoke`` is the one place where any data error becomes exit 1: a
+``_Group.main`` is the one place where any data error becomes exit 1: a
 ValueError or OSError raised anywhere under a command, the CLI's own range
-and cap checks included, prints ``error: <message>``. A closed stdout pipe
-exits 1 quietly, as click handles it.
+and cap checks included, prints ``error: <message>``. A usage error prints
+``Usage: <command> [OPTIONS]``, ``Try '<command> --help' for help.``, a blank
+line and ``Error: <message>``. A closed stdout pipe exits 1 quietly.
 Output is deterministic: the same invocation always produces the same bytes.
+Each command's table of ``_Option`` rows both parses argv and writes --help.
 A report command receives its loaded inputs and returns one ``_Report``: the
 decorators that declare the shared options load them, and ``_report_options``
 renders the report in the ``--format`` asked for, to ``--out`` or stdout.
@@ -17,9 +19,10 @@ from __future__ import annotations
 import functools
 import io
 import json
+import os
+import sys
+from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
-
-import click
 
 from .names import MULT_METHODS, DataflowKind
 from .netmodel import WEIGHTED_KINDS, parse_network, resolve_shapes
@@ -61,24 +64,43 @@ def _read_text(path: str, flag: str, cap: int) -> str:
     return text
 
 
+class _UsageError(Exception):
+    """A command-line mistake: exit 2 under the usage line of the command."""
+
+
+# one row of a command's option table: ``type`` (str, int, float, or a tuple of
+# the accepted values) converts the value, which the command receives as ``dest``;
+# --help shows every default but None
+_Option = namedtuple("_Option", "name dest type default help required",
+                     defaults=(str, None, "", False))
+
+
+def _options(*options):
+    """Declare ``options`` ahead of the command's own, in the order --help lists them."""
+    def declare(fn):
+        fn.options = (*options, *getattr(fn, "options", ()))
+        return fn
+    return declare
+
+
 def _network_options(fn):
     # loaded inputs reach the command by position, so every wrapper passes *args on
     @functools.wraps(fn)
     def with_network(*args, builtin_name, net_path, batch, **kwargs):
         if (builtin_name is None) == (net_path is None):
-            raise click.UsageError("give exactly one of --builtin or --net")
+            raise _UsageError("give exactly one of --builtin or --net")
         if builtin_name is not None:
             spec = builtin(builtin_name)
         else:
             spec = parse_network(_read_text(net_path, "--net", MAX_DESCRIPTION_CHARS))
         return fn(resolve_shapes(spec, batch=batch), *args, **kwargs)
 
-    with_network = click.option("--batch", type=int, default=1, show_default=True,
-                                help="Batch size used when resolving shapes.")(with_network)
-    with_network = click.option("--net", "net_path", type=str, default=None,
-                                help="Path to a network description file.")(with_network)
-    return click.option("--builtin", "builtin_name", type=str, default=None,
-                        help=f"Bundled network: one of {', '.join(BUILTIN_NAMES)}.")(with_network)
+    return _options(
+        _Option("--builtin", "builtin_name",
+                help=f"Bundled network: one of {', '.join(BUILTIN_NAMES)}."),
+        _Option("--net", "net_path", help="Path to a network description file."),
+        _Option("--batch", "batch", int, 1,
+                "Batch size used when resolving shapes."))(with_network)
 
 
 def _report_options(fn):
@@ -86,10 +108,10 @@ def _report_options(fn):
     def render(*args, fmt, out_path, **kwargs):
         _emit(_RENDERERS[fmt](fn(*args, **kwargs)), out_path)
 
-    render = click.option("--out", "out_path", type=str, default=None,
-                          help="Write the report to this file instead of stdout.")(render)
-    return click.option("--format", "fmt", type=click.Choice(FORMATS),
-                        default="table", show_default=True)(render)
+    return _options(
+        _Option("--format", "fmt", FORMATS, "table"),
+        _Option("--out", "out_path",
+                help="Write the report to this file instead of stdout."))(render)
 
 
 def _modifier_options(fn):
@@ -100,15 +122,13 @@ def _modifier_options(fn):
         mods = Modifiers(density_in=density_in, density_w=density_w, bits_in=bits, bits_w=bits)
         return fn(*args, arch, mods, **kwargs)
 
-    with_mods = click.option("--density-w", type=float, default=1.0, show_default=True,
-                             help="Nonzero fraction of the weights.")(with_mods)
-    with_mods = click.option("--density-in", type=float, default=1.0, show_default=True,
-                             help="Nonzero fraction of the inputs.")(with_mods)
-    with_mods = click.option(
-        "--bits", type=int, default=None,
-        help="Operand precision for inputs and weights (defaults to the word size).")(with_mods)
-    return click.option("--arch", "arch_path", type=str, default=None,
-                        help="Path to a hardware description file.")(with_mods)
+    return _options(
+        _Option("--arch", "arch_path", help="Path to a hardware description file."),
+        _Option("--bits", "bits", int,
+                help="Operand precision for inputs and weights (defaults to the word size)."),
+        _Option("--density-in", "density_in", float, 1.0, "Nonzero fraction of the inputs."),
+        _Option("--density-w", "density_w", float, 1.0,
+                "Nonzero fraction of the weights."))(with_mods)
 
 
 def _load_arch(arch_path) -> ArchConfig:
@@ -129,15 +149,16 @@ def _rng(seed: int):
 
 def _emit(text: str, out_path) -> None:
     if out_path is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
         return
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
 class _Report(NamedTuple):
-    """One command's result in every output form: a titled table, CSV rows
-    (header row first) and a JSON object."""
+    """One command's result in every output form: a titled table of
+    ``headers`` over ``rows``, CSV rows (header row first) and a JSON object.
+    Most commands' CSV rows are the headers over the same raw rows."""
 
     title: str
     headers: tuple[str, ...]
@@ -145,6 +166,11 @@ class _Report(NamedTuple):
     csv_rows: list[tuple]
     json_obj: dict
     footer: tuple[str, ...] = ()
+
+
+# the table's format spec of each column that has its own, by header; other
+# cells are formatted by ``_cell``
+_COLUMN_FORMATS = {"ratio": ".3f", "conv_ratio": ".3f", "density": ".3f"}
 
 
 def _cell(value) -> str:
@@ -156,7 +182,10 @@ def _cell(value) -> str:
 
 
 def _render_table(report: _Report) -> str:
-    cells = [list(report.headers)] + [[_cell(v) for v in row] for row in report.rows]
+    specs = [_COLUMN_FORMATS.get(header) for header in report.headers]
+    cells = [list(report.headers)] + [
+        [format(v, spec) if spec else _cell(v) for v, spec in zip(row, specs)]
+        for row in report.rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(report.headers))]
     lines = [report.title]
     for index, row in enumerate(cells):
@@ -185,28 +214,147 @@ def _render_json(report: _Report) -> str:
 
 _RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
 FORMATS = tuple(_RENDERERS)
+_METAVARS = {str: "TEXT", int: "INTEGER", float: "FLOAT"}
 
 
-class _Main(click.Group):
-    """The command group: the one place where a ValueError or OSError from
-    any command becomes a data error."""
+def _help(cmd, usage: str) -> str:
+    """``cmd``'s --help screen, laid out 80 columns wide as click lays it out."""
+    import textwrap
 
-    def invoke(self, ctx):
+    def columns(rows):  # a term wider than 30 puts its text on the next line
+        first = min(max(len(term) for term, _ in rows), 30) + 4
+        lines = []
+        for term, text in rows:
+            head, *tail = textwrap.wrap(text, 80 - first, replace_whitespace=False)
+            if len(term) + 4 > first:
+                lines.append(f"  {term}")
+                term = ""
+            lines += [f"  {term}".ljust(first) + head] + [" " * first + line for line in tail]
+        return "".join(f"{line}\n" for line in lines)
+
+    def row(option):
+        metavar = _METAVARS.get(option.type) or f"[{'|'.join(option.type)}]"
+        extra = ("[required]" if option.required else
+                 f"[default: {option.default}]" * (option.default is not None))
+        return f"{option.name} {metavar}", f"{option.help}  {extra}".strip()
+
+    rows = [row(option) for option in getattr(cmd, "options", ())]
+    screen = [f"Usage: {usage}\n", f"  {cmd.__doc__}\n",
+              "Options:\n" + columns(rows + [("--help", "Show this message and exit.")])]
+    if isinstance(cmd, _Group):
+        screen.append("Commands:\n" + columns([(name, sub.__doc__)
+                                               for name, sub in sorted(cmd.commands.items())]))
+    return "\n".join(screen)
+
+
+def _no_such_option(name: str, known) -> str:
+    if not name.startswith("--"):  # a short option: there are none
+        return f"No such option {name[:2]!r}."
+    from difflib import get_close_matches
+    close = sorted(get_close_matches(name, known))
+    listed = ", ".join(map(repr, close))
+    hint = f" Did you mean {listed}?" if len(close) == 1 else f" (Did you mean one of: {listed}?)"
+    return f"No such option {name!r}." + hint * bool(close)
+
+
+def _convert(option: _Option, value: str):
+    """``value`` as ``option``'s type, or a usage error that names the option."""
+    if isinstance(option.type, tuple):  # choices, matched case-sensitively
+        if value in option.type:
+            return value
+        problem = f"is not one of {', '.join(map(repr, option.type))}."
+    else:
         try:
-            return super().invoke(ctx)
-        except BrokenPipeError:
-            raise  # a closed stdout: click exits 1 quietly
-        except (OSError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            return option.type(value)
+        except ValueError:
+            problem = f"is not a valid {_METAVARS[option.type].lower()}."
+    raise _UsageError(f"Invalid value for {option.name!r}: {value!r} {problem}")
+
+
+def _run(cmd, path: str, args: list[str]) -> None:
+    """Parse ``args`` for ``cmd``, a group or a command called ``path``, and run
+    it. ``--opt value`` and ``--opt=value`` read alike and the last one wins.
+    Once every token is read, ``--help`` prints the help and exits; then values
+    convert in the order first given. A usage error exits 2."""
+    group = isinstance(cmd, _Group)
+    usage = f"{path} [OPTIONS]" + " COMMAND [ARGS]..." * group
+    options = {option.name: option for option in getattr(cmd, "options", ())}
+    given, rest, asked_help, tokens = {}, [], False, iter(args)
+    try:
+        if group and not args:  # a bare group prints its help, as a usage error
+            sys.stderr.write(_help(cmd, usage))
+            raise SystemExit(2)
+        for token in tokens:
+            name, eq, value = token.partition("=")
+            if token == "--":
+                rest += tokens
+            elif token[:1] != "-" or token == "-":  # a group's command takes the rest
+                rest += [token, *tokens] if group else [token]
+            elif name == "--help" and eq:
+                raise _UsageError("Option '--help' does not take a value.")
+            elif name == "--help":
+                asked_help = True
+            elif name not in options:
+                raise _UsageError(_no_such_option(name, [*options, "--help"]))
+            elif eq or (value := next(tokens, None)) is not None:
+                given[name] = value
+            else:
+                raise _UsageError(f"Option {name!r} requires an argument.")
+        if asked_help:
+            sys.stdout.write(_help(cmd, usage))
+            raise SystemExit(0)
+        if group and rest[:1] and rest[0] in cmd.commands:
+            return _run(cmd.commands[rest[0]], f"{path} {rest[0]}", rest[1:])
+        if group:
+            raise _UsageError(f"No such command {rest[0]!r}." if rest else "Missing command.")
+        values = {options[name].dest: _convert(options[name], value)
+                  for name, value in given.items()}
+        for option in options.values():
+            if option.required and option.dest not in values:  # only --method, a choice
+                raise _UsageError(f"Missing option {option.name!r}. Choose from:\n\t"
+                                  + ",\n\t".join(option.type))
+            values.setdefault(option.dest, option.default)
+        if rest:
+            raise _UsageError(f"Got unexpected extra argument{'s' * (len(rest) > 1)} "
+                              f"({' '.join(rest)})")
+        return cmd(**values)
+    except _UsageError as exc:
+        sys.stderr.write(f"Usage: {usage}\nTry '{path} --help' for help.\n\nError: {exc}\n")
+        raise SystemExit(2)
+
+
+class _Group:
+    """A command group. ``main(args, prog_name)`` runs one command line and
+    always ends in SystemExit."""
+
+    def __init__(self, name: str, doc: str, commands: dict):
+        self.name, self.__doc__, self.commands = name, doc, commands
+
+    def main(self, args=None, prog_name=None, **extra):
+        """Run ``args``, by default ``sys.argv[1:]``. ``extra`` settings, such as
+        a test runner's terminal width, are ignored: help is 80 columns wide."""
+        if prog_name is None:  # "python -m <module>" under -m, else argv[0]'s base name
+            package, prog_name = sys.modules["__main__"].__package__, os.path.basename(sys.argv[0])
+            if package:
+                prog_name = f"python -m {package}.{os.path.splitext(prog_name)[0]}"
+        try:
+            try:
+                _run(self, prog_name, sys.argv[1:] if args is None else list(args))
+            finally:
+                sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        except BrokenPipeError:  # a closed stdout: exit 1 quietly
             raise SystemExit(1)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(1)
+        except KeyboardInterrupt:
+            print("\nAborted!", file=sys.stderr)
+            raise SystemExit(1)
+        raise SystemExit(0)
+
+    __call__ = main
 
 
-@click.group(cls=_Main)
-def main():
-    """Analytical cost modeling for neural-network inference hardware."""
-
-
-@main.command("stats")
 @_network_options
 @_report_options
 def stats_cmd(net):
@@ -239,11 +387,9 @@ def stats_cmd(net):
                    headers=headers, rows=rows, csv_rows=[headers, *rows], json_obj=obj)
 
 
-@main.command("analyze")
 @_network_options
 @_modifier_options
-@click.option("--dataflow", type=click.Choice(DATAFLOW_NAMES), default="rs",
-              show_default=True, help="Mapping policy to price.")
+@_options(_Option("--dataflow", "dataflow", DATAFLOW_NAMES, "rs", "Mapping policy to price."))
 @_report_options
 def analyze_cmd(net, arch, mods, dataflow):
     """Per-layer data-movement and compute energy under one dataflow."""
@@ -280,7 +426,6 @@ def analyze_cmd(net, arch, mods, dataflow):
                    footer=(f"movement by level: {levels}",))
 
 
-@main.command("compare")
 @_network_options
 @_modifier_options
 @_report_options
@@ -289,8 +434,7 @@ def compare_cmd(net, arch, mods):
     from .energy import compare_dataflows
     report = compare_dataflows(net, arch, mods)
     headers = ("dataflow", "total", "ratio", "conv_total", "conv_ratio")
-    entries = [(e.kind, e.total, e.ratio, e.conv_total, e.conv_ratio)
-               for e in report.entries]
+    rows = [(e.kind, e.total, e.ratio, e.conv_total, e.conv_ratio) for e in report.entries]
     obj = {
         "network": report.network,
         "batch": report.batch,
@@ -299,13 +443,11 @@ def compare_cmd(net, arch, mods):
         "entries": [
             {**dict(zip(headers, row)), "compute": e.compute,
              "by_type": e.by_type, "by_level": e.by_level}
-            for row, e in zip(entries, report.entries)
+            for row, e in zip(rows, report.entries)
         ],
     }
-    rows = [(kind, total, f"{ratio:.3f}", conv_total, f"{conv_ratio:.3f}")
-            for kind, total, ratio, conv_total, conv_ratio in entries]
     return _Report(title=f"{report.network}  batch {report.batch}",
-                   headers=headers, rows=rows, csv_rows=[headers, *entries], json_obj=obj,
+                   headers=headers, rows=rows, csv_rows=[headers, *rows], json_obj=obj,
                    footer=(f"winner {report.winner}  conv winner {report.conv_winner}",))
 
 
@@ -316,17 +458,10 @@ _VERIFY_ROUTES = (("im2col", "conv_im2col", 1e-9),
                   ("fft", "conv_fft", 1e-6))
 
 
-@main.group("kernels")
-def kernels_group():
-    """Convolution transform checks and multiplication counts."""
-
-
-@kernels_group.command("verify")
-@click.option("--trials", type=int, default=20, show_default=True,
-              help="Number of random problems.")
-@click.option("--size", type=int, default=None,
-              help="Fix the input extent (default: random in [3, 16]).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_options(_Option("--trials", "trials", int, 20, "Number of random problems."),
+          _Option("--size", "size", int,
+                  help="Fix the input extent (default: random in [3, 16])."),
+          _Option("--seed", "seed", int, 0))
 def kernels_verify_cmd(trials, size, seed):
     """Cross-check all transforms against direct convolution."""
     from . import kernels
@@ -353,47 +488,39 @@ def kernels_verify_cmd(trials, size, seed):
     for name, _, tol in _VERIFY_ROUTES:
         ok = worst[name] <= tol
         failed = failed or not ok
-        click.echo(f"{name:8s} vs direct: max rel {worst[name]:.3e}  "
-                   f"tol {tol:.0e}  {'ok' if ok else 'FAIL'}")
-    click.echo(f"{trials} random problems checked")
+        print(f"{name:8s} vs direct: max rel {worst[name]:.3e}  "
+              f"tol {tol:.0e}  {'ok' if ok else 'FAIL'}")
+    print(f"{trials} random problems checked")
     if failed:
         raise SystemExit(1)
 
 
-@kernels_group.command("count")
-@click.option("--method", type=click.Choice(MULT_METHODS), required=True)
-@click.option("--out-size", type=int, default=None,
-              help="Square output extent of the convolution.")
-@click.option("--filter-size", type=int, default=None,
-              help="Square filter extent of the convolution.")
-@click.option("--matrix-size", type=int, default=None,
-              help="Square matrix extent (strassen only).")
+@_options(_Option("--method", "method", MULT_METHODS, required=True),
+          _Option("--out-size", "out_size", int, help="Square output extent of the convolution."),
+          _Option("--filter-size", "filter_size", int,
+                  help="Square filter extent of the convolution."),
+          _Option("--matrix-size", "matrix_size", int,
+                  help="Square matrix extent (strassen only)."))
 def kernels_count_cmd(method, out_size, filter_size, matrix_size):
     """Scalar multiplication count of one method at one problem size."""
     from .stats import mult_count
     mc = mult_count(method, out_size=out_size, filter_size=filter_size,
                     matrix_size=matrix_size)
     params = "  ".join(f"{k} {v}" for k, v in mc.params.items())
-    click.echo(f"{mc.method}: {mc.count} multiplications  ({params})")
+    print(f"{mc.method}: {mc.count} multiplications  ({params})")
     if mc.method in ("fft", "winograd"):
         direct = mult_count("direct", out_size=out_size,
                             filter_size=filter_size).count
-        click.echo(f"direct: {direct} multiplications  "
-                   f"ratio {mc.count / direct:.3f}")
+        print(f"direct: {direct} multiplications  ratio {mc.count / direct:.3f}")
 
 
-@main.command("compress")
-@click.option("--n", "length", type=int, default=4096, show_default=True,
-              help="Synthetic stream length.")
-@click.option("--sparsity", type=float, default=0.7, show_default=True,
-              help="Zero fraction of the synthetic stream.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--encode", "encode_path", type=str, default=None,
-              help="Encode a text file of words (whitespace separated).")
-@click.option("--decode", "decode_path", type=str, default=None,
-              help="Decode a packed binary file.")
-@click.option("--out", "out_path", type=str, default=None,
-              help="Output path (required for --encode).")
+@_options(_Option("--n", "length", int, 4096, "Synthetic stream length."),
+          _Option("--sparsity", "sparsity", float, 0.7, "Zero fraction of the synthetic stream."),
+          _Option("--seed", "seed", int, 0),
+          _Option("--encode", "encode_path",
+                  help="Encode a text file of words (whitespace separated)."),
+          _Option("--decode", "decode_path", help="Decode a packed binary file."),
+          _Option("--out", "out_path", help="Output path (required for --encode)."))
 def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     """Run-length compression of sparse 16-bit streams."""
     import numpy as np
@@ -401,9 +528,9 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     from .optkit import (MAX_VALUE, _pack, _pair_codes, _ratio, _word_array, rle_decode,
                          rle_word_count)
     if encode_path is not None and decode_path is not None:
-        raise click.UsageError("give at most one of --encode or --decode")
+        raise _UsageError("give at most one of --encode or --decode")
     if encode_path is not None and out_path is None:
-        raise click.UsageError("--encode needs --out for the packed stream")
+        raise _UsageError("--encode needs --out for the packed stream")
     if encode_path is not None:
         text = _read_text(encode_path, "--encode", MAX_ENCODE_CHARS)
         if len(tokens := text.split()) > MAX_STREAM_WORDS:  # before any word is built
@@ -417,8 +544,8 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
         data = _pack(codes)
         with open(out_path, "wb") as fh:
             fh.write(data)
-        click.echo(f"{len(words)} words -> {len(data)} bytes ({codes.size} pairs)")
-        click.echo(f"compression ratio {ratio:.3f}")
+        print(f"{len(words)} words -> {len(data)} bytes ({codes.size} pairs)")
+        print(f"compression ratio {ratio:.3f}")
         return
     if decode_path is not None:
         with open(decode_path, "rb") as fh:
@@ -433,7 +560,7 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
         text = "".join(f"{word}\n" for word in words)
         _emit(text, out_path)
         if out_path is not None:
-            click.echo(f"{len(data)} bytes -> {len(words)} words")
+            print(f"{len(data)} bytes -> {len(words)} words")
         return
     if not 1 <= length <= MAX_STREAM_WORDS:
         raise ValueError(f"--n must be in [1, {MAX_STREAM_WORDS}], got {length}")
@@ -446,26 +573,22 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     codes = _pair_codes(values)  # an int64 array: no per-word type check
     data = _pack(codes)
     zeros = int(zero.sum())  # values start at 1
-    click.echo(f"elements {length}  zeros {zeros}  density {1.0 - zeros / length:.3f}")
-    click.echo(f"pairs {codes.size}  packed bytes {len(data)}")
-    click.echo(f"compression ratio {_ratio(codes.size, length):.3f}")
+    print(f"elements {length}  zeros {zeros}  density {1.0 - zeros / length:.3f}")
+    print(f"pairs {codes.size}  packed bytes {len(data)}")
+    print(f"compression ratio {_ratio(codes.size, length):.3f}")
     if not np.array_equal(_word_array(data), values):
-        click.echo("round trip FAILED")
+        print("round trip FAILED")
         raise SystemExit(1)
-    click.echo("round trip ok")
+    print("round trip ok")
 
 
-@main.command("prune")
 @_network_options
-@click.option("--fraction", type=float, default=0.5, show_default=True,
-              help="Fraction of multiplicative weights to zero.")
-@click.option("--order", type=click.Choice(("magnitude", "energy")),
-              default="magnitude", show_default=True,
-              help="Global magnitude competition, or drain the most "
-                   "energy-hungry layers first.")
-@click.option("--arch", "arch_path", type=str, default=None,
-              help="Hardware description used for energy ordering.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_options(_Option("--fraction", "fraction", float, 0.5,
+                  "Fraction of multiplicative weights to zero."),
+          _Option("--order", "order", ("magnitude", "energy"), "magnitude",
+                  "Global magnitude competition, or drain the most energy-hungry layers first."),
+          _Option("--arch", "arch_path", help="Hardware description used for energy ordering."),
+          _Option("--seed", "seed", int, 0))
 @_report_options
 def prune_cmd(net, fraction, order, arch_path, seed):
     """Prune synthetic weights for a network and report layer densities."""
@@ -508,10 +631,14 @@ def prune_cmd(net, fraction, order, arch_path, seed):
     }
     rows = entries + [totals]
     return _Report(title=f"{net.name}  fraction {fraction}  order {order}  seed {seed}",
-                   headers=headers,
-                   rows=[(name, size, kept, f"{dens:.3f}") for name, size, kept, dens in rows],
-                   csv_rows=[headers, *rows], json_obj=obj)
+                   headers=headers, rows=rows, csv_rows=[headers, *rows], json_obj=obj)
 
+
+main = _Group("main", "Analytical cost modeling for neural-network inference hardware.", {
+    "analyze": analyze_cmd, "compare": compare_cmd, "compress": compress_cmd,
+    "kernels": _Group("kernels", "Convolution transform checks and multiplication counts.",
+                      {"count": kernels_count_cmd, "verify": kernels_verify_cmd}),
+    "prune": prune_cmd, "stats": stats_cmd})
 
 if __name__ == "__main__":
     main()

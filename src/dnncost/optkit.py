@@ -122,8 +122,12 @@ def quantize_uniform(tensor, bits: int) -> np.ndarray:
 
     The step is the peak magnitude over the level count, so the peak maps to
     the top level, whose value may differ from the peak in the last bit:
-    [7.37] at 4 bits gives 7.370000000000001. Requantizing keeps every value
-    on its level, and an all-zero tensor stays all zero. At bits = 1 the
+    [7.37] at 4 bits gives 7.370000000000001. For a normal peak, requantizing
+    keeps every value on its level, bit for bit. A subnormal step keeps only a
+    few significant bits, so its top level can miss the peak by far more than
+    one ulp, and requantizing can move values: at 4 bits, a peak of -2.2e-322
+    maps to -2.37e-322, which maps to -2.4e-322. An all-zero tensor stays all
+    zero. At bits = 1 the
     level count degenerates; it is clamped to one level, leaving outputs in
     {-peak, 0, +peak}. Finite input gives finite output: a step that
     underflows to zero returns the values as they are, each its own nearest

@@ -32,6 +32,18 @@ def rows_of(text):
     return list(csv.reader(io.StringIO(text)))
 
 
+def _usage_error(path, error, group=False):
+    """What a usage error prints: the usage line, the help hint and the error."""
+    usage = f"{path} [OPTIONS]" + (" COMMAND [ARGS]..." if group else "")
+    return f"Usage: {usage}\nTry '{path} --help' for help.\n\nError: {error}\n"
+
+
+_GOLDEN = Path(__file__).parent / "golden"
+# a group given no command prints its help, as a usage error
+_GROUP_HELP = (_GOLDEN / "help.txt").read_text()
+_KERNELS_HELP = (_GOLDEN / "help-kernels.txt").read_text()
+
+
 class TestStats:
     def test_csv_matches_library(self, runner):
         result = runner.invoke(main, ["stats", "--builtin", "lenet5",
@@ -685,6 +697,42 @@ class TestExitCodes:
                      "compress", "prune"):
             assert name in result.stdout
 
+    @pytest.mark.parametrize("args, expected", [
+        ([], _GROUP_HELP),
+        (["kernels"], _KERNELS_HELP),
+        (["foo"], _usage_error("dnncost", "No such command 'foo'.", group=True)),
+        (["kernels", "foo"], _usage_error("dnncost kernels", "No such command 'foo'.",
+                                          group=True)),
+        (["stats", "--builtin", "lenet5", "--bogus"],
+         _usage_error("dnncost stats", "No such option '--bogus'. Did you mean '--out'?")),
+        (["stats", "--foo"], _usage_error(
+            "dnncost stats", "No such option '--foo'. (Did you mean one of: '--format', '--out'?)")),
+        (["stats", "--batch", "x"], _usage_error(
+            "dnncost stats", "Invalid value for '--batch': 'x' is not a valid integer.")),
+        (["stats", "--batch"], _usage_error(
+            "dnncost stats", "Option '--batch' requires an argument.")),
+        (["compress", "--sparsity", "x"], _usage_error(
+            "dnncost compress", "Invalid value for '--sparsity': 'x' is not a valid float.")),
+        (["stats", "--builtin", "lenet5", "--format", "yaml"], _usage_error(
+            "dnncost stats",
+            "Invalid value for '--format': 'yaml' is not one of 'table', 'csv', 'json'.")),
+        (["analyze", "--builtin", "lenet5", "--dataflow", "diagonal"], _usage_error(
+            "dnncost analyze",
+            "Invalid value for '--dataflow': 'diagonal' is not one of 'ws', 'os', 'nlr', 'rs'.")),
+        (["kernels", "count"], _usage_error(
+            "dnncost kernels count", "Missing option '--method'. Choose from:\n"
+            "\tdirect,\n\tim2col,\n\tfft,\n\twinograd,\n\tstrassen")),
+        (["stats", "--builtin", "lenet5", "--", "x"], _usage_error(
+            "dnncost stats", "Got unexpected extra argument (x)")),
+    ], ids=["no-command", "kernels-no-command", "unknown-command", "kernels-unknown-command",
+            "unknown-option", "unknown-option-two-matches", "int", "missing-value", "float",
+            "format-choice", "dataflow-choice", "missing-method", "extra-argument"])
+    def test_usage_error_text(self, runner, args, expected):
+        result = runner.invoke(main, args, prog_name="dnncost", terminal_width=80)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == expected
+
 
 class TestOutFile:
     def test_report_written_to_disk(self, runner, tmp_path):
@@ -698,8 +746,8 @@ class TestOutFile:
         assert target.read_text() == direct.stdout
 
 
-# run in a fresh interpreter: this process has loaded numpy long ago. The
-# last stdout line lists what the command loaded.
+# run in a fresh interpreter: this process has loaded numpy and click long
+# ago. The last stdout line lists what the command loaded.
 _RUN_CLI = """
 import json, sys
 from dnncost.cli import main
@@ -708,7 +756,7 @@ try:
 except SystemExit as exc:
     if exc.code:
         raise
-print(json.dumps({"numpy": "numpy" in sys.modules,
+print(json.dumps({"numpy": "numpy" in sys.modules, "click": "click" in sys.modules,
                   "dnncost": sorted(m for m in sys.modules if m.startswith("dnncost"))}))
 """
 _PACKAGE_API = """
@@ -740,19 +788,22 @@ _REPORT_MODULES = {"stats": {"dnncost.stats"}, "analyze": _PRICING, "compare": _
                    "kernels": {"dnncost.stats"}}
 
 
-def _fresh_python(code, *args, stdout=subprocess.PIPE):
+def _fresh_python(code, *args, stdout=subprocess.PIPE, flag="-c"):
+    """``python -c CODE ARGS``, or with ``flag="-m"``, ``python -m CODE ARGS``."""
     src = Path(dc.__file__).resolve().parents[1]
-    return subprocess.run([sys.executable, "-c", code, *args],
+    return subprocess.run([sys.executable, flag, code, *args],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def _started(args):
-    """Whether a fresh ``dnncost ARGS`` loaded numpy, and its dnncost modules."""
+    """Whether a fresh ``dnncost ARGS`` loaded numpy, and its dnncost modules.
+    No command may load click."""
     result = _fresh_python(_RUN_CLI, *args)
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     loaded = json.loads(result.stdout.splitlines()[-1])
+    assert not loaded["click"], "click was imported"
     return loaded["numpy"], set(loaded["dnncost"])
 
 
@@ -787,6 +838,36 @@ class TestNumpyFreeStart:
         assert set(dc._LAZY) <= set(dir(dc))
 
 
+# (python flag, its argument, the program name usage lines show): main() on
+# sys.argv, as the benchmark calls it, and `python -m dnncost.cli`, as CI does
+_ENTRY_POINTS = {"main": ("-c", "import sys; from dnncost.cli import main; sys.exit(main())", "-c"),
+                 "module": ("-m", "dnncost.cli", "python -m dnncost.cli")}
+
+
+class TestRealArgv:
+    """The command line read from ``sys.argv`` in a fresh process, which the
+    in-process runner never does."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("case", ["stats-lenet5-csv", "compare-lenet5-json"])
+    def test_report_matches_golden(self, entry, case):
+        flag, code, _ = _ENTRY_POINTS[entry]
+        command, name, fmt = case.split("-")
+        result = _fresh_python(code, command, "--builtin", name, "--format", fmt, flag=flag)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert result.stdout == (_GOLDEN / f"{case}.txt").read_text()
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_usage_error_exits_two(self, entry):
+        flag, code, prog = _ENTRY_POINTS[entry]
+        result = _fresh_python(code, "stats", "--batch", "x", flag=flag)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == _usage_error(
+            f"{prog} stats", "Invalid value for '--batch': 'x' is not a valid integer.")
+
+
 class TestErrorBoundary:
     """A ValueError or OSError from the library ends every command the same
     way: one ``error:`` line and exit 1, decided once by the command group."""
@@ -814,6 +895,17 @@ class TestErrorBoundary:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "error: boom\n"
+
+    def test_interrupt_aborts(self, runner, monkeypatch):
+        def interrupted(*_args, **_kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("dnncost.stats.network_stats", interrupted)
+        result = runner.invoke(main, ["stats", "--builtin", "lenet5"])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "\nAborted!\n"
 
     @pytest.mark.parametrize("args", [["stats", "--builtin", "lenet5", "--net", "x.json"],
                                       ["compress", "--encode", "a", "--decode", "b"]],

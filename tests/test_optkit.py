@@ -15,6 +15,8 @@ from dnncost.optkit import (MAX_VALUE, CodecError, _budget, _drain, _keep_mask, 
 from oracles import reference_rle_encode, reference_rle_pair_count
 
 MAX_FLOAT = np.finfo(float).max
+# magnitudes from the smallest normal float to the largest
+NORMAL_MAGNITUDES = st.floats(min_value=np.finfo(float).tiny, max_value=MAX_FLOAT)
 word_lists = st.lists(st.integers(min_value=0, max_value=65535), max_size=300)
 
 # zero runs around the 32-word filler boundary, and literals up to MAX_VALUE
@@ -289,6 +291,20 @@ class TestQuantizeUniform:
         once = quantize_uniform(values, bits)
         twice = quantize_uniform(once, bits)
         np.testing.assert_allclose(twice, once, atol=1e-9)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=31),
+           NORMAL_MAGNITUDES, st.booleans(), st.integers(min_value=1, max_value=16))
+    @settings(deadline=None, max_examples=300)
+    def test_requantizing_a_normal_peak_is_bit_identical(self, values, peak, negative, bits):
+        # the tensor's peak is at least the added normal magnitude
+        once = quantize_uniform(values + [-peak if negative else peak], bits)
+        assert_bit_identical(quantize_uniform(once, bits), once)
+
+    def test_requantizing_a_subnormal_step_can_move_values(self):
+        values = [-5e-323, -4.4e-323, -5e-323, -4e-323, -2.2e-322, 9e-323, 1e-323, 1e-323]
+        once = quantize_uniform(values, 4)
+        assert once[4] == -2.37e-322
+        assert quantize_uniform(once, 4)[4] == -2.4e-322
 
     @given(st.lists(st.sampled_from([MAX_FLOAT, -MAX_FLOAT, 5e-324, -5e-324, 2.2e-308])
                     | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=32),
