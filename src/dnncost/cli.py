@@ -89,10 +89,8 @@ def _network_options(fn):
     def with_network(*args, builtin_name, net_path, batch, **kwargs):
         if (builtin_name is None) == (net_path is None):
             raise _UsageError("give exactly one of --builtin or --net")
-        if builtin_name is not None:
-            spec = builtin(builtin_name)
-        else:
-            spec = parse_network(_read_text(net_path, "--net", MAX_DESCRIPTION_CHARS))
+        spec = (builtin(builtin_name) if net_path is None
+                else parse_network(_read_text(net_path, "--net", MAX_DESCRIPTION_CHARS)))
         return fn(resolve_shapes(spec, batch=batch), *args, **kwargs)
 
     return _options(
@@ -156,21 +154,18 @@ def _emit(text: str, out_path) -> None:
 
 
 class _Report(NamedTuple):
-    """One command's result in every output form: a titled table of
-    ``headers`` over ``rows``, CSV rows (header row first) and a JSON object.
-    Most commands' CSV rows are the headers over the same raw rows."""
+    """One command's result in every output form: a titled table of ``rows`` under
+    ``headers``, CSV rows and a JSON object. The CSV is the headers over the raw
+    rows unless ``csv_rows`` (header row first) gives its own. ``formats`` maps a
+    header to its column's format spec in the table; ``_cell`` formats the rest."""
 
     title: str
     headers: tuple[str, ...]
     rows: list[tuple]
-    csv_rows: list[tuple]
     json_obj: dict
     footer: tuple[str, ...] = ()
-
-
-# the table's format spec of each column that has its own, by header; other
-# cells are formatted by ``_cell``
-_COLUMN_FORMATS = {"ratio": ".3f", "conv_ratio": ".3f", "density": ".3f"}
+    formats: dict[str, str] = {}
+    csv_rows: list[tuple] | None = None
 
 
 def _cell(value) -> str:
@@ -182,28 +177,23 @@ def _cell(value) -> str:
 
 
 def _render_table(report: _Report) -> str:
-    specs = [_COLUMN_FORMATS.get(header) for header in report.headers]
+    specs = [report.formats.get(header) for header in report.headers]
     cells = [list(report.headers)] + [
         [format(v, spec) if spec else _cell(v) for v, spec in zip(row, specs)]
         for row in report.rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(report.headers))]
-    lines = [report.title]
-    for index, row in enumerate(cells):
-        joined = "  ".join(
-            row[i].ljust(widths[i]) if i == 0 else row[i].rjust(widths[i])
-            for i in range(len(row)))
-        lines.append(joined.rstrip())
-        if index == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    lines.extend(report.footer)
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = [report.title] + [  # the first column left-aligned, the others right
+        "  ".join([row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])]).rstrip()
+        for row in cells]
+    lines.insert(2, "  ".join("-" * w for w in widths))
+    return "\n".join([*lines, *report.footer]) + "\n"
 
 
 def _render_csv(report: _Report) -> str:
     import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for row in report.csv_rows:
+    for row in report.csv_rows or [report.headers, *report.rows]:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     return buf.getvalue()
 
@@ -214,47 +204,6 @@ def _render_json(report: _Report) -> str:
 
 _RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
 FORMATS = tuple(_RENDERERS)
-_METAVARS = {str: "TEXT", int: "INTEGER", float: "FLOAT"}
-
-
-def _help(cmd, usage: str) -> str:
-    """``cmd``'s --help screen, laid out 80 columns wide as click lays it out."""
-    import textwrap
-
-    def columns(rows):  # a term wider than 30 puts its text on the next line
-        first = min(max(len(term) for term, _ in rows), 30) + 4
-        lines = []
-        for term, text in rows:
-            head, *tail = textwrap.wrap(text, 80 - first, replace_whitespace=False)
-            if len(term) + 4 > first:
-                lines.append(f"  {term}")
-                term = ""
-            lines += [f"  {term}".ljust(first) + head] + [" " * first + line for line in tail]
-        return "".join(f"{line}\n" for line in lines)
-
-    def row(option):
-        metavar = _METAVARS.get(option.type) or f"[{'|'.join(option.type)}]"
-        extra = ("[required]" if option.required else
-                 f"[default: {option.default}]" * (option.default is not None))
-        return f"{option.name} {metavar}", f"{option.help}  {extra}".strip()
-
-    rows = [row(option) for option in getattr(cmd, "options", ())]
-    screen = [f"Usage: {usage}\n", f"  {cmd.__doc__}\n",
-              "Options:\n" + columns(rows + [("--help", "Show this message and exit.")])]
-    if isinstance(cmd, _Group):
-        screen.append("Commands:\n" + columns([(name, sub.__doc__)
-                                               for name, sub in sorted(cmd.commands.items())]))
-    return "\n".join(screen)
-
-
-def _no_such_option(name: str, known) -> str:
-    if not name.startswith("--"):  # a short option: there are none
-        return f"No such option {name[:2]!r}."
-    from difflib import get_close_matches
-    close = sorted(get_close_matches(name, known))
-    listed = ", ".join(map(repr, close))
-    hint = f" Did you mean {listed}?" if len(close) == 1 else f" (Did you mean one of: {listed}?)"
-    return f"No such option {name!r}." + hint * bool(close)
 
 
 def _convert(option: _Option, value: str):
@@ -267,7 +216,8 @@ def _convert(option: _Option, value: str):
         try:
             return option.type(value)
         except ValueError:
-            problem = f"is not a valid {_METAVARS[option.type].lower()}."
+            from .clihelp import METAVARS
+            problem = f"is not a valid {METAVARS[option.type].lower()}."
     raise _UsageError(f"Invalid value for {option.name!r}: {value!r} {problem}")
 
 
@@ -278,12 +228,9 @@ def _run(cmd, path: str, args: list[str]) -> None:
     convert in the order first given. A usage error exits 2."""
     group = isinstance(cmd, _Group)
     usage = f"{path} [OPTIONS]" + " COMMAND [ARGS]..." * group
-    options = {option.name: option for option in getattr(cmd, "options", ())}
+    options = {option.name: option for option in cmd.options}
     given, rest, asked_help, tokens = {}, [], False, iter(args)
     try:
-        if group and not args:  # a bare group prints its help, as a usage error
-            sys.stderr.write(_help(cmd, usage))
-            raise SystemExit(2)
         for token in tokens:
             name, eq, value = token.partition("=")
             if token == "--":
@@ -295,14 +242,16 @@ def _run(cmd, path: str, args: list[str]) -> None:
             elif name == "--help":
                 asked_help = True
             elif name not in options:
-                raise _UsageError(_no_such_option(name, [*options, "--help"]))
+                from .clihelp import no_such_option
+                raise _UsageError(no_such_option(name, [*options, "--help"]))
             elif eq or (value := next(tokens, None)) is not None:
                 given[name] = value
             else:
                 raise _UsageError(f"Option {name!r} requires an argument.")
-        if asked_help:
-            sys.stdout.write(_help(cmd, usage))
-            raise SystemExit(0)
+        if asked_help or group and not args:  # a bare group's help is a usage error
+            from .clihelp import help_screen
+            (sys.stdout if asked_help else sys.stderr).write(help_screen(cmd, usage))
+            raise SystemExit(0 if asked_help else 2)
         if group and rest[:1] and rest[0] in cmd.commands:
             return _run(cmd.commands[rest[0]], f"{path} {rest[0]}", rest[1:])
         if group:
@@ -327,22 +276,24 @@ class _Group:
     """A command group. ``main(args, prog_name)`` runs one command line and
     always ends in SystemExit."""
 
+    options = ()
+
     def __init__(self, name: str, doc: str, commands: dict):
         self.name, self.__doc__, self.commands = name, doc, commands
 
     def main(self, args=None, prog_name=None, **extra):
-        """Run ``args``, by default ``sys.argv[1:]``. ``extra`` settings, such as
-        a test runner's terminal width, are ignored: help is 80 columns wide."""
-        if prog_name is None:  # "python -m <module>" under -m, else argv[0]'s base name
-            package, prog_name = sys.modules["__main__"].__package__, os.path.basename(sys.argv[0])
-            if package:
-                prog_name = f"python -m {package}.{os.path.splitext(prog_name)[0]}"
+        """Run ``args``, by default ``sys.argv[1:]``, as ``prog_name``, by default
+        argv[0]'s base name. ``extra`` settings, such as a test runner's terminal
+        width, are ignored: help is 80 columns wide."""
         try:
             try:
-                _run(self, prog_name, sys.argv[1:] if args is None else list(args))
+                _run(self, os.path.basename(sys.argv[0]) if prog_name is None else prog_name,
+                     sys.argv[1:] if args is None else list(args))
             finally:
-                sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+                sys.stdout.flush()  # so that a closed pipe fails here
         except BrokenPipeError:  # a closed stdout: exit 1 quietly
+            if sys.stdout is sys.__stdout__:  # so the bytes it still holds go nowhere at exit
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise SystemExit(1)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -362,29 +313,21 @@ def stats_cmd(net):
     from .stats import network_stats
     report = network_stats(net)
     headers = ("layer", "kind", "weights", "macs", "d_in", "d_w", "d_out")
-    layers = [(r.name, r.kind, r.weights, r.macs, r.di, r.dw, r.do)
-              for r in report.layers]
+    layers = [(r.name, r.kind, r.weights, r.macs, r.di, r.dw, r.do) for r in report.layers]
     obj = {
         "network": report.network,
         "batch": report.batch,
         "layers": [dict(zip(headers, row)) for row in layers],
-        "totals": {
-            "weights": report.total_weights,
-            "macs": report.total_macs,
-            "conv_layers": report.conv_layers,
-            "conv_weights": report.conv_weights,
-            "conv_macs": report.conv_macs,
-            "fc_layers": report.fc_layers,
-            "fc_weights": report.fc_weights,
-            "fc_macs": report.fc_macs,
-        },
+        "totals": {"weights": report.total_weights, "macs": report.total_macs,
+                   **{key: getattr(report, key) for key in (
+                       "conv_layers", "conv_weights", "conv_macs",
+                       "fc_layers", "fc_weights", "fc_macs")}},
     }
+    # the d_in, d_w and d_out columns sum over the layers
     rows = layers + [("total", "", report.total_weights, report.total_macs,
-                      sum(r.di for r in report.layers),
-                      sum(r.dw for r in report.layers),
-                      sum(r.do for r in report.layers))]
+                      *(sum(row[i] for row in layers) for i in (4, 5, 6)))]
     return _Report(title=f"{report.network}  batch {report.batch}",
-                   headers=headers, rows=rows, csv_rows=[headers, *rows], json_obj=obj)
+                   headers=headers, rows=rows, json_obj=obj)
 
 
 @_network_options
@@ -422,8 +365,8 @@ def analyze_cmd(net, arch, mods, dataflow):
     levels = "  ".join(f"{lv} {_cell(agg.by_level[lv])}" for lv in LEVELS)
     return _Report(title=f"{net.name}  batch {net.batch}  dataflow {dataflow}",
                    headers=("layer", "input", "weight", "psum", "compute", "total"),
-                   rows=rows, csv_rows=long_rows, json_obj=obj,
-                   footer=(f"movement by level: {levels}",))
+                   rows=rows, json_obj=obj, footer=(f"movement by level: {levels}",),
+                   csv_rows=long_rows)
 
 
 @_network_options
@@ -440,19 +383,16 @@ def compare_cmd(net, arch, mods):
         "batch": report.batch,
         "winner": report.winner,
         "conv_winner": report.conv_winner,
-        "entries": [
-            {**dict(zip(headers, row)), "compute": e.compute,
-             "by_type": e.by_type, "by_level": e.by_level}
-            for row, e in zip(rows, report.entries)
-        ],
+        "entries": [{**dict(zip(headers, row)), "compute": e.compute, "by_type": e.by_type,
+                     "by_level": e.by_level} for row, e in zip(rows, report.entries)],
     }
     return _Report(title=f"{report.network}  batch {report.batch}",
-                   headers=headers, rows=rows, csv_rows=[headers, *rows], json_obj=obj,
-                   footer=(f"winner {report.winner}  conv winner {report.conv_winner}",))
+                   headers=headers, rows=rows, json_obj=obj,
+                   footer=(f"winner {report.winner}  conv winner {report.conv_winner}",),
+                   formats={"ratio": ".3f", "conv_ratio": ".3f"})
 
 
-# (name, kernels function, tolerance) of each transform verify checks
-# against conv_direct
+# (name, kernels function, tolerance) of each transform verify checks against conv_direct
 _VERIFY_ROUTES = (("im2col", "conv_im2col", 1e-9),
                   ("winograd", "conv_winograd_f22_33", 1e-6),
                   ("fft", "conv_fft", 1e-6))
@@ -484,14 +424,11 @@ def kernels_verify_cmd(trials, size, seed):
         for name, route, _ in _VERIFY_ROUTES:
             deviation = float(abs(getattr(kernels, route)(x, w) - reference).max()) / scale
             worst[name] = max(worst[name], deviation)
-    failed = False
     for name, _, tol in _VERIFY_ROUTES:
-        ok = worst[name] <= tol
-        failed = failed or not ok
         print(f"{name:8s} vs direct: max rel {worst[name]:.3e}  "
-              f"tol {tol:.0e}  {'ok' if ok else 'FAIL'}")
+              f"tol {tol:.0e}  {'ok' if worst[name] <= tol else 'FAIL'}")
     print(f"{trials} random problems checked")
-    if failed:
+    if not all(worst[name] <= tol for name, _, tol in _VERIFY_ROUTES):
         raise SystemExit(1)
 
 
@@ -504,13 +441,11 @@ def kernels_verify_cmd(trials, size, seed):
 def kernels_count_cmd(method, out_size, filter_size, matrix_size):
     """Scalar multiplication count of one method at one problem size."""
     from .stats import mult_count
-    mc = mult_count(method, out_size=out_size, filter_size=filter_size,
-                    matrix_size=matrix_size)
+    mc = mult_count(method, out_size=out_size, filter_size=filter_size, matrix_size=matrix_size)
     params = "  ".join(f"{k} {v}" for k, v in mc.params.items())
     print(f"{mc.method}: {mc.count} multiplications  ({params})")
     if mc.method in ("fft", "winograd"):
-        direct = mult_count("direct", out_size=out_size,
-                            filter_size=filter_size).count
+        direct = mult_count("direct", out_size=out_size, filter_size=filter_size).count
         print(f"direct: {direct} multiplications  ratio {mc.count / direct:.3f}")
 
 
@@ -532,11 +467,10 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     if encode_path is not None and out_path is None:
         raise _UsageError("--encode needs --out for the packed stream")
     if encode_path is not None:
-        text = _read_text(encode_path, "--encode", MAX_ENCODE_CHARS)
-        if len(tokens := text.split()) > MAX_STREAM_WORDS:  # before any word is built
+        tokens = _read_text(encode_path, "--encode", MAX_ENCODE_CHARS).split()
+        if len(tokens) > MAX_STREAM_WORDS:  # before any word is built
             raise ValueError(f"--encode file must hold at most {MAX_STREAM_WORDS} words, "
                              f"got {len(tokens)}")
-        del text
         words = [int(token) for token in tokens]
         del tokens  # so neither the text nor its tokens is alive for the pair codes
         codes = _pair_codes(words)
@@ -557,8 +491,7 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
             raise ValueError(f"--decode stream must hold at most {MAX_STREAM_WORDS} words, "
                              f"got {count}")
         words = rle_decode(data)
-        text = "".join(f"{word}\n" for word in words)
-        _emit(text, out_path)
+        _emit("".join(f"{word}\n" for word in words), out_path)
         if out_path is not None:
             print(f"{len(data)} bytes -> {len(words)} words")
         return
@@ -619,7 +552,6 @@ def prune_cmd(net, fraction, order, arch_path, seed):
     entries = [(name, size, kept[name], kept[name] / size) for name, size in sizes.items()]
     total_kept = sum(kept.values())
     totals = ("total", total, total_kept, total_kept / total)
-
     headers = ("layer", "weights", "kept", "density")
     obj = {
         "network": net.name,
@@ -631,7 +563,7 @@ def prune_cmd(net, fraction, order, arch_path, seed):
     }
     rows = entries + [totals]
     return _Report(title=f"{net.name}  fraction {fraction}  order {order}  seed {seed}",
-                   headers=headers, rows=rows, csv_rows=[headers, *rows], json_obj=obj)
+                   headers=headers, rows=rows, json_obj=obj, formats={"density": ".3f"})
 
 
 main = _Group("main", "Analytical cost modeling for neural-network inference hardware.", {
@@ -641,4 +573,4 @@ main = _Group("main", "Analytical cost modeling for neural-network inference har
     "prune": prune_cmd, "stats": stats_cmd})
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m dnncost.cli")

@@ -788,11 +788,13 @@ _REPORT_MODULES = {"stats": {"dnncost.stats"}, "analyze": _PRICING, "compare": _
                    "kernels": {"dnncost.stats"}}
 
 
-def _fresh_python(code, *args, stdout=subprocess.PIPE, flag="-c"):
-    """``python -c CODE ARGS``, or with ``flag="-m"``, ``python -m CODE ARGS``."""
+def _fresh_python(code, *args, stdout=subprocess.PIPE, flag="-c", unbuffered=False):
+    """``python -c CODE ARGS``, or with ``flag="-m"``, ``python -m CODE ARGS``.
+    Its stdout is block-buffered, as a console starts it, unless ``unbuffered``."""
     src = Path(dc.__file__).resolve().parents[1]
-    return subprocess.run([sys.executable, flag, code, *args],
-                          env={**os.environ, "PYTHONPATH": str(src)},
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *["-u"] * unbuffered, flag, code, *args],
+                          env={**env, "PYTHONPATH": str(src)},
                           stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
 
 
@@ -918,11 +920,18 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize("args", [["analyze", "--builtin", "googlenet", "--format", "csv"],
                                       ["compress"]], ids=["analyze-csv", "compress"])
-    def test_closed_stdout_exits_one_quietly(self, args):
+    def test_closed_stdout_exits_one_quietly(self, args, unbuffered=False):
+        # a short report is still in stdout's buffer when the command returns,
+        # and the interpreter flushes that buffer again at exit
         read_end, write_end = os.pipe()
         os.close(read_end)
         with os.fdopen(write_end, "wb") as closed:
             result = _fresh_python("from dnncost.cli import main; main()", *args,
-                                   stdout=closed)
+                                   stdout=closed, unbuffered=unbuffered)
         assert result.returncode == 1
         assert result.stderr == ""
+
+    @pytest.mark.parametrize("args", [["analyze", "--builtin", "googlenet", "--format", "csv"],
+                                      ["compress"]], ids=["analyze-csv", "compress"])
+    def test_closed_unbuffered_stdout_exits_one_quietly(self, args):
+        self.test_closed_stdout_exits_one_quietly(args, unbuffered=True)

@@ -21,8 +21,7 @@ def build():
         dc.AccessCounts: counts,
         dc.EnergyReport: dc.layer_energy(counts, arch),
         dc.MultCount: dc.mult_count("fft", out_size=8, filter_size=3),
-        _Report: _Report(title="t", headers=("a",), rows=[(1,)], csv_rows=[("a",), (1,)],
-                         json_obj={"a": 1}),
+        _Report: _Report(title="t", headers=("a",), rows=[(1,)], json_obj={"a": 1}),
     }
 
 
@@ -32,7 +31,7 @@ FIELDS = {
     dc.AccessCounts: ("layer", "kind", "total_macs", "acc"),
     dc.EnergyReport: ("layer", "dataflow", "movement", "compute"),
     dc.MultCount: ("method", "count", "params"),
-    _Report: ("title", "headers", "rows", "csv_rows", "json_obj", "footer"),
+    _Report: ("title", "headers", "rows", "json_obj", "footer", "formats", "csv_rows"),
 }
 
 
