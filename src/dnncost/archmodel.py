@@ -18,8 +18,6 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
-LEVELS = ("rf", "noc", "buf", "dram")
-
 
 class ArchError(ValueError):
     """Invalid accelerator configuration or configuration document."""
@@ -36,7 +34,7 @@ def _cost(value, what: str) -> float:
 
 @dataclass(frozen=True)
 class EnergyTable:
-    """Relative energy per word access at each hierarchy level."""
+    """Relative energy per word access at each level; the fields are LEVELS, from the PE out."""
 
     rf: float = 1.0
     noc: float = 2.0
@@ -44,13 +42,12 @@ class EnergyTable:
     dram: float = 200.0
 
     def __post_init__(self):
-        for level in LEVELS:
-            cost = _cost(getattr(self, level), f"energy cost for {level}")
+        costs = [_cost(getattr(self, level), f"energy cost for {level}") for level in LEVELS]
+        for level, cost in zip(LEVELS, costs):
             object.__setattr__(self, level, cost)
-        if not self.rf <= self.noc <= self.buf <= self.dram:
-            raise ArchError(
-                f"energy costs must be ordered rf <= noc <= buf <= dram, got "
-                f"({self.rf}, {self.noc}, {self.buf}, {self.dram})")
+        if costs != sorted(costs):
+            raise ArchError(f"energy costs must be ordered {' <= '.join(LEVELS)}, got "
+                            f"({', '.join(map(str, costs))})")
 
 
 @dataclass(frozen=True)
@@ -81,6 +78,8 @@ def default_arch() -> ArchConfig:
     return ArchConfig()
 
 
+# the storage levels are EnergyTable's fields, in their order
+LEVELS = tuple(f.name for f in fields(EnergyTable))
 _TOP_KEYS = {f.name for f in fields(ArchConfig)}
 
 

@@ -37,11 +37,11 @@ DATAFLOW_NAMES = tuple(k.value for k in DataflowKind)
 # longest stream `compress` draws (--n), encodes (--encode) or decodes
 # (--decode); its arrays grow with the length
 MAX_STREAM_WORDS = 1 << 20
-# largest --decode file: every 21-bit pair decodes to at least one word, so a
-# stream within MAX_STREAM_WORDS packs into at most this many bytes
+# largest --decode file: each pair of optkit.PAIR_BITS (21) bits decodes to at
+# least one word, so MAX_STREAM_WORDS words pack into at most this many bytes
 MAX_DECODE_BYTES = MAX_STREAM_WORDS * 21 // 8
 # longest --encode file: the text --decode writes for MAX_STREAM_WORDS words,
-# each at most five digits and a newline
+# each at most the five digits of optkit.MAX_VALUE and a newline
 MAX_ENCODE_CHARS = MAX_STREAM_WORDS * 6
 # largest `kernels verify --size` and `--trials`: every trial runs four
 # convolutions of a size x size input
@@ -359,12 +359,10 @@ def analyze_cmd(net, arch, mods, dataflow):
         long_rows += [(rep.layer, rep.dataflow, dtype, level, rep.movement[dtype][level])
                       for dtype in DATA_TYPES for level in LEVELS]
         long_rows.append((rep.layer, rep.dataflow, "compute", "mac", rep.compute))
-    rows = [(rep.layer, rep.by_type["input"], rep.by_type["weight"],
-             rep.by_type["psum"], rep.compute, rep.total)
-            for rep in everything]
+    rows = [(rep.layer, *rep.by_type.values(), rep.compute, rep.total) for rep in everything]
     levels = "  ".join(f"{lv} {_cell(agg.by_level[lv])}" for lv in LEVELS)
     return _Report(title=f"{net.name}  batch {net.batch}  dataflow {dataflow}",
-                   headers=("layer", "input", "weight", "psum", "compute", "total"),
+                   headers=("layer", *DATA_TYPES, "compute", "total"),
                    rows=rows, json_obj=obj, footer=(f"movement by level: {levels}",),
                    csv_rows=long_rows)
 
@@ -441,6 +439,12 @@ def kernels_verify_cmd(trials, size, seed):
 def kernels_count_cmd(method, out_size, filter_size, matrix_size):
     """Scalar multiplication count of one method at one problem size."""
     from .stats import mult_count
+    if method == "strassen":
+        for flag, value in (("--out-size", out_size), ("--filter-size", filter_size)):
+            if value is not None:
+                raise _UsageError(f"{flag} needs a convolution method")
+    elif matrix_size is not None:
+        raise _UsageError("--matrix-size needs --method strassen")
     mc = mult_count(method, out_size=out_size, filter_size=filter_size, matrix_size=matrix_size)
     params = "  ".join(f"{k} {v}" for k, v in mc.params.items())
     print(f"{mc.method}: {mc.count} multiplications  ({params})")
@@ -466,11 +470,16 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
         raise _UsageError("give at most one of --encode or --decode")
     if encode_path is not None and out_path is None:
         raise _UsageError("--encode needs --out for the packed stream")
+    if encode_path is None and decode_path is None and out_path is not None:
+        raise _UsageError("--out needs --encode or --decode")
     if encode_path is not None:
         tokens = _read_text(encode_path, "--encode", MAX_ENCODE_CHARS).split()
         if len(tokens) > MAX_STREAM_WORDS:  # before any word is built
             raise ValueError(f"--encode file must hold at most {MAX_STREAM_WORDS} words, "
                              f"got {len(tokens)}")
+        for token in tokens:  # int() would also read 1_0, +7 and non-ASCII digits
+            if not (token.isascii() and token.isdigit()):
+                raise ValueError(f"--encode words must be ASCII decimal digits, got {token!r}")
         words = [int(token) for token in tokens]
         del tokens  # so neither the text nor its tokens is alive for the pair codes
         codes = _pair_codes(words)
@@ -525,6 +534,8 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
 @_report_options
 def prune_cmd(net, fraction, order, arch_path, seed):
     """Prune synthetic weights for a network and report layer densities."""
+    if order == "magnitude" and arch_path is not None:
+        raise _UsageError("--arch needs --order energy")
     from .optkit import _budget, _drain, _keep_mask
     sizes = {layer.name: layer.stats.dw for layer in net.layers if layer.kind in WEIGHTED_KINDS}
     if not sizes:

@@ -4,14 +4,15 @@ The model answers one question per layer: how many times does each data type
 (input activations, weights, partial sums) touch each level of the storage
 hierarchy (per-PE register file, inter-PE network, global buffer, DRAM)?
 
-Each dataflow is summarized by a small table of reuse factors per data type:
+Each dataflow is summarized by a table of three reuse factors per data type:
 
-* ``resident``       the type lives in the PE register file, so every MAC
-                     touches the RF (twice for partial sums: read + update)
-* ``rf_reuse``       MACs served by one RF fill; deliveries from above are
-                     T / rf_reuse
-* ``multicast``      PEs fed by one buffer read over the network
-* ``spatial_accum``  partial sums combined across PEs before a buffer update
+* ``resident``  the type lives in the PE register file, so every MAC touches
+                the RF (twice for partial sums: read + update)
+* ``rf_reuse``  MACs served by one RF fill; deliveries from above are
+                T / rf_reuse
+* ``share``     PEs one buffer access serves: the multicast fan-out of an
+                input or weight read, the spatial-accumulation fan-in of a
+                partial-sum update
 
 A table also records the layer it was computed for, which carries its batch
 size and its counts, so counting a table needs nothing else.
@@ -19,8 +20,7 @@ size and its counts, so counting a table needs nothing else.
 One counting rule covers every data type, with T (the MACs over the whole
 batch) and the type's unique volume U (Di, Dw or Do) from ``layer.stats``.
 k = 2 for partial sums, whose RF accesses and buffer updates each read and
-write, and 1 for inputs and weights; share is ``multicast`` for inputs and
-weights, ``spatial_accum`` for partial sums:
+write, and 1 for inputs and weights:
 
 * RF: k * T if the type is resident, else 0
 * NoC: ceil(T / rf_reuse), floored at U (deliveries can never undercut the
@@ -54,8 +54,6 @@ from .netmodel import WEIGHTED_KINDS, ResolvedLayer
 if TYPE_CHECKING:
     from .archmodel import ArchConfig
 
-DATA_TYPES = ("input", "weight", "psum")
-
 
 def _as_kind(kind) -> DataflowKind:
     """``DataflowKind(kind)``, without the enum call when kind is a member."""
@@ -67,8 +65,7 @@ class TypeReuse(NamedTuple):
 
     resident: bool
     rf_reuse: int = 1
-    multicast: int = 1
-    spatial_accum: int = 1
+    share: int = 1
 
 
 class ReuseFactors(NamedTuple):
@@ -80,6 +77,10 @@ class ReuseFactors(NamedTuple):
     input: TypeReuse
     weight: TypeReuse
     psum: TypeReuse
+
+
+# the data types are ReuseFactors' type fields, in their order
+DATA_TYPES = ReuseFactors._fields[2:]
 
 
 class AccessCounts(NamedTuple):
@@ -119,32 +120,32 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig) ->
         return ReuseFactors(
             kind=kind, layer=layer,
             weight=TypeReuse(resident=True, rf_reuse=max(1, layer.batch * e * f)),
-            input=TypeReuse(resident=False, multicast=mp),
-            psum=TypeReuse(resident=False, spatial_accum=r * s),
+            input=TypeReuse(resident=False, share=mp),
+            psum=TypeReuse(resident=False, share=r * s),
         )
     if kind is DataflowKind.OS:
         q = max(1, min(p, e * f))
         return ReuseFactors(
             kind=kind, layer=layer,
             psum=TypeReuse(resident=True, rf_reuse=depth),
-            input=TypeReuse(resident=False, multicast=min(r * s, q)),
-            weight=TypeReuse(resident=False, multicast=q),
+            input=TypeReuse(resident=False, share=min(r * s, q)),
+            weight=TypeReuse(resident=False, share=q),
         )
     if kind is DataflowKind.NLR:
         lane = arch.nlr_lane_width
         return ReuseFactors(
             kind=kind, layer=layer,
-            input=TypeReuse(resident=False, multicast=min(m, lane)),
-            weight=TypeReuse(resident=False, multicast=1),
-            psum=TypeReuse(resident=False, spatial_accum=min(depth, lane)),
+            input=TypeReuse(resident=False, share=min(m, lane)),
+            weight=TypeReuse(resident=False, share=1),
+            psum=TypeReuse(resident=False, share=min(depth, lane)),
         )
     # RS: filter row and input row pinned per PE, sliding window along a row
     g = max(1, min(arch.rs_channels_per_pe, layer.in_channels))
     return ReuseFactors(
         kind=kind, layer=layer,
-        weight=TypeReuse(resident=True, rf_reuse=max(1, f), multicast=min(e, p)),
-        input=TypeReuse(resident=True, rf_reuse=max(1, s), multicast=min(r, p)),
-        psum=TypeReuse(resident=True, rf_reuse=max(1, s * g), spatial_accum=max(1, r)),
+        weight=TypeReuse(resident=True, rf_reuse=max(1, f), share=min(e, p)),
+        input=TypeReuse(resident=True, rf_reuse=max(1, s), share=min(r, p)),
+        psum=TypeReuse(resident=True, rf_reuse=max(1, s * g), share=max(1, r)),
     )
 
 
@@ -155,14 +156,12 @@ def access_counts(factors: ReuseFactors) -> AccessCounts:
     t = st.macs
 
     acc: dict[str, dict[str, int]] = {}
-    for dtype, fac, unique, k, share in (
-            ("input", factors.input, st.di, 1, factors.input.multicast),
-            ("weight", factors.weight, st.dw, 1, factors.weight.multicast),
-            ("psum", factors.psum, st.do, 2, factors.psum.spatial_accum)):
+    for dtype, fac, unique, k in zip(DATA_TYPES, factors[2:], (st.di, st.dw, st.do), (1, 1, 2)):
+        # a literal, keys in LEVELS order: three times as fast as dict(zip(LEVELS, ...))
         acc[dtype] = {
             "rf": k * t if fac.resident else 0,
             "noc": max(_ceildiv(t, fac.rf_reuse), unique),
-            "buf": max(k * _ceildiv(t, fac.rf_reuse * share), unique),
+            "buf": max(k * _ceildiv(t, fac.rf_reuse * fac.share), unique),
             "dram": unique,
         }
     return AccessCounts(layer=layer.name, kind=factors.kind, total_macs=t, acc=acc)

@@ -220,31 +220,31 @@ def reference_factors(kind, layer, arch, batch):
         return ReuseFactors(
             kind=kind, layer=layer,
             weight=TypeReuse(resident=True, rf_reuse=max(1, batch * e * f)),
-            input=TypeReuse(resident=False, multicast=mp),
-            psum=TypeReuse(resident=False, spatial_accum=r * s),
+            input=TypeReuse(resident=False, share=mp),
+            psum=TypeReuse(resident=False, share=r * s),
         )
     if kind is DataflowKind.OS:
         q = max(1, min(p, e * f))
         return ReuseFactors(
             kind=kind, layer=layer,
             psum=TypeReuse(resident=True, rf_reuse=depth),
-            input=TypeReuse(resident=False, multicast=min(r * s, q)),
-            weight=TypeReuse(resident=False, multicast=q),
+            input=TypeReuse(resident=False, share=min(r * s, q)),
+            weight=TypeReuse(resident=False, share=q),
         )
     if kind is DataflowKind.NLR:
         lane = arch.nlr_lane_width
         return ReuseFactors(
             kind=kind, layer=layer,
-            input=TypeReuse(resident=False, multicast=min(m, lane)),
-            weight=TypeReuse(resident=False, multicast=1),
-            psum=TypeReuse(resident=False, spatial_accum=min(depth, lane)),
+            input=TypeReuse(resident=False, share=min(m, lane)),
+            weight=TypeReuse(resident=False, share=1),
+            psum=TypeReuse(resident=False, share=min(depth, lane)),
         )
     g = max(1, min(arch.rs_channels_per_pe, layer.in_channels))
     return ReuseFactors(
         kind=kind, layer=layer,
-        weight=TypeReuse(resident=True, rf_reuse=max(1, f), multicast=min(e, p)),
-        input=TypeReuse(resident=True, rf_reuse=max(1, s), multicast=min(r, p)),
-        psum=TypeReuse(resident=True, rf_reuse=max(1, s * g), spatial_accum=max(1, r)),
+        weight=TypeReuse(resident=True, rf_reuse=max(1, f), share=min(e, p)),
+        input=TypeReuse(resident=True, rf_reuse=max(1, s), share=min(r, p)),
+        psum=TypeReuse(resident=True, rf_reuse=max(1, s * g), share=max(1, r)),
     )
 
 
@@ -267,11 +267,11 @@ def reference_table_counts(factors):
         acc[dtype] = {
             "rf": t if fac.resident else 0,
             "noc": deliveries,
-            "buf": max(unique[dtype], min(_ceildiv(deliveries, fac.multicast), deliveries)),
+            "buf": max(unique[dtype], min(_ceildiv(deliveries, fac.share), deliveries)),
             "dram": unique[dtype],
         }
     fac = factors.psum
-    updates = _ceildiv(t, fac.rf_reuse * fac.spatial_accum)
+    updates = _ceildiv(t, fac.rf_reuse * fac.share)
     acc["psum"] = {
         "rf": 2 * t if fac.resident else 0,
         "noc": max(_ceildiv(t, fac.rf_reuse), st.do),

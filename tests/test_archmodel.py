@@ -25,8 +25,10 @@ class TestDefaults:
 
 class TestValidation:
     def test_energy_ordering_enforced(self):
-        with pytest.raises(ArchError, match="ordered"):
+        with pytest.raises(ArchError) as info:
             dc.ArchConfig(energy=dc.EnergyTable(rf=1, noc=2, buf=6, dram=0.5))
+        assert str(info.value) == ("energy costs must be ordered rf <= noc <= buf <= dram, "
+                                   "got (1.0, 2.0, 6.0, 0.5)")
 
     def test_word_bits_bounds(self):
         with pytest.raises(ArchError):

@@ -363,9 +363,6 @@ class TestCompress:
             assert result.stdout.endswith(f" bytes -> {MAX_STREAM_WORDS} words\n")
             assert out.read_text() == "0\n" * MAX_STREAM_WORDS
 
-    def test_decode_byte_cap_is_the_packed_word_cap(self):
-        assert MAX_DECODE_BYTES == -(-MAX_STREAM_WORDS * dc.optkit.PAIR_BITS // 8)
-
     @pytest.mark.parametrize("size, code", [(MAX_DECODE_BYTES, 0), (MAX_DECODE_BYTES + 1, 1),
                                             (21_000_000, 1)],
                              ids=["at-cap", "one-over", "21MB"])
@@ -426,8 +423,31 @@ class TestCompress:
         # the text read up to the cap and one pointer per token; no word built
         assert peak < 3 * MAX_ENCODE_CHARS
 
-    def test_encode_char_cap_is_the_longest_decoded_text(self):
-        assert MAX_ENCODE_CHARS == len(f"{dc.optkit.MAX_VALUE}\n") * MAX_STREAM_WORDS
+    def test_caps_follow_the_codec_format(self):
+        # cli spells both out, so that loading it does not load optkit and numpy
+        assert MAX_DECODE_BYTES == MAX_STREAM_WORDS * dc.optkit.PAIR_BITS // 8
+        assert MAX_ENCODE_CHARS == MAX_STREAM_WORDS * (len(str(dc.optkit.MAX_VALUE)) + 1)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "+7", "-7", "\uff17"],
+                             ids=["underscore", "arabic-indic", "plus", "minus", "fullwidth"])
+    def test_encode_reads_only_ascii_decimal_words(self, runner, tmp_path, token):
+        source = tmp_path / "words.txt"
+        source.write_text(f"1 {token} 3\n", encoding="utf-8")
+        packed = tmp_path / "packed.bin"
+        result = runner.invoke(main, ["compress", "--encode", str(source), "--out", str(packed)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == ("error: --encode words must be ASCII decimal digits, "
+                                 f"got {token!r}\n")
+        assert not packed.exists()
+
+    def test_encode_reads_leading_zeros(self, runner, tmp_path):
+        source = tmp_path / "words.txt"
+        source.write_text("007\n")
+        packed = tmp_path / "packed.bin"
+        result = runner.invoke(main, ["compress", "--encode", str(source), "--out", str(packed)])
+        assert result.exit_code == 0
+        assert packed.read_bytes() == dc.rle_encode([7])
 
     def test_stream_length_cap(self, runner):
         over = runner.invoke(main, ["compress", "--n", str(MAX_STREAM_WORDS + 1)])
@@ -601,6 +621,25 @@ class TestExitCodes:
         bad_fmt = runner.invoke(main, ["stats", "--builtin", "lenet5",
                                        "--format", "yaml"])
         assert bad_fmt.exit_code == 2
+
+    @pytest.mark.parametrize("args, error", [
+        (["prune", "--builtin", "lenet5", "--arch", "/no/such/file.json"],
+         "--arch needs --order energy"),
+        (["compress", "--n", "16", "--out", "/no/such/dir/x"], "--out needs --encode or --decode"),
+        (["kernels", "count", "--method", "direct", "--out-size", "4", "--filter-size", "3",
+          "--matrix-size", "8"], "--matrix-size needs --method strassen"),
+        (["kernels", "count", "--method", "strassen", "--matrix-size", "8", "--out-size", "4"],
+         "--out-size needs a convolution method"),
+        (["kernels", "count", "--method", "strassen", "--matrix-size", "8", "--filter-size", "3"],
+         "--filter-size needs a convolution method"),
+    ], ids=["prune-arch", "compress-out", "count-matrix-size", "strassen-out-size",
+            "strassen-filter-size"])
+    def test_a_flag_the_mode_never_reads_is_a_usage_error(self, runner, args, error):
+        result = runner.invoke(main, args, prog_name="dnncost")
+        path = " ".join(["dnncost", *args[:2 if args[0] == "kernels" else 1]])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == _usage_error(path, error)
 
     def test_compare_without_weighted_layers_is_a_data_error(self, runner, tmp_path):
         path = tmp_path / "nw.json"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnncost as dc
+from dnncost.archmodel import LEVELS
 from dnncost.cli import main
 from dnncost.dataflow import (DATA_TYPES, DataflowKind, ReuseFactors, TypeReuse, access_counts,
                               reuse_factors)
@@ -66,8 +67,7 @@ class TestReuseFactors:
                     if not fac.resident:
                         assert fac.rf_reuse == 1
                     assert fac.rf_reuse >= 1
-                    assert fac.multicast >= 1
-                    assert fac.spatial_accum >= 1
+                    assert fac.share >= 1
 
     def test_ws_weight_reuse_on_large_conv(self, arch, resolved_builtins):
         conv1 = resolved_builtins["alexnet"].layers[0]
@@ -92,8 +92,8 @@ class TestReuseFactors:
         serial = dc.ArchConfig(nlr_lane_width=1)
         layer = make_conv(4, 6, 6, 8, 3, 3)
         factors = reuse_factors(DataflowKind.NLR, layer, serial)
-        assert factors.input.multicast == 1
-        assert factors.psum.spatial_accum == 1
+        assert factors.input.share == 1
+        assert factors.psum.share == 1
 
     def test_kind_given_as_a_string(self, arch):
         for kind in KINDS:
@@ -149,7 +149,7 @@ ARCHS = st.builds(dc.ArchConfig, pe_count=st.integers(1, 4096),
 
 
 class TestCountsNeedNoCeiling:
-    """Every reuse factor is an int >= 1, so ceil(d / multicast) <= d and the
+    """Every reuse factor is an int >= 1, so ceil(d / share) <= d and the
     partial-sum updates are at most T: the counting rules need floors only."""
 
     @given(layer=hand_built_layers(), arch=ARCHS, kind=st.sampled_from(KINDS))
@@ -158,7 +158,7 @@ class TestCountsNeedNoCeiling:
         factors = reuse_factors(kind, layer, arch)
         for dtype in DATA_TYPES:
             fac = getattr(factors, dtype)
-            for value in (fac.rf_reuse, fac.multicast, fac.spatial_accum):
+            for value in (fac.rf_reuse, fac.share):
                 assert type(value) is int and value >= 1
         acc = access_counts(factors).acc
         t = layer.stats.macs
@@ -168,15 +168,14 @@ class TestCountsNeedNoCeiling:
 
 
 FACTORS = st.integers(1, 8) | st.integers(1, 10**6)
-REUSE = st.builds(TypeReuse, resident=st.booleans(), rf_reuse=FACTORS, multicast=FACTORS,
-                  spatial_accum=FACTORS)
+REUSE = st.builds(TypeReuse, resident=st.booleans(), rf_reuse=FACTORS, share=FACTORS)
 
 
 class TestOneRule:
     """One rule counts every data type. On any table whose factors are ints
     >= 1, hand-built ones included, it equals the reference's chained
     clamps, which count partial sums apart and floor the NoC count before
-    dividing it by the multicast."""
+    dividing it by the share."""
 
     @given(factors=st.builds(ReuseFactors, kind=st.sampled_from(KINDS),
                              layer=hand_built_layers(), input=REUSE, weight=REUSE, psum=REUSE))
@@ -255,6 +254,15 @@ class TestAccessCounts:
                            match="^layer 'probe': macs exceeds the count budget"):
             dc.resolve_shapes(huge, batch=4)
 
+    def test_rows_follow_the_axes(self, arch):
+        assert DATA_TYPES == ("input", "weight", "psum")
+        assert LEVELS == ("rf", "noc", "buf", "dram")
+        for kind in KINDS:
+            acc = dc.layer_access_counts(kind, TINY, arch).acc
+            assert list(acc) == list(DATA_TYPES)
+            for row in acc.values():
+                assert list(row) == list(LEVELS)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_counts_price_the_table_layer(self, arch, kind):
         # a factor table carries its layer and batch, so counting it takes
@@ -265,6 +273,44 @@ class TestAccessCounts:
         counts = access_counts(factors)
         assert counts.layer == layer.name
         assert counts.total_macs == dc.layer_stats(layer).macs
+
+
+class TestFloors:
+    """The NoC count is max(ceil(T / rf_reuse), U) and the buffer count
+    max(k * ceil(T / (rf_reuse * share)), U). At the default hardware the
+    floor U binds on 5 of the built-ins' 3,360 NoC and buffer cells."""
+
+    FLOORED = {  # (network, layer, dataflow, type, level): (raw, U)
+        ("lenet5", "c3", "os", "psum", "noc"): (1_596, 1_600),
+        ("resnet50", "res3a_a", "ws", "input", "buf"): (200_704, 802_816),
+        ("resnet50", "res3a_proj", "ws", "input", "buf"): (401_408, 802_816),
+        ("resnet50", "res4a_a", "ws", "input", "buf"): (100_352, 401_408),
+        ("resnet50", "res5a_a", "ws", "input", "buf"): (100_352, 200_704),
+    }
+
+    def test_floored_cells_at_the_default_hardware(self, arch, resolved_builtins):
+        floored, cells = {}, 0
+        for net, resolved in resolved_builtins.items():
+            for layer in resolved.layers:
+                if layer.kind not in ("conv", "fc"):
+                    continue
+                t = layer.stats.macs
+                uniques = (layer.stats.di, layer.stats.dw, layer.stats.do)
+                for kind in KINDS:
+                    factors = reuse_factors(kind, layer, arch)
+                    acc = access_counts(factors).acc
+                    for dtype, unique, k in zip(DATA_TYPES, uniques, (1, 1, 2)):
+                        fac = getattr(factors, dtype)
+                        raw = {"noc": -(-t // fac.rf_reuse),
+                               "buf": k * -(-t // (fac.rf_reuse * fac.share))}
+                        for level, count in raw.items():
+                            cells += 1
+                            assert acc[dtype][level] == max(count, unique)
+                            if count < unique:
+                                cell = (net, layer.name, kind.value, dtype, level)
+                                floored[cell] = (count, unique)
+        assert cells == 3_360
+        assert floored == self.FLOORED
 
 
 class TestLoopNestOracle:

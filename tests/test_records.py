@@ -26,7 +26,7 @@ def build():
 
 
 FIELDS = {
-    dc.TypeReuse: ("resident", "rf_reuse", "multicast", "spatial_accum"),
+    dc.TypeReuse: ("resident", "rf_reuse", "share"),
     dc.ReuseFactors: ("kind", "layer", "input", "weight", "psum"),
     dc.AccessCounts: ("layer", "kind", "total_macs", "acc"),
     dc.EnergyReport: ("layer", "dataflow", "movement", "compute"),
