@@ -363,6 +363,9 @@ class TestCompress:
             assert result.stdout.endswith(f" bytes -> {MAX_STREAM_WORDS} words\n")
             assert out.read_text() == "0\n" * MAX_STREAM_WORDS
 
+    def test_decode_byte_cap_is_the_packed_word_cap(self):
+        assert MAX_DECODE_BYTES == -(-MAX_STREAM_WORDS * dc.optkit.PAIR_BITS // 8)
+
     @pytest.mark.parametrize("size, code", [(MAX_DECODE_BYTES, 0), (MAX_DECODE_BYTES + 1, 1),
                                             (21_000_000, 1)],
                              ids=["at-cap", "one-over", "21MB"])
@@ -422,6 +425,9 @@ class TestCompress:
         assert not packed.exists()
         # the text read up to the cap and one pointer per token; no word built
         assert peak < 3 * MAX_ENCODE_CHARS
+
+    def test_encode_char_cap_is_the_longest_decoded_text(self):
+        assert MAX_ENCODE_CHARS == len(f"{dc.optkit.MAX_VALUE}\n") * MAX_STREAM_WORDS
 
     def test_caps_follow_the_codec_format(self):
         # cli spells both out, so that loading it does not load optkit and numpy
