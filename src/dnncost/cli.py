@@ -225,7 +225,8 @@ def _run(cmd, path: str, args: list[str]) -> None:
     """Parse ``args`` for ``cmd``, a group or a command called ``path``, and run
     it. ``--opt value`` and ``--opt=value`` read alike and the last one wins.
     Once every token is read, ``--help`` prints the help and exits; then values
-    convert in the order first given. A usage error exits 2."""
+    convert in the order first given. A command marked ``takes_given`` also
+    receives ``given``, the names of the options given. A usage error exits 2."""
     group = isinstance(cmd, _Group)
     usage = f"{path} [OPTIONS]" + " COMMAND [ARGS]..." * group
     options = {option.name: option for option in cmd.options}
@@ -266,6 +267,8 @@ def _run(cmd, path: str, args: list[str]) -> None:
         if rest:
             raise _UsageError(f"Got unexpected extra argument{'s' * (len(rest) > 1)} "
                               f"({' '.join(rest)})")
+        if getattr(cmd, "takes_given", False):  # to tell a given flag from its default
+            values["given"] = given.keys()
         return cmd(**values)
     except _UsageError as exc:
         sys.stderr.write(f"Usage: {usage}\nTry '{path} --help' for help.\n\nError: {exc}\n")
@@ -460,7 +463,7 @@ def kernels_count_cmd(method, out_size, filter_size, matrix_size):
                   help="Encode a text file of words (whitespace separated)."),
           _Option("--decode", "decode_path", help="Decode a packed binary file."),
           _Option("--out", "out_path", help="Output path (required for --encode)."))
-def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
+def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path, given):
     """Run-length compression of sparse 16-bit streams."""
     import numpy as np
 
@@ -468,6 +471,10 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
                          rle_word_count)
     if encode_path is not None and decode_path is not None:
         raise _UsageError("give at most one of --encode or --decode")
+    if encode_path is not None or decode_path is not None:
+        for flag in ("--n", "--sparsity", "--seed"):
+            if flag in given:
+                raise _UsageError(f"{flag} is read only without --encode or --decode")
     if encode_path is not None and out_path is None:
         raise _UsageError("--encode needs --out for the packed stream")
     if encode_path is None and decode_path is None and out_path is not None:
@@ -522,6 +529,9 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
         print("round trip FAILED")
         raise SystemExit(1)
     print("round trip ok")
+
+
+compress_cmd.takes_given = True
 
 
 @_network_options

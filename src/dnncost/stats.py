@@ -104,12 +104,17 @@ def mult_count(method: str, out_size: int | None = None,
     Convolution methods (direct, im2col, fft, winograd) take a square output
     size No and filter size Nf; winograd is the 3x3, 2x2-tile variant only.
     Strassen takes a power-of-two matrix size N. No size may exceed
-    MAX_COUNT_SIZE.
+    MAX_COUNT_SIZE, and a size the method does not read is an error.
     """
     if method not in MULT_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {MULT_METHODS}")
+    if method != "strassen" and matrix_size is not None:
+        raise ValueError("matrix_size needs method 'strassen'")
 
     if method == "strassen":
+        for name, value in (("out_size", out_size), ("filter_size", filter_size)):
+            if value is not None:
+                raise ValueError(f"{name} needs a convolution method")
         if matrix_size is None or matrix_size < 1 or matrix_size & (matrix_size - 1):
             raise ValueError("strassen needs a power-of-two matrix_size")
         if matrix_size > MAX_COUNT_SIZE:

@@ -14,6 +14,11 @@ lookup per cell, totals and breakdowns derived here with generator sums
 rather than read from the report properties, the batch passed explicitly
 rather than read off the layer). Both are kept so the lean engine path can be
 held to them with ``==``.
+
+``reference_conv_fft`` is not an enumeration either. It is the FFT
+convolution as ``kernels.conv_fft`` computed it while it still transformed
+the whole filter bank, kept so the reordered kernel has a witness that
+differs from it only in the order of the sums.
 """
 
 from dataclasses import replace
@@ -26,6 +31,7 @@ from dnncost.dataflow import (DATA_TYPES, AccessCounts, DataflowKind, ReuseFacto
 from dnncost.energy import ComparisonReport, DataflowComparison, EnergyReport
 from dnncost.netmodel import WEIGHTED_KINDS, LayerStats, ResolvedLayer
 from dnncost.optkit import MAX_RUN, MAX_VALUE, PAIR_BITS, VALUE_BITS, CodecError
+from dnncost.stats import next_pow2
 
 # Which data types live in the per-PE register file under each policy.
 # This restates the taxonomy definition, not the engine's factor table.
@@ -125,6 +131,23 @@ def window_conv(x, w, stride=1, pad=0):
             cols[:, e * out_w + f] = patch
             out[:, e, f] = flat @ patch
     return out, cols
+
+
+def reference_conv_fft(x, w):
+    """Stride-1 cross-correlation by the textbook three-transform route: the
+    real 2-D FFT of the input and of every flipped filter, zero-padded to the
+    next powers of two >= H + R - 1 and W + S - 1, their product summed over
+    channels, the inverse FFT, and the valid crop."""
+    c, h, wd = x.shape
+    m, _, r, s = w.shape
+    e, f = h - r + 1, wd - s + 1
+    nh = next_pow2(h + r - 1)
+    nw = next_pow2(wd + s - 1)
+    fx = np.fft.rfft2(x, (nh, nw))
+    fw = np.fft.rfft2(w[:, :, ::-1, ::-1], (nh, nw))
+    prod = np.einsum("cij,mcij->mij", fx, fw)
+    full = np.fft.irfft2(prod, (nh, nw))
+    return full[:, r - 1:r - 1 + e, s - 1:s - 1 + f]
 
 
 # -- run-length codec ------------------------------------------------------------

@@ -638,8 +638,17 @@ class TestExitCodes:
          "--out-size needs a convolution method"),
         (["kernels", "count", "--method", "strassen", "--matrix-size", "8", "--filter-size", "3"],
          "--filter-size needs a convolution method"),
+        (["compress", "--encode", "/no/such/w.txt", "--out", "/no/such/w.bin", "--n", "7"],
+         "--n is read only without --encode or --decode"),
+        (["compress", "--decode", "/no/such/w.bin", "--sparsity", "0.2"],
+         "--sparsity is read only without --encode or --decode"),
+        (["compress", "--seed=3", "--decode", "/no/such/w.bin", "--out", "/no/such/w.txt"],
+         "--seed is read only without --encode or --decode"),
+        (["compress", "--encode", "/no/such/w.txt", "--out", "/no/such/w.bin", "--seed", "0"],
+         "--seed is read only without --encode or --decode"),
     ], ids=["prune-arch", "compress-out", "count-matrix-size", "strassen-out-size",
-            "strassen-filter-size"])
+            "strassen-filter-size", "encode-n", "decode-sparsity", "decode-seed",
+            "encode-default-seed"])
     def test_a_flag_the_mode_never_reads_is_a_usage_error(self, runner, args, error):
         result = runner.invoke(main, args, prog_name="dnncost")
         path = " ".join(["dnncost", *args[:2 if args[0] == "kernels" else 1]])

@@ -1,12 +1,14 @@
 """Convolution transform equivalence and multiplication-count estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dnncost.kernels import (_check_input, _columns, _windows, conv_direct, conv_fft,
                              conv_im2col, conv_winograd_f22_33)
 from dnncost.stats import MULT_METHODS, mult_count, next_pow2
-from oracles import window_conv
+from oracles import reference_conv_fft, window_conv
 
 
 def im2col_matrix(x, kernel, stride=1, pad=0):
@@ -177,7 +179,54 @@ class TestWinograd:
             conv_winograd_f22_33(np.ones((1, 3, 2)), np.ones((1, 1, 3, 3)))
 
 
+def fft_cases(count, seed):
+    """Random stride-1 problems with C, M, R and S each drawn from 1..5, so
+    that R != S and R > C occur, and H != W."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        c, m, r, s = (int(v) for v in rng.integers(1, 6, size=4))
+        h, wd = int(rng.integers(r, r + 12)), int(rng.integers(s, s + 12))
+        if h != wd:
+            cases.append((rng.standard_normal((c, h, wd)), rng.standard_normal((m, c, r, s))))
+    return cases
+
+
+def one_by_one_and_long_cases(seed):
+    """1x1 filters, and a 520 x 530 input whose 11 x 11 filters need
+    1024-point transforms along both axes."""
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal(x_shape), rng.standard_normal(w_shape))
+            for x_shape, w_shape in (((3, 7, 5), (4, 3, 1, 1)), ((1, 1, 9), (2, 1, 1, 1)),
+                                     ((2, 520, 530), (2, 2, 11, 11)))]
+
+
 class TestFFT:
+    @pytest.mark.parametrize("x, w", fft_cases(40, seed=14) + one_by_one_and_long_cases(15))
+    def test_matches_the_three_transform_reference(self, x, w):
+        """Summing over channels before the filters' row-axis DFT moves only
+        the last bits of the textbook route, and both match direct."""
+        reference = reference_conv_fft(x, w)
+        got = conv_fft(x, w)
+        assert got.shape == reference.shape
+        bound = 1e-12 * np.abs(reference).max()
+        assert np.abs(got - reference).max() <= bound
+        assert np.abs(got - conv_direct(x, w)).max() <= bound
+
+    def test_never_builds_the_filter_bank_spectrum(self):
+        """64 channels of 58 x 58 under 64 3x3 filters: the M x C x 64 x 33
+        complex filter spectrum alone would be 138 MB."""
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((64, 58, 58))
+        w = rng.standard_normal((64, 64, 3, 3))
+        tracemalloc.start()
+        try:
+            conv_fft(x, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
     def test_next_pow2(self):
         assert [next_pow2(n) for n in (1, 2, 3, 5, 8, 9, 36)] \
             == [1, 2, 4, 8, 8, 16, 64]
@@ -259,6 +308,18 @@ class TestMultCount:
             mult_count("direct", out_size=4)
         with pytest.raises(ValueError, match="3x3"):
             mult_count("winograd", out_size=4, filter_size=5)
+
+    @pytest.mark.parametrize("method, sizes, match", [
+        ("direct", {"out_size": 4, "filter_size": 3, "matrix_size": 8},
+         "^matrix_size needs method 'strassen'$"),
+        ("fft", {"out_size": 4, "filter_size": 3, "matrix_size": 8}, "^matrix_size "),
+        ("strassen", {"out_size": 4, "matrix_size": 8}, "^out_size needs a convolution method$"),
+        ("strassen", {"filter_size": 3, "matrix_size": 8},
+         "^filter_size needs a convolution method$"),
+    ])
+    def test_a_size_the_method_never_reads_is_an_error(self, method, sizes, match):
+        with pytest.raises(ValueError, match=match):
+            mult_count(method, **sizes)
 
     def test_method_registry(self):
         assert MULT_METHODS == ("direct", "im2col", "fft", "winograd", "strassen")
