@@ -27,7 +27,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
 from .names import MULT_METHODS, DataflowKind
-from .netmodel import WEIGHTED_KINDS, parse_network, resolve_shapes
+from .netmodel import WEIGHTED_KINDS, _budget, _drain, parse_network, resolve_shapes
 from .zoo import BUILTIN_NAMES, builtin
 
 # archmodel, dataflow, energy, stats and csv are imported by the commands and
@@ -144,11 +144,15 @@ def _load_arch(arch_path) -> ArchConfig:
     return parse_arch(_read_text(arch_path, "--arch", MAX_DESCRIPTION_CHARS))
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def _rng(seed: int):
     """A seeded numpy generator. numpy is imported here, not at module level,
     so that the commands that never touch an array start without it."""
-    if seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {seed}")
+    _check_seed(seed)
     import numpy as np
     return np.random.default_rng(seed)
 
@@ -542,7 +546,6 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
 @_report_options
 def prune_cmd(net, fraction, order, arch_path, seed):
     """Prune synthetic weights for a network and report layer densities."""
-    from .optkit import _budget, _drain, _keep_mask
     sizes = {layer.name: layer.stats.dw for layer in net.layers if layer.kind in WEIGHTED_KINDS}
     if not sizes:
         raise ValueError(f"network {net.name!r} has no weighted layers")
@@ -550,8 +553,8 @@ def prune_cmd(net, fraction, order, arch_path, seed):
     if total > MAX_PRUNE_WEIGHTS:
         raise ValueError(f"network {net.name!r} has more than {MAX_PRUNE_WEIGHTS} weights, "
                          f"the most prune draws")
-    rng = _rng(seed)  # checks --seed in either order
-    if order == "energy":  # the drain needs no weight values, so none are drawn
+    _check_seed(seed)  # in either order, though only the magnitude order draws
+    if order == "energy":  # the drain needs no weight values: no draw, no numpy
         from .energy import Modifiers, network_energy
         arch = _load_arch(arch_path)
         reports, _ = network_energy(net, DataflowKind.RS, arch, Modifiers())
@@ -559,9 +562,10 @@ def prune_cmd(net, fraction, order, arch_path, seed):
         lost = _drain(sizes, _budget(fraction, total), ranking)
         kept = {name: size - lost[name] for name, size in sizes.items()}
     else:
+        from .optkit import _keep_mask
         budget = _budget(fraction, total)  # before drawing
         # one draw is the stream of per-layer draws; only its magnitudes are kept
-        keep = _keep_mask(abs(rng.standard_normal(total)), budget)
+        keep = _keep_mask(abs(_rng(seed).standard_normal(total)), budget)
         kept, offset = {}, 0
         for name, size in sizes.items():
             kept[name] = int(keep[offset:offset + size].sum())

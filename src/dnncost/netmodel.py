@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from operator import attrgetter
 
 # per layer kind: the LayerSpec fields it reads besides kind, name and inputs
@@ -361,8 +362,23 @@ def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
     not an integer >= 1 or when a weighted layer's MACs, di, dw or do at
     that batch exceed ``COUNT_BUDGET``, and ShapeError when a kernel does
     not fit or a channel count does not divide by the group count.
+
+    The result is shared and immutable: it is kept per ``(net, batch)``, the
+    spec compared by value, for the life of the process, so a sweep that
+    prices one network on many designs resolves each network and batch
+    once. An error is never kept; a failing spec raises on every call.
     """
     _require_int(batch, 1, "", "batch")
+    return _resolve(net, batch)
+
+
+# the most (spec, batch) resolutions kept: a design-space sweep over the five
+# built-ins at three batch sizes needs 15
+_RESOLVED_KEPT = 32
+
+
+@lru_cache(maxsize=_RESOLVED_KEPT)
+def _resolve(net: NetworkSpec, batch: int) -> ResolvedNetwork:
     out_shapes: dict[str, tuple[int, int, int]] = {}
     resolved = []
     prev: tuple[str, ...] = ()
@@ -410,3 +426,28 @@ def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
         out_shapes[spec.name] = (m, e, f)
         prev = (spec.name,)
     return ResolvedNetwork(name=net.name, batch=batch, layers=tuple(resolved))
+
+
+# The prune rules that read only weight counts, kept here, apart from the
+# arrays of ``optkit``, so that the energy-order prune starts without numpy.
+
+
+def _budget(fraction: float, n: int) -> int:
+    """The floor(fraction * n) weights a prune of n weights drops."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    return int(fraction * n)
+
+
+def _drain(sizes: dict[str, int], budget: int, order: dict[str, float]) -> dict[str, int]:
+    """Weights each layer loses when layers are drained greedily in descending
+    ``order`` key, the name breaking ties, until ``budget`` is spent; in that
+    drain order."""
+    missing = set(sizes) - set(order)
+    if missing:
+        raise ValueError(f"order lacks keys for layers {sorted(missing)}")
+    lost = {}
+    for name in sorted(sizes, key=lambda nm: (-order[nm], nm)):
+        lost[name] = min(budget, sizes[name])
+        budget -= lost[name]
+    return lost

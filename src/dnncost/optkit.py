@@ -24,18 +24,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .netmodel import _budget, _drain
+
 PAIR_BITS = 21
 RUN_BITS = 5
 VALUE_BITS = 16
 MAX_RUN = (1 << RUN_BITS) - 1
 MAX_VALUE = (1 << VALUE_BITS) - 1
-
-
-def _budget(fraction: float, n: int) -> int:
-    """The floor(fraction * n) weights a prune of n weights drops."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    return int(fraction * n)
 
 
 def _keep_mask(mags: np.ndarray, k: int) -> np.ndarray:
@@ -55,20 +50,6 @@ def _keep_mask(mags: np.ndarray, k: int) -> np.ndarray:
     below = mags.size - np.count_nonzero(keep)
     keep[np.flatnonzero(tied)[:k - below]] = False
     return keep
-
-
-def _drain(sizes: dict[str, int], budget: int, order: dict[str, float]) -> dict[str, int]:
-    """Weights each layer loses when layers are drained greedily in descending
-    ``order`` key, the name breaking ties, until ``budget`` is spent; in that
-    drain order."""
-    missing = set(sizes) - set(order)
-    if missing:
-        raise ValueError(f"order lacks keys for layers {sorted(missing)}")
-    lost = {}
-    for name in sorted(sizes, key=lambda nm: (-order[nm], nm)):
-        lost[name] = min(budget, sizes[name])
-        budget -= lost[name]
-    return lost
 
 
 def _masked(arr: np.ndarray, keep: np.ndarray):

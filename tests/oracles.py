@@ -150,6 +150,79 @@ def reference_conv_fft(x, w):
     return full[:, r - 1:r - 1 + e, s - 1:s - 1 + f]
 
 
+# -- multiplication counts -------------------------------------------------------
+
+def direct_conv_count(x, w):
+    """Stride-1, unpadded cross-correlation of one H x W channel ``x`` by one
+    R x S filter ``w`` (lists of rows) as the literal loop nest, and the
+    multiplications it made."""
+    r_n, s_n = len(w), len(w[0])
+    out = [[0] * (len(x[0]) - s_n + 1) for _ in range(len(x) - r_n + 1)]
+    mults = 0
+    for e, row in enumerate(out):
+        for f in range(len(row)):
+            for r in range(r_n):
+                for s in range(s_n):
+                    row[f] += x[e + r][f + s] * w[r][s]
+                    mults += 1
+    return out, mults
+
+
+def im2col_conv_count(x, w):
+    """The cross-correlation of ``direct_conv_count`` lowered to a matrix
+    product: the E*F x R*S patch matrix, one row per output position, times
+    the R*S filter column by the schoolbook product, and the multiplications
+    it made."""
+    r_n, s_n = len(w), len(w[0])
+    out_h, out_w = len(x) - r_n + 1, len(x[0]) - s_n + 1
+    lowered = [[x[e + r][f + s] for r in range(r_n) for s in range(s_n)]
+               for e in range(out_h) for f in range(out_w)]
+    column = [tap for row in w for tap in row]
+    product = []
+    mults = 0
+    for patch in lowered:
+        acc = 0
+        for value, tap in zip(patch, column):
+            acc += value * tap
+            mults += 1
+        product.append(acc)
+    return [product[e * out_w:(e + 1) * out_w] for e in range(out_h)], mults
+
+
+def _add(p, q):
+    return [[a + b for a, b in zip(rp, rq)] for rp, rq in zip(p, q)]
+
+
+def _sub(p, q):
+    return [[a - b for a, b in zip(rp, rq)] for rp, rq in zip(p, q)]
+
+
+def strassen_product(a, b):
+    """The product of two n x n matrices (lists of rows), n a power of two, by
+    Strassen's recursion down to 1 x 1 blocks, and the scalar multiplications
+    it made: seven half-size products per level, one multiplication per
+    1 x 1 product."""
+    n = len(a)
+    if n == 1:
+        return [[a[0][0] * b[0][0]]], 1
+    h = n // 2
+    a11, a12, a21, a22 = ([row[:h] for row in a[:h]], [row[h:] for row in a[:h]],
+                          [row[:h] for row in a[h:]], [row[h:] for row in a[h:]])
+    b11, b12, b21, b22 = ([row[:h] for row in b[:h]], [row[h:] for row in b[:h]],
+                          [row[:h] for row in b[h:]], [row[h:] for row in b[h:]])
+    products = [strassen_product(p, q) for p, q in (
+        (_add(a11, a22), _add(b11, b22)), (_add(a21, a22), b11), (a11, _sub(b12, b22)),
+        (a22, _sub(b21, b11)), (_add(a11, a12), b22), (_sub(a21, a11), _add(b11, b12)),
+        (_sub(a12, a22), _add(b21, b22)))]
+    m1, m2, m3, m4, m5, m6, m7 = (m for m, _ in products)
+    c11 = _add(_sub(_add(m1, m4), m5), m7)
+    c12 = _add(m3, m5)
+    c21 = _add(m2, m4)
+    c22 = _add(_add(_sub(m1, m2), m3), m6)
+    return ([r1 + r2 for r1, r2 in zip(c11, c12)] + [r1 + r2 for r1, r2 in zip(c21, c22)],
+            sum(mults for _, mults in products))
+
+
 # -- run-length codec ------------------------------------------------------------
 
 def _reference_pairs(words):

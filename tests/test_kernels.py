@@ -9,7 +9,8 @@ import pytest
 from dnncost.kernels import (_check_input, _columns, _windows, conv_direct, conv_fft,
                              conv_im2col, conv_winograd_f22_33)
 from dnncost.stats import MULT_METHODS, mult_count, next_pow2
-from oracles import reference_conv_fft, window_conv
+from oracles import (direct_conv_count, im2col_conv_count, reference_conv_fft,
+                     strassen_product, window_conv)
 
 
 def im2col_matrix(x, kernel, stride=1, pad=0):
@@ -309,6 +310,31 @@ class TestMultCount:
         for n in range(3, 65, 2):
             assert (formed[n], counted[n]) == (((n + 1) // 2) ** 2 * 16, n * n * 9 * 16 // 36)
         assert [(formed[n], counted[n]) for n in (3, 5, 7)] == [(64, 36), (144, 100), (256, 196)]
+
+    # (out size, filter size): every out size up to 64 under a 1x1 and a 3x3
+    # filter, and every filter size up to 64 under a 1- and a 2-wide output
+    COUNTED_SIZES = ([(n, f) for f in (1, 3) for n in range(1, 65)]
+                     + [(n, f) for n in (1, 2) for f in range(1, 65)])
+
+    @pytest.mark.parametrize("method, oracle", [("direct", direct_conv_count),
+                                                ("im2col", im2col_conv_count)])
+    def test_conv_count_is_what_the_counting_oracle_multiplies(self, method, oracle):
+        rng = np.random.default_rng(6)
+        for n, f in self.COUNTED_SIZES:
+            x = rng.integers(-9, 10, (n + f - 1, n + f - 1))
+            w = rng.integers(-9, 10, (f, f))
+            out, mults = oracle(x.tolist(), w.tolist())
+            windows = np.lib.stride_tricks.sliding_window_view(x, (f, f))
+            assert out == np.einsum("efrs,rs->ef", windows, w).tolist()  # a real product
+            assert mults == mult_count(method, out_size=n, filter_size=f).count, (n, f)
+
+    def test_strassen_count_is_what_the_recursion_multiplies(self):
+        rng = np.random.default_rng(7)
+        for k in range(7):
+            a, b = rng.integers(-9, 10, (2, 2**k, 2**k))
+            product, mults = strassen_product(a.tolist(), b.tolist())
+            assert product == np.matmul(a, b).tolist()
+            assert mults == mult_count("strassen", matrix_size=2**k).count
 
     def test_strassen_recursion(self):
         for n in (1, 2, 4, 8, 16, 32):

@@ -233,6 +233,78 @@ class TestResolve:
         assert [layer.batch for layer in net.layers] == [7, 7]
 
 
+class TestResolveMemo:
+    """A resolution is kept per (spec, batch) for the process and shared."""
+
+    def test_a_repeat_call_returns_the_same_object(self):
+        net = dc.parse_network(doc([conv(), conv("b")]))
+        assert dc.resolve_shapes(net, batch=3) is dc.resolve_shapes(net, batch=3)
+        assert dc.resolve_shapes(net) is dc.resolve_shapes(net, batch=1)
+
+    @pytest.mark.parametrize("name", dc.BUILTIN_NAMES)
+    def test_an_equal_spec_gets_what_a_fresh_resolution_gives(self, name):
+        kept = dc.builtin(name)
+        twin = dc.parse_network(dc.builtin_document(name))
+        assert twin == kept and twin is not kept
+        for batch in (1, 2, 4):
+            shared = dc.resolve_shapes(kept, batch=batch)
+            assert dc.resolve_shapes(twin, batch=batch) is shared
+            fresh = dc.netmodel._resolve.__wrapped__(twin, batch)
+            assert shared == fresh
+            assert [layer.stats for layer in shared.layers] == \
+                [layer.stats for layer in fresh.layers]
+
+    @pytest.mark.parametrize("batch", [0, True, 1.0, "1", [1], None],
+                             ids=["zero", "true", "float", "str", "list", "none"])
+    def test_a_bad_batch_is_checked_before_the_lookup(self, batch):
+        net = dc.parse_network(doc([conv()]))
+        dc.resolve_shapes(net)  # kept at batch 1, which 1.0 and True equal
+        for _ in range(2):
+            with pytest.raises(NetworkSemanticError, match="^" + re.escape(
+                    f"batch must be an integer >= 1, got {batch!r}") + "$"):
+                dc.resolve_shapes(net, batch=batch)
+
+    @pytest.mark.parametrize("net, error", [
+        (dc.parse_network(doc([conv(pad=0)], height=2, width=2)), ShapeError),
+        (dc.NetworkSpec("n", 1, 1, 1, (dc.LayerSpec("fc", "x", out_channels=COUNT_BUDGET + 1),)),
+         NetworkSemanticError),
+    ], ids=["shape", "budget"])
+    def test_an_error_is_never_kept(self, net, error):
+        kept = dc.netmodel._resolve.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(error):
+                dc.resolve_shapes(net)
+        assert dc.netmodel._resolve.cache_info().currsize == kept
+
+    def test_the_oldest_resolution_is_evicted_past_maxsize(self):
+        maxsize = dc.netmodel._resolve.cache_info().maxsize
+        net = dc.parse_network(doc([conv()]))
+        first = dc.resolve_shapes(net, batch=1)
+        for batch in range(2, maxsize + 2):
+            dc.resolve_shapes(net, batch=batch)
+        assert dc.netmodel._resolve.cache_info().currsize == maxsize
+        again = dc.resolve_shapes(net, batch=1)
+        assert again is not first and again == first
+
+    def test_a_sweep_builds_each_network_once_per_batch(self, monkeypatch):
+        built = []
+
+        def recorder(**kwargs):
+            built.append((kwargs["name"], kwargs["batch"]))
+            return ResolvedLayer(**kwargs)
+
+        monkeypatch.setattr(dc.netmodel, "ResolvedLayer", recorder)
+        dc.netmodel._resolve.cache_clear()
+        seen = {}
+        for point in range(50):  # one design point, priced on every built-in
+            batch = (1, 2, 4)[point % 3]
+            for name in dc.BUILTIN_NAMES:
+                seen[name, batch] = dc.resolve_shapes(dc.builtin(name), batch=batch)
+        assert len(seen) == 15
+        assert sorted(built) == sorted((layer.name, batch) for (_, batch), net in seen.items()
+                                       for layer in net.layers)
+
+
 def other_value(value):
     """A different value of the same type as a ``ResolvedLayer`` field's."""
     if isinstance(value, bool):

@@ -127,6 +127,8 @@ class TestLayerStats:
             return dc.ResolvedLayer(**kwargs)
 
         monkeypatch.setattr(dc.netmodel, "ResolvedLayer", recorder)
+        # resolutions are kept per process: forget them, so that this one builds
+        dc.netmodel._resolve.cache_clear()
         ok = CliRunner().invoke(main, ["stats", "--builtin", "lenet5", "--batch", "1"])
         assert ok.exit_code == 0
         assert built  # the recorder sees every layer resolve_shapes builds
