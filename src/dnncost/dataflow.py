@@ -99,7 +99,9 @@ def _ceildiv(a: int, b: int) -> int:
 def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig) -> ReuseFactors:
     """Reuse factor table for one layer, at its batch size, under one dataflow.
 
-    Degenerate shapes clamp every factor to at least 1.
+    Each policy states its (resident, rf_reuse, share) rows in DATA_TYPES
+    order, and one clamp at the return lifts every rf_reuse and share to at
+    least 1. So a layer built in code with a zero extent is counted too.
     """
     if layer.kind not in WEIGHTED_KINDS:
         raise ValueError(
@@ -112,41 +114,26 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig) ->
     p = arch.pe_count
     # MACs per output word, ceil(macs / do) with the E*F and batch factors
     # cancelled; equals (C/G)*R*S on densely wired layers
-    depth = max(1, _ceildiv(layer.stats.dw, m))
+    depth = _ceildiv(layer.stats.dw, max(1, m))
 
     if kind is DataflowKind.WS:
         # one weight per PE; a filter occupies an R*S block of the array
-        mp = min(max(p // (r * s), 1), m)
-        return ReuseFactors(
-            kind=kind, layer=layer,
-            weight=TypeReuse(resident=True, rf_reuse=max(1, layer.batch * e * f)),
-            input=TypeReuse(resident=False, share=mp),
-            psum=TypeReuse(resident=False, share=r * s),
-        )
-    if kind is DataflowKind.OS:
-        q = max(1, min(p, e * f))
-        return ReuseFactors(
-            kind=kind, layer=layer,
-            psum=TypeReuse(resident=True, rf_reuse=depth),
-            input=TypeReuse(resident=False, share=min(r * s, q)),
-            weight=TypeReuse(resident=False, share=q),
-        )
-    if kind is DataflowKind.NLR:
+        rows = ((False, 1, min(p // max(1, r * s), m)), (True, layer.batch * e * f, 1),
+                (False, 1, r * s))
+    elif kind is DataflowKind.OS:
+        q = min(p, e * f)
+        rows = ((False, 1, min(r * s, q)), (False, 1, q), (True, depth, 1))
+    elif kind is DataflowKind.NLR:
         lane = arch.nlr_lane_width
-        return ReuseFactors(
-            kind=kind, layer=layer,
-            input=TypeReuse(resident=False, share=min(m, lane)),
-            weight=TypeReuse(resident=False, share=1),
-            psum=TypeReuse(resident=False, share=min(depth, lane)),
-        )
-    # RS: filter row and input row pinned per PE, sliding window along a row
-    g = max(1, min(arch.rs_channels_per_pe, layer.in_channels))
-    return ReuseFactors(
-        kind=kind, layer=layer,
-        weight=TypeReuse(resident=True, rf_reuse=max(1, f), share=min(e, p)),
-        input=TypeReuse(resident=True, rf_reuse=max(1, s), share=min(r, p)),
-        psum=TypeReuse(resident=True, rf_reuse=max(1, s * g), share=max(1, r)),
-    )
+        rows = ((False, 1, min(m, lane)), (False, 1, 1), (False, 1, min(depth, lane)))
+    else:
+        # RS: filter row and input row pinned per PE, sliding window along a row
+        g = max(1, min(arch.rs_channels_per_pe, layer.in_channels))
+        rows = ((True, s, min(r, p)), (True, f, min(e, p)), (True, s * g, r))
+    (ri, ui, si), (rw, uw, sw), (rp, up, sp) = rows
+    return ReuseFactors(kind, layer, TypeReuse(ri, max(1, ui), max(1, si)),
+                        TypeReuse(rw, max(1, uw), max(1, sw)),
+                        TypeReuse(rp, max(1, up), max(1, sp)))
 
 
 def access_counts(factors: ReuseFactors) -> AccessCounts:

@@ -199,7 +199,7 @@ def compare_dataflows(net: ResolvedNetwork, arch: ArchConfig,
             kind=kind,
             total=total,
             conv_total=conv_total,
-            ratio=total / best,
+            ratio=total / best if best else 1.0,
             conv_ratio=conv_total / conv_best if conv_best else 1.0,
             by_type=agg.by_type,
             by_level=agg.by_level,

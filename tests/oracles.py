@@ -21,6 +21,7 @@ the whole filter bank, kept so the reordered kernel has a witness that
 differs from it only in the order of the sums.
 """
 
+import cmath
 from dataclasses import replace
 
 import numpy as np
@@ -221,6 +222,115 @@ def strassen_product(a, b):
     c22 = _add(_add(_sub(m1, m2), m3), m6)
     return ([r1 + r2 for r1, r2 in zip(c11, c12)] + [r1 + r2 for r1, r2 in zip(c21, c22)],
             sum(mults for _, mults in products))
+
+
+# F(2x2, 3x3) transforms (Lavin & Gray): filter G, input B^T, output A^T
+WINOGRAD_G = [[1, 0, 0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.5], [0, 0, 1]]
+WINOGRAD_BT = [[1, 0, -1, 0], [0, 1, 1, 0], [0, -1, 1, 0], [0, 1, 0, -1]]
+WINOGRAD_AT = [[1, 1, 1, 0], [0, 1, -1, -1]]
+
+
+def _matmul(a, b):
+    return [[sum(p * q for p, q in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _sandwich(p, x):
+    """P x P^T."""
+    return _matmul(_matmul(p, x), [list(col) for col in zip(*p)])
+
+
+def winograd_conv_count(x, w):
+    """The cross-correlation of ``direct_conv_count`` for a 3 x 3 filter by
+    F(2x2, 3x3) over the 2x2 output tiles that ``conv_winograd_f22_33`` forms:
+    an odd output extent is padded up to whole tiles with zero input on the
+    high side, and the output cropped. Returns the output and the
+    elementwise products made, 16 per tile; the transforms multiply by the
+    constants 0, +-1 and +-1/2 only, which are not counted."""
+    out_h, out_w = len(x) - 2, len(x[0]) - 2
+    tiles_h, tiles_w = -(-out_h // 2), -(-out_w // 2)
+    width = 2 * tiles_w + 2
+    padded = ([list(row) + [0] * (width - len(row)) for row in x]
+              + [[0] * width for _ in range(2 * tiles_h + 2 - len(x))])
+    u = _sandwich(WINOGRAD_G, w)
+    out = [[0] * (2 * tiles_w) for _ in range(2 * tiles_h)]
+    mults = 0
+    for ty in range(tiles_h):
+        for tx in range(tiles_w):
+            v = _sandwich(WINOGRAD_BT, [row[2 * tx:2 * tx + 4]
+                                        for row in padded[2 * ty:2 * ty + 4]])
+            m = [[0] * 4 for _ in range(4)]
+            for i in range(4):
+                for j in range(4):
+                    m[i][j] = u[i][j] * v[i][j]
+                    mults += 1
+            for i, row in enumerate(_sandwich(WINOGRAD_AT, m)):
+                out[2 * ty + i][2 * tx:2 * tx + 2] = row
+    return [row[:out_w] for row in out[:out_h]], mults
+
+
+def fft_count(a, sign=-1):
+    """The DFT of a power-of-two length list by recursive radix-2
+    Cooley-Tukey, exp(sign * 2 pi i j k / n) per term, and the complex
+    multiplications it made: one twiddle product per butterfly, the trivial
+    twiddle 1 included, so n/2 * log2(n) for length n."""
+    n = len(a)
+    if n == 1:
+        return list(a), 0
+    even, even_mults = fft_count(a[0::2], sign)
+    odd, odd_mults = fft_count(a[1::2], sign)
+    out = [0j] * n
+    mults = even_mults + odd_mults
+    for k in range(n // 2):
+        t = cmath.exp(sign * 2j * cmath.pi * k / n) * odd[k]
+        mults += 1
+        out[k], out[k + n // 2] = even[k] + t, even[k] - t
+    return out, mults
+
+
+def fft2_count(a, sign=-1):
+    """The 2-D DFT of an n x n list of rows, n a power of two, as n row
+    transforms and then n column transforms, and the complex multiplications
+    they made."""
+    rows, mults = [], 0
+    for row in a:
+        spectrum, count = fft_count(row, sign)
+        rows.append(spectrum)
+        mults += count
+    cols = []
+    for col in zip(*rows):
+        spectrum, count = fft_count(list(col), sign)
+        cols.append(spectrum)
+        mults += count
+    return [list(row) for row in zip(*cols)], mults
+
+
+def fft_conv_count(x, w):
+    """The cross-correlation of ``direct_conv_count`` by the textbook
+    three-transform route at n, the least power of two >= the H-wide input:
+    the input and the flipped filter zero-padded to n x n and transformed,
+    their n^2 pointwise products, the inverse transform and the valid crop.
+    At n >= H the circular wrap misses the valid region. Returns the output,
+    the complex multiplications made, and n; the inverse's 1/n^2 scale is
+    not counted."""
+    h, f = len(x), len(w)
+    n = 1
+    while n < h:
+        n *= 2
+
+    def padded(a):
+        return ([list(row) + [0] * (n - len(row)) for row in a]
+                + [[0] * n for _ in range(n - len(a))])
+
+    fx, x_mults = fft2_count(padded(x))
+    fw, w_mults = fft2_count(padded([row[::-1] for row in w[::-1]]))
+    prod, mults = [], x_mults + w_mults
+    for row_x, row_w in zip(fx, fw):
+        prod.append([p * q for p, q in zip(row_x, row_w)])
+        mults += len(row_x)
+    full, inverse_mults = fft2_count(prod, sign=1)
+    out = [[full[f - 1 + e][f - 1 + c].real / (n * n) for c in range(h - f + 1)]
+           for e in range(h - f + 1)]
+    return out, mults + inverse_mults, n
 
 
 # -- run-length codec ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Reuse factor tables and access counting for the four mapping policies."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -12,8 +13,9 @@ from dnncost.archmodel import LEVELS
 from dnncost.cli import main
 from dnncost.dataflow import (DATA_TYPES, DataflowKind, ReuseFactors, TypeReuse, access_counts,
                               reuse_factors)
-from dnncost.netmodel import NetworkSemanticError, ResolvedLayer
-from oracles import RESIDENT, make_conv, reference_table_counts, simulate_accesses
+from dnncost.netmodel import WEIGHTED_KINDS, NetworkSemanticError, ResolvedLayer
+from oracles import (RESIDENT, make_conv, reference_factors, reference_table_counts,
+                     simulate_accesses)
 
 KINDS = list(DataflowKind)
 
@@ -165,6 +167,77 @@ class TestCountsNeedNoCeiling:
         assert acc["input"]["buf"] <= acc["input"]["noc"]
         assert acc["weight"]["buf"] <= acc["weight"]["noc"]
         assert acc["psum"]["buf"] <= max(2 * t, layer.stats.do)
+
+
+# the extents a layer built in code may set to zero; "out" is the output
+# height and width together
+ZEROABLE = ("batch", "in_channels", "out_channels", "out", "kernel_rows", "kernel_cols")
+
+
+@st.composite
+def zero_extent_layers(draw):
+    """A hand-built layer with a drawn non-empty subset of its extents set to
+    zero. ``replace`` recounts the layer's stats."""
+    layer = draw(hand_built_layers())
+    zeroed = draw(st.sets(st.sampled_from(ZEROABLE), min_size=1))
+    changes = {name: 0 for name in ("batch", "in_channels", "out_channels") if name in zeroed}
+    if "out" in zeroed:
+        changes.update(out_height=0, out_width=0)
+    r, s = layer.kernel
+    kernel = (0 if "kernel_rows" in zeroed else r, 0 if "kernel_cols" in zeroed else s)
+    return replace(layer, kernel=kernel, **changes)
+
+
+class TestZeroExtentLayers:
+    """A layer built in code with a zero extent is priced: one clamp lifts
+    every factor to at least 1, and counting the table equals the reference's
+    chained clamps. With no MACs, each level moves the unique volume once."""
+
+    @given(layer=zero_extent_layers(), arch=ARCHS)
+    @settings(deadline=None, max_examples=300)
+    def test_every_dataflow_prices_the_layer(self, layer, arch):
+        for kind in KINDS:
+            factors = reuse_factors(kind, layer, arch)
+            for fac in factors[2:]:
+                for value in (fac.rf_reuse, fac.share):
+                    assert type(value) is int and value >= 1
+            assert access_counts(factors) == reference_table_counts(factors)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_layer_without_macs_moves_each_volume_once(self, arch, kind):
+        layer = make_conv(3, 6, 6, 0, 3, 3, batch=2)  # Di = 216, Dw = Do = 0
+        stats = layer.stats
+        acc = access_counts(reuse_factors(kind, layer, arch)).acc
+        for dtype, unique in zip(DATA_TYPES, (stats.di, stats.dw, stats.do)):
+            assert acc[dtype] == {"rf": 0, "noc": unique, "buf": unique, "dram": unique}
+
+
+class TestTableWitness:
+    """The table equals ``reference_factors``, which clamps factor by factor.
+    Equal counts do not imply equal tables: when T = 0 or a floor binds, a
+    factor never reaches a count, so the tables are compared themselves."""
+
+    # pe_count 1, and 64 below the 121 PEs of alexnet conv1's 11x11 block,
+    # so the ws rule of at least one filter block binds; lane width and
+    # channels per PE 1 each
+    GRID = [dc.ArchConfig(pe_count=p, rs_channels_per_pe=g, nlr_lane_width=lane)
+            for p, g, lane in itertools.product((1, 64, 4096), (1, 64), (1, 16))]
+
+    def test_builtin_layers_at_batches_1_2_4(self):
+        for name in dc.BUILTIN_NAMES:
+            for batch in (1, 2, 4):
+                for layer in dc.resolve_shapes(dc.builtin(name), batch=batch).layers:
+                    if layer.kind not in WEIGHTED_KINDS:
+                        continue
+                    for arch, kind in itertools.product(self.GRID, KINDS):
+                        assert (reuse_factors(kind, layer, arch)
+                                == reference_factors(kind, layer, arch, batch))
+
+    @given(layer=hand_built_layers(), arch=ARCHS, kind=st.sampled_from(KINDS))
+    @settings(deadline=None, max_examples=300)
+    def test_hand_built_layers(self, layer, arch, kind):
+        assert reuse_factors(kind, layer, arch) == reference_factors(kind, layer, arch,
+                                                                     layer.batch)
 
 
 FACTORS = st.integers(1, 8) | st.integers(1, 10**6)

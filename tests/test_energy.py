@@ -289,6 +289,15 @@ class TestCompareDataflows:
         assert len(rep.entries) == 4
         assert {en.kind for en in rep.entries} == {k.value for k in KINDS}
 
+    def test_a_network_priced_at_zero_compares_at_ratio_one(self, arch):
+        # a layer built in code with no channels moves nothing and does no
+        # MACs, so every total is 0.0; both ratios over a zero best read 1.0
+        empty = make_conv(0, 6, 6, 0, 3, 3, name="empty")
+        rep = dc.compare_dataflows(dc.ResolvedNetwork("empty", 1, (empty,)), arch)
+        assert [en.total for en in rep.entries] == [0.0] * 4
+        assert all(en.ratio == en.conv_ratio == 1.0 for en in rep.entries)
+        assert (rep.winner, rep.conv_winner) == ("ws", "ws")  # the first of equal totals
+
     def test_network_without_weighted_layers_is_rejected(self, arch):
         net = dc.resolve_shapes(dc.parse_network(json.dumps(UNWEIGHTED)))
         with pytest.raises(ValueError, match="network 'nw' has no weighted layers"):

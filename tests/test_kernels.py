@@ -9,8 +9,8 @@ import pytest
 from dnncost.kernels import (_check_input, _columns, _windows, conv_direct, conv_fft,
                              conv_im2col, conv_winograd_f22_33)
 from dnncost.stats import MULT_METHODS, mult_count, next_pow2
-from oracles import (direct_conv_count, im2col_conv_count, reference_conv_fft,
-                     strassen_product, window_conv)
+from oracles import (direct_conv_count, fft2_count, fft_conv_count, im2col_conv_count,
+                     reference_conv_fft, strassen_product, window_conv, winograd_conv_count)
 
 
 def im2col_matrix(x, kernel, stride=1, pad=0):
@@ -327,6 +327,44 @@ class TestMultCount:
             windows = np.lib.stride_tricks.sliding_window_view(x, (f, f))
             assert out == np.einsum("efrs,rs->ef", windows, w).tolist()  # a real product
             assert mults == mult_count(method, out_size=n, filter_size=f).count, (n, f)
+
+    def test_winograd_count_is_what_the_tiled_oracle_multiplies(self):
+        """Equal at even sizes; at an odd size n the oracle forms the tiles
+        the kernel forms, ceil(n/2)^2 of 16 products each."""
+        rng = np.random.default_rng(8)
+        for n in range(1, 65):
+            x = rng.integers(-9, 10, (n + 2, n + 2))
+            w = rng.integers(-9, 10, (3, 3))
+            out, mults = winograd_conv_count(x.tolist(), w.tolist())
+            windows = np.lib.stride_tricks.sliding_window_view(x, (3, 3))
+            # a real product, exact: every transformed value is a multiple of 1/4
+            assert out == np.einsum("efrs,rs->ef", windows, w).tolist()
+            counted = mult_count("winograd", out_size=n, filter_size=3).count
+            assert mults == (counted if n % 2 == 0 else ((n + 1) // 2) ** 2 * 16), n
+
+    # (out size, filter size) reaching every fft size n from 1 to 64
+    FFT_SIZES = [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (5, 4), (8, 1), (9, 8), (13, 3),
+                 (16, 17), (30, 3), (33, 1), (60, 5), (32, 33)]
+
+    def test_fft_count_is_what_the_butterflies_multiply(self):
+        rng = np.random.default_rng(9)
+        reached = set()
+        for out_size, f in self.FFT_SIZES:
+            x = rng.integers(-9, 10, (out_size + f - 1, out_size + f - 1))
+            w = rng.integers(-9, 10, (f, f))
+            out, mults, n = fft_conv_count(x.tolist(), w.tolist())
+            windows = np.lib.stride_tricks.sliding_window_view(x, (f, f))
+            np.testing.assert_allclose(out, np.einsum("efrs,rs->ef", windows, w), atol=1e-9)
+            fft = mult_count("fft", out_size=out_size, filter_size=f)
+            assert (mults, n) == (fft.count, fft.params["fft_size"]), (out_size, f)
+            reached.add(n)
+        assert reached == {2**k for k in range(7)}
+
+    def test_fft_oracle_is_the_dft(self):
+        x = np.random.default_rng(10).standard_normal((16, 16))
+        spectrum, mults = fft2_count(x.tolist())
+        np.testing.assert_allclose(spectrum, np.fft.fft2(x), atol=1e-12)
+        assert mults == 2 * 16 * 8 * 4  # 32 transforms of 8 butterflies per stage, 4 stages
 
     def test_strassen_count_is_what_the_recursion_multiplies(self):
         rng = np.random.default_rng(7)
