@@ -18,6 +18,8 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
+from .netmodel import _require_int
+
 
 class ArchError(ValueError):
     """Invalid accelerator configuration or configuration document."""
@@ -64,9 +66,7 @@ class ArchConfig:
 
     def __post_init__(self):
         for name in ("pe_count", "word_bits", "rs_channels_per_pe", "nlr_lane_width"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ArchError(f"{name} must be an integer >= 1, got {value!r}")
+            _require_int(getattr(self, name), 1, "", name, ArchError)
         if self.word_bits > 64:
             raise ArchError(f"word_bits must be in [1, 64], got {self.word_bits}")
         if not isinstance(self.energy, EnergyTable):

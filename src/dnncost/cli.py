@@ -254,9 +254,11 @@ def _run(cmd, path: str, args: list[str]) -> None:
                 raise _UsageError("Option '--help' does not take a value.")
             elif name == "--help":
                 asked_help = True
+            elif name not in options and token[:2] != "--":  # there are no short options
+                raise _UsageError(f"No such option {token[:2]!r}.")
             elif name not in options:
-                from .clihelp import no_such_option
-                raise _UsageError(no_such_option(token, [*options, "--help"]))
+                from .clihelp import no_such
+                raise _UsageError(no_such("option", name, [*options, "--help"]))
             elif eq or (value := next(tokens, None)) is not None:
                 given[name] = value
             else:
@@ -268,7 +270,9 @@ def _run(cmd, path: str, args: list[str]) -> None:
         if group and rest[:1] and rest[0] in cmd.commands:
             return _run(cmd.commands[rest[0]], f"{path} {rest[0]}", rest[1:])
         if group:
-            raise _UsageError(f"No such command {rest[0]!r}." if rest else "Missing command.")
+            from .clihelp import no_such
+            raise _UsageError(no_such("command", rest[0], cmd.commands) if rest
+                              else "Missing command.")
         values = {options[name].dest: _convert(options[name], value)
                   for name, value in given.items()}
         for option in options.values():

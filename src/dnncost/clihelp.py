@@ -1,10 +1,11 @@
-"""Help screens and unknown-option messages of the command line.
+"""Help screens and the unknown-option and unknown-command messages of the
+command line.
 
-Only ``--help``, a command group given no command and an unknown option
-import this module, so that a command that runs neither compiles nor loads
-it. A screen is laid out 80 columns wide as click lays it out: the option
-column at most 30 wide, two spaces before each help text, and a longer term
-on a line of its own with its text below at the same indent.
+Only ``--help``, a command group given no command or an unknown one, and an
+unknown option import this module, so that a command that runs neither
+compiles nor loads it. A screen is laid out 80 columns wide as click lays it
+out: the option column at most 30 wide, two spaces before each help text, and
+a longer term on a line of its own with its text below at the same indent.
 """
 
 from __future__ import annotations
@@ -43,14 +44,11 @@ def help_screen(cmd, usage: str) -> str:
     return "\n".join(screen)
 
 
-def no_such_option(token: str, known) -> str:
-    """The message for the unknown option in ``token``, with the ``known``
-    names close to it."""
-    if not token.startswith("--"):  # a short option: there are none
-        return f"No such option {token[:2]!r}."
-    name = token.partition("=")[0]
+def no_such(what: str, name: str, known) -> str:
+    """The message for the unknown ``what``, an option or a command, called
+    ``name``, with the ``known`` names close to it, as click words it."""
     from difflib import get_close_matches
     close = sorted(get_close_matches(name, known))
     listed = ", ".join(map(repr, close))
     hint = f" Did you mean {listed}?" if len(close) == 1 else f" (Did you mean one of: {listed}?)"
-    return f"No such option {name!r}." + hint * bool(close)
+    return f"No such {what} {name!r}." + hint * bool(close)

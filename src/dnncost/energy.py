@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .archmodel import LEVELS, ArchConfig
 from .dataflow import DATA_TYPES, AccessCounts, DataflowKind, _as_kind, layer_access_counts
-from .netmodel import WEIGHTED_KINDS, ResolvedNetwork, shape_key
+from .netmodel import WEIGHTED_KINDS, ResolvedNetwork, _require_int, shape_key
 
 
 @dataclass(frozen=True)
@@ -39,22 +39,18 @@ class Modifiers:
 
     def __post_init__(self):
         for label, rho in (("density_in", self.density_in), ("density_w", self.density_w)):
-            if not 0.0 < rho <= 1.0:
+            if not isinstance(rho, (int, float)) or isinstance(rho, bool) or not 0 < rho <= 1:
                 raise ValueError(f"{label} must be in (0, 1], got {rho}")
         for label, bits in (("bits_in", self.bits_in), ("bits_w", self.bits_w)):
-            if bits is None:
-                continue
-            if not isinstance(bits, int) or isinstance(bits, bool):
-                raise ValueError(f"{label} must be an integer, got {bits!r}")
-            if bits < 1:
-                raise ValueError(f"{label} must be >= 1, got {bits}")
+            if bits is not None:
+                _require_int(bits, 1, "", label, ValueError)
 
 
 def _resolve_bits(mods: Modifiers, arch: ArchConfig) -> tuple[int, int]:
     bi = arch.word_bits if mods.bits_in is None else mods.bits_in
     bw = arch.word_bits if mods.bits_w is None else mods.bits_w
     for label, bits in (("bits_in", bi), ("bits_w", bw)):
-        if not 1 <= bits <= arch.word_bits:
+        if bits > arch.word_bits:
             raise ValueError(f"{label} must be in [1, {arch.word_bits}], got {bits}")
     return bi, bw
 

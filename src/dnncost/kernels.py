@@ -16,7 +16,7 @@ All but ``conv_fft`` read one strided window view of the zero-padded input.
 Equivalence is exact in exact arithmetic; float64 keeps the routes within
 1e-6 relative of each other for well-scaled inputs. The multiplication counts
 of these methods, which need no arrays, are ``stats.mult_count``; its ``fft``
-count models the textbook three-transform method at the n ``conv_fft`` uses.
+count models the textbook three-transform method at n >= H, not H + R - 1.
 ``conv_fft`` does R*M*(C+1) complex multiply-adds per frequency bin in place
 of M*C filter-plane FFT columns: fewer when R <= C, more when C < R.
 """

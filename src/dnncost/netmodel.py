@@ -76,9 +76,9 @@ class ShapeError(NetworkError):
     """Shape propagation failed (output underflow, bad channel split)."""
 
 
-def _require_int(value, minimum, where, what):
+def _require_int(value, minimum, where, what, error=NetworkSemanticError):
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise NetworkSemanticError(f"{where}{what} must be an integer >= {minimum}, got {value!r}")
+        raise error(f"{where}{what} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,8 @@ class NetworkSpec:
         if not isinstance(self.name, str) or not self.name:
             raise NetworkSemanticError(
                 f"network name must be a non-empty string, got {self.name!r}")
-        for what, value in (("channels", self.in_channels), ("height", self.in_height),
-                            ("width", self.in_width)):
-            _require_int(value, 1, "input ", what)
+        for what in ("channels", "height", "width"):
+            _require_int(getattr(self, f"in_{what}"), 1, "input ", what)
         if not isinstance(self.layers, tuple) or not self.layers:
             raise NetworkSemanticError(
                 f"network {self.name!r}: layers must be a non-empty tuple of LayerSpec")
@@ -434,7 +433,8 @@ def _resolve(net: NetworkSpec, batch: int) -> ResolvedNetwork:
 
 def _budget(fraction: float, n: int) -> int:
     """The floor(fraction * n) weights a prune of n weights drops."""
-    if not 0.0 <= fraction <= 1.0:
+    if (not isinstance(fraction, (int, float)) or isinstance(fraction, bool)
+            or not 0 <= fraction <= 1):
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     return int(fraction * n)
 

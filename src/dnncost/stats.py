@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .names import MULT_METHODS
-from .netmodel import WEIGHTED_KINDS, LayerStats, ResolvedLayer, ResolvedNetwork
+from .netmodel import WEIGHTED_KINDS, LayerStats, ResolvedLayer, ResolvedNetwork, _require_int
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,7 @@ DIRECT_TILE_MULTS = 36
 
 def next_pow2(n: int) -> int:
     """Smallest power of two >= n."""
-    if n < 1:
-        raise ValueError(f"need a positive size, got {n}")
+    _require_int(n, 1, "", "n", ValueError)
     return 1 << (n - 1).bit_length()
 
 
@@ -105,8 +104,8 @@ def mult_count(method: str, out_size: int | None = None,
     size No and filter size Nf; winograd is the 3x3, 2x2-tile variant only,
     counted for an even No: at an odd No, conv_winograd_f22_33 pads to whole
     tiles and forms ceil(No/2)^2 * 16 products, more than this count.
-    Strassen takes a power-of-two matrix size N. No size may exceed
-    MAX_COUNT_SIZE, and a size the method does not read is an error.
+    Strassen takes a power-of-two matrix size N. Each size is a Python int
+    from 1 to MAX_COUNT_SIZE, and one the method does not read is an error.
     """
     if method not in MULT_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {MULT_METHODS}")
@@ -117,7 +116,8 @@ def mult_count(method: str, out_size: int | None = None,
         for name, value in (("out_size", out_size), ("filter_size", filter_size)):
             if value is not None:
                 raise ValueError(f"{name} needs a convolution method")
-        if matrix_size is None or matrix_size < 1 or matrix_size & (matrix_size - 1):
+        _require_int(matrix_size, 1, "", "matrix_size", ValueError)
+        if matrix_size & (matrix_size - 1):
             raise ValueError("strassen needs a power-of-two matrix_size")
         if matrix_size > MAX_COUNT_SIZE:
             raise ValueError(f"strassen matrix_size must be <= {MAX_COUNT_SIZE}")
@@ -125,8 +125,8 @@ def mult_count(method: str, out_size: int | None = None,
         return MultCount(method=method, count=7 ** exponent,
                          params={"matrix_size": matrix_size})
 
-    if out_size is None or filter_size is None or out_size < 1 or filter_size < 1:
-        raise ValueError(f"{method} needs positive out_size and filter_size")
+    for name, size in (("out_size", out_size), ("filter_size", filter_size)):
+        _require_int(size, 1, "", name, ValueError)
     if max(out_size, filter_size) > MAX_COUNT_SIZE:
         raise ValueError(f"{method} out_size and filter_size must be <= {MAX_COUNT_SIZE}")
     direct = out_size * out_size * filter_size * filter_size

@@ -22,6 +22,7 @@ differs from it only in the order of the sums.
 """
 
 import cmath
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -331,6 +332,77 @@ def fft_conv_count(x, w):
     out = [[full[f - 1 + e][f - 1 + c].real / (n * n) for c in range(h - f + 1)]
            for e in range(h - f + 1)]
     return out, mults + inverse_mults, n
+
+
+def conv_fft_count(x, w):
+    """``kernels.conv_fft``'s stages, in its order, on a C x H x W input ``x``
+    and an M x C x R x S filter bank ``w`` (nested lists), and the complex
+    multiplications each stage made, in ``fft_conv_count``'s units: one per
+    radix-2 butterfly, one per DFT-matrix or channel-sum product.
+
+    The stages, at nh x nw, the least powers of two >= H + R - 1 and
+    W + S - 1, with nw/2 + 1 bins along W:
+    - "input": each of the H rows of each channel transformed as a complex
+      FFT, its bins kept, then each bin's zero-padded nh-point column;
+    - "filters": the S-tap DFT of the flipped filters' rows into the bins;
+    - "channel_sums": in each bin, the R*M x C filter rows times the input's
+      C x nh column spectra, which sums over the channels;
+    - "taps": the R-tap DFT along the filter rows, per output channel, bin
+      and row frequency;
+    - "inverse": per output channel, each bin's nh-point column, then each
+      row from its bins and their conjugate mirror; the 1/(nh*nw) scale is
+      not counted.
+    Returns the valid M x E x F output, the counts by stage, and (nh, nw)."""
+    c_n, h, wd = len(x), len(x[0]), len(x[0][0])
+    m_n, r_n, s_n = len(w), len(w[0][0]), len(w[0][0][0])
+    nh, nw = next_pow2(h + r_n - 1), next_pow2(wd + s_n - 1)
+    bins = nw // 2 + 1
+    counts = dict.fromkeys(("input", "filters", "channel_sums", "taps", "inverse"), 0)
+
+    def fft(a, stage, sign=-1):
+        spectrum, mults = fft_count(list(a), sign)
+        counts[stage] += mults
+        return spectrum
+
+    def dft(n, taps, k):
+        """exp(-2 pi i t k / n) for each tap t."""
+        return [cmath.exp(-2j * cmath.pi * (t * k % n) / n) for t in range(taps)]
+
+    # fx[c][l][k]: channel c's spectrum at bin l and row frequency k
+    fx = []
+    for plane in x:
+        rows = [fft(list(row) + [0] * (nw - wd), "input")[:bins] for row in plane]
+        fx.append([fft(list(col) + [0] * (nh - h), "input") for col in zip(*rows)])
+    # spec[m][c][r][l]: the S-tap DFT of the flipped filter row r at bin l
+    bin_taps = [dft(nw, s_n, l) for l in range(bins)]
+    spec = [[[[0j] * bins for _ in range(r_n)] for _ in range(c_n)] for _ in range(m_n)]
+    for m, c, r, l in itertools.product(range(m_n), range(c_n), range(r_n), range(bins)):
+        row = w[m][c][r_n - 1 - r][::-1]
+        for s in range(s_n):
+            spec[m][c][r][l] += row[s] * bin_taps[l][s]
+            counts["filters"] += 1
+    # z[l][r][m][k]: row r of filter m times the input, summed over channels
+    z = [[[[0j] * nh for _ in range(m_n)] for _ in range(r_n)] for _ in range(bins)]
+    for l, r, m, k in itertools.product(range(bins), range(r_n), range(m_n), range(nh)):
+        for c in range(c_n):
+            z[l][r][m][k] += spec[m][c][r][l] * fx[c][l][k]
+            counts["channel_sums"] += 1
+    # prod[m][k][l]: the R-tap DFT of z along the filter rows
+    row_taps = [dft(nh, r_n, k) for k in range(nh)]
+    prod = [[[0j] * bins for _ in range(nh)] for _ in range(m_n)]
+    for m, k, l in itertools.product(range(m_n), range(nh), range(bins)):
+        for r in range(r_n):
+            prod[m][k][l] += row_taps[k][r] * z[l][r][m][k]
+            counts["taps"] += 1
+    e, f = h - r_n + 1, wd - s_n + 1
+    out = []
+    for plane in prod:
+        cols = [fft(col, "inverse", sign=1) for col in zip(*plane)]  # bins x nh
+        full = [fft([*row, *(row[j].conjugate() for j in range(nw - bins, 0, -1))],
+                    "inverse", sign=1) for row in zip(*cols)]
+        out.append([[full[r_n - 1 + i][s_n - 1 + j].real / (nh * nw) for j in range(f)]
+                    for i in range(e)])
+    return out, counts, (nh, nw)
 
 
 # -- run-length codec ------------------------------------------------------------

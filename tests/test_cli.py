@@ -772,6 +772,13 @@ class TestExitCodes:
         (["foo"], _usage_error("dnncost", "No such command 'foo'.", group=True)),
         (["kernels", "foo"], _usage_error("dnncost kernels", "No such command 'foo'.",
                                           group=True)),
+        (["strassen"], _usage_error(
+            "dnncost", "No such command 'strassen'. Did you mean 'stats'?", group=True)),
+        (["compare=0"], _usage_error(
+            "dnncost", "No such command 'compare=0'. (Did you mean one of: 'compare', "
+            "'compress'?)", group=True)),
+        (["kernels", "verfy"], _usage_error(
+            "dnncost kernels", "No such command 'verfy'. Did you mean 'verify'?", group=True)),
         (["stats", "--builtin", "lenet5", "--bogus"],
          _usage_error("dnncost stats", "No such option '--bogus'. Did you mean '--out'?")),
         (["stats", "--foo"], _usage_error(
@@ -794,6 +801,7 @@ class TestExitCodes:
         (["stats", "--builtin", "lenet5", "--", "x"], _usage_error(
             "dnncost stats", "Got unexpected extra argument (x)")),
     ], ids=["no-command", "kernels-no-command", "unknown-command", "kernels-unknown-command",
+            "close-command", "close-commands", "kernels-close-command",
             "unknown-option", "unknown-option-two-matches", "int", "missing-value", "float",
             "format-choice", "dataflow-choice", "missing-method", "extra-argument"])
     def test_usage_error_text(self, runner, args, expected):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -113,6 +114,15 @@ class TestModifiers:
             Modifiers(density_w=1.5)
         with pytest.raises(ValueError, match="bits_w"):
             Modifiers(bits_w=0)
+
+    @pytest.mark.parametrize("field", ["density_in", "density_w"])
+    @pytest.mark.parametrize("density", [True, "0.5", None])
+    def test_densities_must_be_numbers(self, field, density):
+        """A bool is not read as density 1.0, and a string or None is a
+        ValueError, not a TypeError from the comparison."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be in (0, 1], got {density}") + "$"):
+            Modifiers(**{field: density})
 
     @pytest.mark.parametrize("field, bits", [("bits_in", 8.5), ("bits_w", 8.0),
                                              ("bits_in", True), ("bits_w", "8")])

@@ -9,8 +9,9 @@ import pytest
 from dnncost.kernels import (_check_input, _columns, _windows, conv_direct, conv_fft,
                              conv_im2col, conv_winograd_f22_33)
 from dnncost.stats import MULT_METHODS, mult_count, next_pow2
-from oracles import (direct_conv_count, fft2_count, fft_conv_count, im2col_conv_count,
-                     reference_conv_fft, strassen_product, window_conv, winograd_conv_count)
+from oracles import (conv_fft_count, direct_conv_count, fft2_count, fft_conv_count,
+                     im2col_conv_count, reference_conv_fft, strassen_product, window_conv,
+                     winograd_conv_count)
 
 
 def im2col_matrix(x, kernel, stride=1, pad=0):
@@ -360,6 +361,18 @@ class TestMultCount:
             reached.add(n)
         assert reached == {2**k for k in range(7)}
 
+    def test_conv_fft_count_runs_the_kernels_stages(self):
+        """The counting oracle's output is conv_fft's; its channel sums and
+        R-tap DFT make R*M*(C+1) products per frequency bin, as the kernel's
+        docstring says; and it pads to the power of two >= H + R - 1, past
+        mult_count's n, the one >= H: 64 against 32 at out size 30."""
+        for x, w in fft_cases(12, seed=16) + [(np.ones((1, 32, 32)), np.ones((1, 1, 3, 3)))]:
+            out, counts, (nh, nw) = conv_fft_count(x.tolist(), w.tolist())
+            np.testing.assert_allclose(out, conv_fft(x, w), rtol=0, atol=1e-9)
+            m, c, r, s = w.shape
+            assert counts["channel_sums"] + counts["taps"] == nh * (nw // 2 + 1) * r * m * (c + 1)
+        assert (nh, mult_count("fft", out_size=30, filter_size=3).params["fft_size"]) == (64, 32)
+
     def test_fft_oracle_is_the_dft(self):
         x = np.random.default_rng(10).standard_normal((16, 16))
         spectrum, mults = fft2_count(x.tolist())
@@ -390,9 +403,9 @@ class TestMultCount:
             mult_count("karatsuba", out_size=4, filter_size=3)
         with pytest.raises(ValueError, match="power-of-two"):
             mult_count("strassen", matrix_size=6)
-        with pytest.raises(ValueError, match="power-of-two"):
+        with pytest.raises(ValueError, match="^matrix_size must be an integer >= 1, got None$"):
             mult_count("strassen")
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^filter_size must be an integer >= 1, got None$"):
             mult_count("direct", out_size=4)
         with pytest.raises(ValueError, match="3x3"):
             mult_count("winograd", out_size=4, filter_size=5)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -370,6 +371,39 @@ class TestCountBudget:
             largest = max(max(st.macs, st.di, st.dw, st.do)
                           for st in map(dc.layer_stats, net.layers))
             assert largest < COUNT_BUDGET >> 20
+
+
+# every integer the cost model takes from a caller outside a network spec, as
+# (the name its error gives, the error class, a call with it set to a value)
+INTEGER_SITES = [
+    *[pytest.param(name, dc.ArchError, lambda v, name=name: dc.ArchConfig(**{name: v}),
+                   id=f"ArchConfig-{name}")
+      for name in ("pe_count", "word_bits", "rs_channels_per_pe", "nlr_lane_width")],
+    *[pytest.param(name, ValueError, lambda v, name=name: dc.Modifiers(**{name: v}),
+                   id=f"Modifiers-{name}") for name in ("bits_in", "bits_w")],
+    *[pytest.param(name, ValueError, lambda v, name=name, method=method: dc.mult_count(
+        method, **{"out_size": 4, "filter_size": 3, name: v}), id=f"mult_count-{method}-{name}")
+      for method in ("direct", "im2col", "fft", "winograd")
+      for name in ("out_size", "filter_size")],
+    pytest.param("matrix_size", ValueError, lambda v: dc.mult_count("strassen", matrix_size=v),
+                 id="mult_count-strassen-matrix_size"),
+    pytest.param("n", ValueError, dc.next_pow2, id="next_pow2"),
+]
+
+
+class TestOneIntegerCheck:
+    """Each integer of ArchConfig, Modifiers, mult_count and next_pow2 is a
+    Python int >= 1: a float, a bool, a string or a numpy integer raises the
+    site's error, which names it, rather than giving a fractional or wrapped
+    count."""
+
+    @pytest.mark.parametrize("name, error, call", INTEGER_SITES)
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True, "8", np.int64(8)],
+                             ids=["0", "-1", "2.5", "True", "str", "int64"])
+    def test_each_site_rejects_what_is_not_a_positive_int(self, name, error, call, value):
+        with pytest.raises(error, match=re.escape(
+                f"{name} must be an integer >= 1, got {value!r}") + "$"):
+            call(value)
 
 
 REQUIRED = {"conv": {"out_channels": 1, "kernel": (3, 3)}, "fc": {"out_channels": 1},

@@ -227,6 +227,16 @@ class TestPruneRules:
                            match=re.escape(f"fraction must be in [0, 1], got {fraction}")):
             _budget(fraction, 10)
 
+    @pytest.mark.parametrize("fraction", [True, "0.5", None])
+    def test_a_fraction_that_is_not_a_number_is_rejected(self, fraction):
+        """A bool is not read as 0 or 1, and a string or None is a ValueError,
+        not a TypeError from the comparison."""
+        match = re.escape(f"fraction must be in [0, 1], got {fraction}") + "$"
+        with pytest.raises(ValueError, match=match):
+            _budget(fraction, 10)
+        with pytest.raises(ValueError, match=match):
+            prune_network({"a": [1.0, 2.0]}, fraction)
+
     def test_budget_floors(self):
         assert [_budget(f, 7) for f in (0.0, 0.5, 0.99, 1.0)] == [0, 3, 6, 7]
 
