@@ -460,6 +460,11 @@ def kernels_verify_cmd(trials, size, seed):
                   needs=(lambda v: v["method"] == "strassen", "{} needs --method strassen")))
 def kernels_count_cmd(method, out_size, filter_size, matrix_size):
     """Scalar multiplication count of one method at one problem size."""
+    sizes = ((("--matrix-size", matrix_size),) if method == "strassen"
+             else (("--out-size", out_size), ("--filter-size", filter_size)))
+    missing = [flag for flag, size in sizes if size is None]
+    if missing:
+        raise _UsageError(f"--method {method} needs {' and '.join(missing)}")
     from .stats import mult_count
     mc = mult_count(method, out_size=out_size, filter_size=filter_size, matrix_size=matrix_size)
     params = "  ".join(f"{k} {v}" for k, v in mc.params.items())

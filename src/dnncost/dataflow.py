@@ -143,12 +143,16 @@ def access_counts(factors: ReuseFactors) -> AccessCounts:
     t = st.macs
 
     acc: dict[str, dict[str, int]] = {}
-    for dtype, fac, unique, k in zip(DATA_TYPES, factors[2:], (st.di, st.dw, st.do), (1, 1, 2)):
+    for dtype, (resident, rf_reuse, share), unique, k in zip(
+            DATA_TYPES, factors[2:], (st.di, st.dw, st.do), (1, 1, 2)):
+        # the ceilings and max() inline: this runs for every layer priced
+        noc = -(-t // rf_reuse)
+        buf = k * -(-t // (rf_reuse * share))
         # a literal, keys in LEVELS order: three times as fast as dict(zip(LEVELS, ...))
         acc[dtype] = {
-            "rf": k * t if fac.resident else 0,
-            "noc": max(_ceildiv(t, fac.rf_reuse), unique),
-            "buf": max(k * _ceildiv(t, fac.rf_reuse * fac.share), unique),
+            "rf": k * t if resident else 0,
+            "noc": unique if unique > noc else noc,
+            "buf": unique if unique > buf else buf,
             "dram": unique,
         }
     return AccessCounts(layer=layer.name, kind=factors.kind, total_macs=t, acc=acc)

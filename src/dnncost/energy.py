@@ -7,9 +7,10 @@ two operand bitwidths and linearly with the product of the operand densities
 (a zero operand gates the MAC); sparsity does not modify movement here, which
 keeps the movement side a strict upper bound for compressed traffic.
 
-``network_energy`` prices each distinct layer shape once per call and gives
-every weighted layer its own report, which owns its ``movement`` dicts. A
-report's total is derived on each read, in one pass over ``movement``.
+``network_energy`` prices each distinct layer shape once per call, as the
+network's ``weighted`` field groups them, and gives every weighted layer its
+own report, which owns its ``movement`` dicts. A report's total is derived on
+each read, in one pass over ``movement``.
 
 Reports are in relative units (register-file access = 1).
 """
@@ -18,11 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .archmodel import LEVELS, ArchConfig
 from .dataflow import DATA_TYPES, AccessCounts, DataflowKind, _as_kind, layer_access_counts
-from .netmodel import WEIGHTED_KINDS, ResolvedNetwork, _require_int, shape_key
+from .netmodel import ResolvedNetwork, _require_int
+
+# a movement matrix's rows in DATA_TYPES order; a row's cells, and an energy
+# table's costs, in LEVELS order
+_types_of = itemgetter(*DATA_TYPES)
+_levels_of = itemgetter(*LEVELS)
+_costs_of = attrgetter(*LEVELS)
 
 
 @dataclass(frozen=True)
@@ -40,7 +48,7 @@ class Modifiers:
     def __post_init__(self):
         for label, rho in (("density_in", self.density_in), ("density_w", self.density_w)):
             if not isinstance(rho, (int, float)) or isinstance(rho, bool) or not 0 < rho <= 1:
-                raise ValueError(f"{label} must be in (0, 1], got {rho}")
+                raise ValueError(f"{label} must be in (0, 1], got {rho!r}")
         for label, bits in (("bits_in", self.bits_in), ("bits_w", self.bits_w)):
             if bits is not None:
                 _require_int(bits, 1, "", label, ValueError)
@@ -58,7 +66,8 @@ def _resolve_bits(mods: Modifiers, arch: ArchConfig) -> tuple[int, int]:
 class EnergyReport(NamedTuple):
     """Energy for one layer (or an aggregate) under one dataflow.
 
-    ``movement[dtype][level]`` is the movement energy matrix; totals and both
+    ``movement[dtype][level]`` is the movement energy matrix, its rows in
+    DATA_TYPES order and each row's keys in LEVELS order; totals and both
     breakdown axes are derived, so they cannot drift out of sync with it.
     """
 
@@ -69,7 +78,7 @@ class EnergyReport(NamedTuple):
 
     @property
     def by_type(self) -> dict[str, float]:
-        return {d: sum(self.movement[d][lv] for lv in LEVELS) for d in DATA_TYPES}
+        return dict(zip(DATA_TYPES, map(sum, map(_levels_of, _types_of(self.movement)))))
 
     @property
     def by_level(self) -> dict[str, float]:
@@ -79,8 +88,7 @@ class EnergyReport(NamedTuple):
     def movement_total(self) -> float:
         # the sum() calls of sum(by_type.values()), in the same order,
         # without building by_type
-        m = self.movement
-        return sum([sum([m[d][lv] for lv in LEVELS]) for d in DATA_TYPES])
+        return sum(map(sum, map(_levels_of, _types_of(self.movement))))
 
     @property
     def total(self) -> float:
@@ -92,14 +100,17 @@ def layer_energy(counts: AccessCounts, arch: ArchConfig,
     """Price one layer's access counts."""
     bi, bw = _resolve_bits(mods, arch)
     word = arch.word_bits
-    e = arch.energy
-    costs = [(level, getattr(e, level)) for level in LEVELS]
+    rf, noc, buf, dram = _costs_of(arch.energy)
     # count * cost * width / word, left to right: folding cost * width / word
-    # into one factor would round differently
+    # into one factor would round differently. Each row is a literal, keys in
+    # LEVELS order, as access_counts builds its rows
     movement = {}
     for dtype, width in zip(DATA_TYPES, (bi, bw, word)):
         row = counts.acc[dtype]
-        movement[dtype] = {level: row[level] * cost * width / word for level, cost in costs}
+        movement[dtype] = {"rf": row["rf"] * rf * width / word,
+                           "noc": row["noc"] * noc * width / word,
+                           "buf": row["buf"] * buf * width / word,
+                           "dram": row["dram"] * dram * width / word}
     compute = (counts.total_macs * arch.mac_energy
                * (bi * bw) / (arch.word_bits * arch.word_bits)
                * mods.density_in * mods.density_w)
@@ -118,29 +129,24 @@ def network_energy(net: ResolvedNetwork, kind: DataflowKind, arch: ArchConfig,
                    mods: Modifiers = Modifiers()) -> tuple[list[EnergyReport], EnergyReport]:
     """Per-layer reports over the weighted layers, plus their aggregate.
 
-    Each distinct layer shape (``netmodel.shape_key``) is priced once per
-    call; a later layer of the same shape gets a report under its own name
-    with its own copies of the ``movement`` dicts, so mutating one report
-    changes no other.
+    Each distinct layer shape is priced once per call, as ``net.weighted``
+    groups the layers; a later layer of the same shape gets a report under
+    its own name with its own copies of the ``movement`` dicts, so mutating
+    one report changes no other.
 
     Raises ValueError when the aggregate total overflows to inf, which a
     finite but huge cost in the hardware description can cause.
     """
     kind = DataflowKind(kind)
-    priced: dict[tuple, EnergyReport] = {}
-    reports = []
-    for layer in net.layers:
-        if layer.kind not in WEIGHTED_KINDS:
-            continue
-        key = shape_key(layer)
-        first = priced.get(key)
-        if first is None:
-            report = priced[key] = layer_energy(layer_access_counts(kind, layer, arch),
-                                                arch, mods)
+    reports: list[EnergyReport] = []
+    for layer, first in net.weighted:
+        if first == len(reports):  # the first layer of its shape
+            report = layer_energy(layer_access_counts(kind, layer, arch), arch, mods)
         else:
-            report = EnergyReport(layer=layer.name, dataflow=first.dataflow,
-                                  movement={d: dict(row) for d, row in first.movement.items()},
-                                  compute=first.compute)
+            priced = reports[first]
+            report = EnergyReport(layer=layer.name, dataflow=priced.dataflow,
+                                  movement={d: dict(row) for d, row in priced.movement.items()},
+                                  compute=priced.compute)
         reports.append(report)
     agg = _aggregate(reports, "total", kind.value)
     if not math.isfinite(agg.total):
@@ -179,13 +185,14 @@ class ComparisonReport:
 def compare_dataflows(net: ResolvedNetwork, arch: ArchConfig,
                       mods: Modifiers = Modifiers()) -> ComparisonReport:
     """Aggregate energy per dataflow, normalized to the cheapest one."""
-    kinds = {layer.name: layer.kind for layer in net.layers}
-    if not any(kind in WEIGHTED_KINDS for kind in kinds.values()):
+    if not net.weighted:
         raise ValueError(f"network {net.name!r} has no weighted layers")
+    # the reports follow net.weighted, so this marks each report of a conv layer
+    conv = [layer.kind == "conv" for layer, _ in net.weighted]
     raw = []
     for kind in DataflowKind:
         reports, agg = network_energy(net, kind, arch, mods)
-        conv_total = sum(r.total for r in reports if kinds[r.layer] == "conv")
+        conv_total = sum(r.total for r, is_conv in zip(reports, conv) if is_conv)
         raw.append((kind.value, agg, agg.total, conv_total))
 
     best = min(total for _, _, total, _ in raw)

@@ -251,11 +251,24 @@ shape_key = attrgetter(*(f.name for f in fields(ResolvedLayer)
 
 @dataclass(frozen=True)
 class ResolvedNetwork:
-    """A network resolved at one batch size; ``layers[0]`` reads its input."""
+    """A network resolved at one batch size; ``layers[0]`` reads its input.
+
+    ``weighted`` pairs each conv and fc layer, in order, with the index among
+    them of the first layer of its shape (``shape_key``). The constructor
+    derives it, as ``ResolvedLayer``'s derives ``stats``.
+    """
 
     name: str
     batch: int
     layers: tuple[ResolvedLayer, ...]
+    weighted: tuple[tuple[ResolvedLayer, int], ...] = field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        firsts: dict[tuple, int] = {}
+        weighted = [layer for layer in self.layers if layer.kind in WEIGHTED_KINDS]
+        object.__setattr__(self, "weighted", tuple(
+            (layer, firsts.setdefault(shape_key(layer), i)) for i, layer in enumerate(weighted)))
 
 
 # the JSON keys a layer description of each kind may give
@@ -435,7 +448,7 @@ def _budget(fraction: float, n: int) -> int:
     """The floor(fraction * n) weights a prune of n weights drops."""
     if (not isinstance(fraction, (int, float)) or isinstance(fraction, bool)
             or not 0 <= fraction <= 1):
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+        raise ValueError(f"fraction must be in [0, 1], got {fraction!r}")
     return int(fraction * n)
 
 

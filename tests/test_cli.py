@@ -269,7 +269,9 @@ class TestKernelsCommands:
 
     def test_count_missing_params(self, runner):
         result = runner.invoke(main, ["kernels", "count", "--method", "direct"])
-        assert result.exit_code == 1
+        assert result.exit_code == 2
+        assert result.stderr.endswith(
+            "Error: --method direct needs --out-size and --filter-size\n")
 
 
 class TestCompress:
@@ -800,10 +802,15 @@ class TestExitCodes:
             "\tdirect,\n\tim2col,\n\tfft,\n\twinograd,\n\tstrassen")),
         (["stats", "--builtin", "lenet5", "--", "x"], _usage_error(
             "dnncost stats", "Got unexpected extra argument (x)")),
+        (["kernels", "count", "--method", "strassen"], _usage_error(
+            "dnncost kernels count", "--method strassen needs --matrix-size")),
+        (["kernels", "count", "--method", "direct", "--out-size", "4"], _usage_error(
+            "dnncost kernels count", "--method direct needs --filter-size")),
     ], ids=["no-command", "kernels-no-command", "unknown-command", "kernels-unknown-command",
             "close-command", "close-commands", "kernels-close-command",
             "unknown-option", "unknown-option-two-matches", "int", "missing-value", "float",
-            "format-choice", "dataflow-choice", "missing-method", "extra-argument"])
+            "format-choice", "dataflow-choice", "missing-method", "extra-argument",
+            "strassen-without-matrix-size", "direct-without-filter-size"])
     def test_usage_error_text(self, runner, args, expected):
         result = runner.invoke(main, args, prog_name="dnncost", terminal_width=80)
         assert result.exit_code == 2

@@ -1,5 +1,6 @@
 """Energy pricing, workload modifiers, and the dataflow comparison."""
 
+import dataclasses
 import json
 import math
 import random
@@ -121,7 +122,7 @@ class TestModifiers:
         """A bool is not read as density 1.0, and a string or None is a
         ValueError, not a TypeError from the comparison."""
         with pytest.raises(ValueError, match=re.escape(
-                f"{field} must be in (0, 1], got {density}") + "$"):
+                f"{field} must be in (0, 1], got {density!r}") + "$"):
             Modifiers(**{field: density})
 
     @pytest.mark.parametrize("field, bits", [("bits_in", 8.5), ("bits_w", 8.0),
@@ -264,6 +265,32 @@ class TestNetworkEnergy:
                                for l in weighted]
 
 
+class TestKeyOrder:
+    """Rows and matrices are built as literals, and dict == ignores key order,
+    so the reference checks cannot see a row with its keys out of order. The
+    renderers and the JSON output read them in order."""
+
+    @staticmethod
+    def assert_ordered(matrix):
+        assert tuple(matrix) == DATA_TYPES
+        for row in matrix.values():
+            assert tuple(row) == LEVELS
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_builtin_layer(self, arch, resolved_builtins, kind):
+        mods = Modifiers(density_in=0.5, bits_w=8)
+        for net in resolved_builtins.values():
+            for layer, _ in net.weighted:
+                counts = dc.layer_access_counts(kind, layer, arch)
+                self.assert_ordered(counts.acc)
+                self.assert_ordered(layer_energy(counts, arch, mods).movement)
+            reports, agg = dc.network_energy(net, kind, arch, mods)
+            for rep in (*reports, agg):
+                self.assert_ordered(rep.movement)
+                assert tuple(rep.by_type) == DATA_TYPES
+                assert tuple(rep.by_level) == LEVELS
+
+
 class TestCompareDataflows:
     def test_alexnet_frozen_totals(self, arch, resolved_builtins):
         rep = dc.compare_dataflows(resolved_builtins["alexnet"], arch)
@@ -312,6 +339,15 @@ class TestCompareDataflows:
         net = dc.resolve_shapes(dc.parse_network(json.dumps(UNWEIGHTED)))
         with pytest.raises(ValueError, match="network 'nw' has no weighted layers"):
             dc.compare_dataflows(net, arch)
+
+    def test_a_hand_built_or_replaced_network_without_weighted_layers_is_rejected(
+            self, arch, resolved_builtins):
+        lenet = resolved_builtins["lenet5"]
+        pools = tuple(layer for layer in lenet.layers if layer.kind not in WEIGHTED_KINDS)
+        for net in (dc.ResolvedNetwork("nw", 1, ()), dc.ResolvedNetwork("nw", 2, pools),
+                    dataclasses.replace(lenet, name="nw", layers=pools)):
+            with pytest.raises(ValueError, match="^network 'nw' has no weighted layers$"):
+                dc.compare_dataflows(net, arch)
 
 
 UNWEIGHTED = {

@@ -16,6 +16,7 @@ from dnncost.cli import main
 from dnncost.netmodel import (COUNT_BUDGET, LAYER_KINDS, NetworkError,
                               NetworkSemanticError, NetworkSyntaxError, ResolvedLayer,
                               ShapeError, shape_key)
+from oracles import make_conv
 
 
 def doc(layers, channels=1, height=8, width=8, name="net"):
@@ -333,6 +334,61 @@ class TestShapeKey:
         for name in shaped:
             changed = dataclasses.replace(self.A, **{name: other_value(getattr(self.A, name))})
             assert shape_key(changed) != shape_key(self.A), name
+
+
+def regrouped(layers):
+    """Each conv and fc layer of ``layers`` with the index among them of the
+    first one of its shape, regrouped from scratch."""
+    weighted = [layer for layer in layers if layer.kind in ("conv", "fc")]
+    keys = [shape_key(layer) for layer in weighted]
+    return tuple((layer, keys.index(key)) for layer, key in zip(weighted, keys))
+
+
+class TestWeightedGrouping:
+    """``ResolvedNetwork.weighted`` is derived from ``layers`` by the
+    constructor, however the network was built."""
+
+    @staticmethod
+    def assert_grouped(net):
+        assert net.weighted == regrouped(net.layers)
+        # the very layer objects, not equal copies
+        assert all(a is b for (a, _), (b, _) in zip(net.weighted, regrouped(net.layers)))
+
+    @pytest.mark.parametrize("batch", [1, 2, 4])
+    @pytest.mark.parametrize("name", dc.BUILTIN_NAMES)
+    def test_builtins(self, name, batch):
+        net = dc.resolve_shapes(dc.builtin(name), batch=batch)
+        self.assert_grouped(net)
+        if name == "resnet50":
+            assert len({first for _, first in net.weighted}) == 21
+
+    def test_a_network_built_by_hand(self):
+        a = make_conv(2, 8, 8, 2, 3, 3, pad=1, name="a")
+        b = make_conv(2, 8, 8, 4, 3, 3, pad=1, name="b")
+        c = dataclasses.replace(a, name="c")
+        pool = dataclasses.replace(a, kind="pool", name="p")
+        fc = dataclasses.replace(b, kind="fc", name="f")
+        net = dc.ResolvedNetwork("hand", 1, (a, pool, b, c, fc, a))
+        self.assert_grouped(net)
+        assert [(layer.name, first) for layer, first in net.weighted] == [
+            ("a", 0), ("b", 1), ("c", 0), ("f", 3), ("a", 0)]
+        assert dc.ResolvedNetwork("none", 1, ()).weighted == ()
+        assert dc.ResolvedNetwork("pools", 1, (pool,)).weighted == ()
+
+    @pytest.mark.parametrize("name", ["lenet5", "resnet50"])
+    def test_replace_regroups(self, name):
+        net = dc.resolve_shapes(dc.builtin(name), batch=2)
+        for layers in (net.layers[::-1], net.layers[: len(net.layers) // 2], ()):
+            changed = dataclasses.replace(net, layers=layers)
+            self.assert_grouped(changed)
+        assert dataclasses.replace(net, name="other").weighted == net.weighted
+
+    def test_not_part_of_equality_or_repr(self):
+        net = dc.resolve_shapes(dc.builtin("lenet5"))
+        assert "weighted" not in repr(net)
+        assert net == dc.ResolvedNetwork(net.name, net.batch, net.layers)
+        with pytest.raises(TypeError):
+            dc.ResolvedNetwork(net.name, net.batch, net.layers, net.weighted)
 
 
 def one_layer(layer, channels=1, height=1, width=1):

@@ -231,7 +231,7 @@ class TestPruneRules:
     def test_a_fraction_that_is_not_a_number_is_rejected(self, fraction):
         """A bool is not read as 0 or 1, and a string or None is a ValueError,
         not a TypeError from the comparison."""
-        match = re.escape(f"fraction must be in [0, 1], got {fraction}") + "$"
+        match = re.escape(f"fraction must be in [0, 1], got {fraction!r}") + "$"
         with pytest.raises(ValueError, match=match):
             _budget(fraction, 10)
         with pytest.raises(ValueError, match=match):
