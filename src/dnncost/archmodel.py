@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
-from .netmodel import _require_int
+from .netmodel import _json_object, _require_int, _shown
 
 
 class ArchError(ValueError):
@@ -30,7 +30,7 @@ def _cost(value, what: str) -> float:
     prices alike from code and from JSON; the bound rejects NaN and inf."""
     if (not isinstance(value, (int, float)) or isinstance(value, bool)
             or not 0 < value <= sys.float_info.max):
-        raise ArchError(f"{what} must be a finite number > 0, got {value!r}")
+        raise ArchError(f"{what} must be a finite number > 0, got {_shown(value)}")
     return float(value)
 
 
@@ -55,7 +55,8 @@ class EnergyTable:
 @dataclass(frozen=True)
 class ArchConfig:
     """A spatial array: PE count, native word width, access costs, MAC
-    energy, and the RS and NLR mapping parameters."""
+    energy, and the RS and NLR mapping parameters. The four counts are
+    Python ints >= 1, and word_bits is at most 64; ArchError names any other."""
 
     pe_count: int = 256
     word_bits: int = 16
@@ -65,10 +66,9 @@ class ArchConfig:
     nlr_lane_width: int = 16
 
     def __post_init__(self):
-        for name in ("pe_count", "word_bits", "rs_channels_per_pe", "nlr_lane_width"):
-            _require_int(getattr(self, name), 1, "", name, ArchError)
-        if self.word_bits > 64:
-            raise ArchError(f"word_bits must be in [1, 64], got {self.word_bits}")
+        for name, high in (("pe_count", None), ("word_bits", 64), ("rs_channels_per_pe", None),
+                           ("nlr_lane_width", None)):
+            _require_int(getattr(self, name), 1, "", name, ArchError, high)
         if not isinstance(self.energy, EnergyTable):
             raise ArchError(f"energy must be an EnergyTable, got {self.energy!r}")
         object.__setattr__(self, "mac_energy", _cost(self.mac_energy, "mac_energy"))
@@ -85,13 +85,7 @@ _TOP_KEYS = {f.name for f in fields(ArchConfig)}
 
 def parse_arch(text: str) -> ArchConfig:
     """Parse a JSON configuration; unspecified fields keep their defaults."""
-    try:
-        doc = json.loads(text)
-    # json raises ValueError past 4,300 digits, RecursionError on deep nesting
-    except (ValueError, RecursionError) as exc:
-        raise ArchError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ArchError("top level must be an object")
+    doc = _json_object(text, ArchError)
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ArchError(f"unknown keys {sorted(unknown)}")

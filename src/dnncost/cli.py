@@ -27,7 +27,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
 from .names import MULT_METHODS, DataflowKind
-from .netmodel import WEIGHTED_KINDS, _budget, _drain, parse_network, resolve_shapes
+from .netmodel import _budget, _drain, _require_int, parse_network, resolve_shapes
 from .zoo import BUILTIN_NAMES, builtin
 
 # archmodel, dataflow, energy, stats and csv are imported by the commands and
@@ -144,15 +144,10 @@ def _load_arch(arch_path) -> ArchConfig:
     return parse_arch(_read_text(arch_path, "--arch", MAX_DESCRIPTION_CHARS))
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {seed}")
-
-
 def _rng(seed: int):
     """A seeded numpy generator. numpy is imported here, not at module level,
     so that the commands that never touch an array start without it."""
-    _check_seed(seed)
+    _require_int(seed, 0, "", "--seed", ValueError)
     import numpy as np
     return np.random.default_rng(seed)
 
@@ -423,11 +418,9 @@ _VERIFY_ROUTES = (("im2col", "conv_im2col", 1e-9),
 def kernels_verify_cmd(trials, size, seed):
     """Cross-check all transforms against direct convolution."""
     from . import kernels
-    if not 1 <= trials <= MAX_VERIFY_TRIALS:
-        raise ValueError(f"--trials must be in [1, {MAX_VERIFY_TRIALS}], got {trials}")
-    # the smallest input a 3x3 filter fits
-    if size is not None and not 3 <= size <= MAX_VERIFY_SIZE:
-        raise ValueError(f"--size must be in [3, {MAX_VERIFY_SIZE}], got {size}")
+    _require_int(trials, 1, "", "--trials", ValueError, MAX_VERIFY_TRIALS)
+    if size is not None:  # 3 is the smallest input a 3x3 filter fits
+        _require_int(size, 3, "", "--size", ValueError, MAX_VERIFY_SIZE)
     rng = _rng(seed)
     worst = {name: 0.0 for name, _, _ in _VERIFY_ROUTES}
     for _ in range(trials):
@@ -524,8 +517,7 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
         if out_path is not None:
             print(f"{len(data)} bytes -> {len(words)} words")
         return
-    if not 1 <= length <= MAX_STREAM_WORDS:
-        raise ValueError(f"--n must be in [1, {MAX_STREAM_WORDS}], got {length}")
+    _require_int(length, 1, "", "--n", ValueError, MAX_STREAM_WORDS)
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"--sparsity must be in [0, 1], got {sparsity}")
     rng = _rng(seed)
@@ -555,14 +547,14 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
 @_report_options
 def prune_cmd(net, fraction, order, arch_path, seed):
     """Prune synthetic weights for a network and report layer densities."""
-    sizes = {layer.name: layer.stats.dw for layer in net.layers if layer.kind in WEIGHTED_KINDS}
+    sizes = {layer.name: layer.stats.dw for layer, _ in net.weighted}
     if not sizes:
         raise ValueError(f"network {net.name!r} has no weighted layers")
     total = sum(sizes.values())
     if total > MAX_PRUNE_WEIGHTS:
         raise ValueError(f"network {net.name!r} has more than {MAX_PRUNE_WEIGHTS} weights, "
                          f"the most prune draws")
-    _check_seed(seed)  # in either order, though only the magnitude order draws
+    _require_int(seed, 0, "", "--seed", ValueError)  # in either order; only magnitude draws
     if order == "energy":  # the drain needs no weight values: no draw, no numpy
         from .energy import Modifiers, network_energy
         arch = _load_arch(arch_path)

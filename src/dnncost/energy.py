@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .archmodel import LEVELS, ArchConfig
 from .dataflow import DATA_TYPES, AccessCounts, DataflowKind, _as_kind, layer_access_counts
-from .netmodel import ResolvedNetwork, _require_int
+from .netmodel import ResolvedNetwork, _require_int, _shown
 
 # a movement matrix's rows in DATA_TYPES order; a row's cells, and an energy
 # table's costs, in LEVELS order
@@ -48,7 +48,7 @@ class Modifiers:
     def __post_init__(self):
         for label, rho in (("density_in", self.density_in), ("density_w", self.density_w)):
             if not isinstance(rho, (int, float)) or isinstance(rho, bool) or not 0 < rho <= 1:
-                raise ValueError(f"{label} must be in (0, 1], got {rho!r}")
+                raise ValueError(f"{label} must be in (0, 1], got {_shown(rho)}")
         for label, bits in (("bits_in", self.bits_in), ("bits_w", self.bits_w)):
             if bits is not None:
                 _require_int(bits, 1, "", label, ValueError)
@@ -57,9 +57,8 @@ class Modifiers:
 def _resolve_bits(mods: Modifiers, arch: ArchConfig) -> tuple[int, int]:
     bi = arch.word_bits if mods.bits_in is None else mods.bits_in
     bw = arch.word_bits if mods.bits_w is None else mods.bits_w
-    for label, bits in (("bits_in", bi), ("bits_w", bw)):
-        if bits > arch.word_bits:
-            raise ValueError(f"{label} must be in [1, {arch.word_bits}], got {bits}")
+    _require_int(bi, 1, "", "bits_in", ValueError, arch.word_bits)
+    _require_int(bw, 1, "", "bits_w", ValueError, arch.word_bits)
     return bi, bw
 
 

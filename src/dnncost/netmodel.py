@@ -76,9 +76,32 @@ class ShapeError(NetworkError):
     """Shape propagation failed (output underflow, bad channel split)."""
 
 
-def _require_int(value, minimum, where, what, error=NetworkSemanticError):
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise error(f"{where}{what} must be an integer >= {minimum}, got {value!r}")
+def _shown(value) -> str:
+    """A rejected value as an error shows it: repr, or an int's size past the int-to-str limit."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits() digits
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
+def _require_int(value, low, where, what, error=NetworkSemanticError, high=None):
+    """Raise ``error`` unless ``value`` is an int, not a bool, in [low, high]."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < low
+            or high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{where}{what} must be an integer {bound}, got {_shown(value)}")
+
+
+def _json_object(text: str, error: type[ValueError]) -> dict:
+    """The JSON object ``text`` holds, or ``error``."""
+    try:
+        doc = json.loads(text)
+    # json raises ValueError past 4,300 digits, RecursionError on deep nesting
+    except (ValueError, RecursionError) as exc:
+        raise error(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error("top level must be an object")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -310,13 +333,7 @@ def _parse_layer(doc, index):
 
 def parse_network(text: str) -> NetworkSpec:
     """Parse a JSON network description into a NetworkSpec."""
-    try:
-        doc = json.loads(text)
-    # json raises ValueError past 4,300 digits, RecursionError on deep nesting
-    except (ValueError, RecursionError) as exc:
-        raise NetworkSyntaxError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise NetworkSyntaxError("top level must be an object")
+    doc = _json_object(text, NetworkSyntaxError)
     unknown = set(doc) - {"name", "input", "layers"}
     if unknown:
         raise NetworkSemanticError(f"unknown top-level keys {sorted(unknown)}")
@@ -448,7 +465,7 @@ def _budget(fraction: float, n: int) -> int:
     """The floor(fraction * n) weights a prune of n weights drops."""
     if (not isinstance(fraction, (int, float)) or isinstance(fraction, bool)
             or not 0 <= fraction <= 1):
-        raise ValueError(f"fraction must be in [0, 1], got {fraction!r}")
+        raise ValueError(f"fraction must be in [0, 1], got {_shown(fraction)}")
     return int(fraction * n)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .names import MULT_METHODS
-from .netmodel import WEIGHTED_KINDS, LayerStats, ResolvedLayer, ResolvedNetwork, _require_int
+from .netmodel import LayerStats, ResolvedLayer, ResolvedNetwork, _require_int
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def network_stats(net: ResolvedNetwork) -> NetworkStats:
     Only conv and fc layers appear in the per-layer list; everything else is
     zero cost and would only pad the report.
     """
-    rows = tuple(layer.stats for layer in net.layers if layer.kind in WEIGHTED_KINDS)
+    rows = tuple(layer.stats for layer, _ in net.weighted)
     conv = [r for r in rows if r.kind == "conv"]
     fc = [r for r in rows if r.kind == "fc"]
     return NetworkStats(
@@ -105,7 +105,8 @@ def mult_count(method: str, out_size: int | None = None,
     counted for an even No: at an odd No, conv_winograd_f22_33 pads to whole
     tiles and forms ceil(No/2)^2 * 16 products, more than this count.
     Strassen takes a power-of-two matrix size N. Each size is a Python int
-    from 1 to MAX_COUNT_SIZE, and one the method does not read is an error.
+    in [1, MAX_COUNT_SIZE], checked before the power of two, and one the
+    method does not read is an error.
     """
     if method not in MULT_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {MULT_METHODS}")
@@ -116,19 +117,15 @@ def mult_count(method: str, out_size: int | None = None,
         for name, value in (("out_size", out_size), ("filter_size", filter_size)):
             if value is not None:
                 raise ValueError(f"{name} needs a convolution method")
-        _require_int(matrix_size, 1, "", "matrix_size", ValueError)
+        _require_int(matrix_size, 1, "", "matrix_size", ValueError, MAX_COUNT_SIZE)
         if matrix_size & (matrix_size - 1):
             raise ValueError("strassen needs a power-of-two matrix_size")
-        if matrix_size > MAX_COUNT_SIZE:
-            raise ValueError(f"strassen matrix_size must be <= {MAX_COUNT_SIZE}")
         exponent = matrix_size.bit_length() - 1
         return MultCount(method=method, count=7 ** exponent,
                          params={"matrix_size": matrix_size})
 
     for name, size in (("out_size", out_size), ("filter_size", filter_size)):
-        _require_int(size, 1, "", name, ValueError)
-    if max(out_size, filter_size) > MAX_COUNT_SIZE:
-        raise ValueError(f"{method} out_size and filter_size must be <= {MAX_COUNT_SIZE}")
+        _require_int(size, 1, "", name, ValueError, MAX_COUNT_SIZE)
     direct = out_size * out_size * filter_size * filter_size
     params = {"out_size": out_size, "filter_size": filter_size}
     if method in ("direct", "im2col"):

@@ -607,11 +607,13 @@ def reference_total(report):
 
 def reference_compare(net, arch, mods):
     """Dataflow comparison with every total and breakdown derived here."""
-    kinds = {layer.name: layer.kind for layer in net.layers}
+    # one report per weighted layer, in order: matched by position, since
+    # a network built by hand may give two layers one name
+    kinds = [layer.kind for layer in net.layers if layer.kind in WEIGHTED_KINDS]
     raw = []
     for kind in DataflowKind:
         reports, agg = reference_network_energy(net, kind, arch, mods)
-        conv_total = sum(reference_total(r) for r in reports if kinds[r.layer] == "conv")
+        conv_total = sum(reference_total(r) for r, k in zip(reports, kinds) if k == "conv")
         raw.append((kind.value, agg, reference_total(agg), conv_total))
     best = min(total for _, _, total, _ in raw)
     conv_best = min(ct for _, _, _, ct in raw)

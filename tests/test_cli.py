@@ -219,7 +219,8 @@ class TestKernelsCommands:
         result = runner.invoke(main, ["kernels", "verify", "--size", "2"])
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert result.stderr == f"error: --size must be in [3, {MAX_VERIFY_SIZE}], got 2\n"
+        assert result.stderr == (f"error: --size must be an integer in [3, {MAX_VERIFY_SIZE}], "
+                                 "got 2\n")
 
     @pytest.mark.parametrize("flag, cap", [("--size", MAX_VERIFY_SIZE),
                                            ("--trials", MAX_VERIFY_TRIALS)])
@@ -227,21 +228,30 @@ class TestKernelsCommands:
         low = {"--size": 3, "--trials": 1}[flag]
         result = runner.invoke(main, ["kernels", "verify", flag, str(cap + 1)])
         assert result.exit_code == 1
-        assert result.stderr == f"error: {flag} must be in [{low}, {cap}], got {cap + 1}\n"
+        assert result.stderr == (f"error: {flag} must be an integer in [{low}, {cap}], "
+                                 f"got {cap + 1}\n")
         assert result.stdout == ""
 
-    @pytest.mark.parametrize("args", [
-        ["--method", "direct", "--out-size", str(MAX_COUNT_SIZE + 1), "--filter-size", "3"],
-        ["--method", "fft", "--out-size", "8", "--filter-size", str(MAX_COUNT_SIZE + 1)],
+    @pytest.mark.parametrize("args, name, value", [
+        (["--method", "direct", "--out-size", str(MAX_COUNT_SIZE + 1), "--filter-size", "3"],
+         "out_size", MAX_COUNT_SIZE + 1),
+        (["--method", "fft", "--out-size", "8", "--filter-size", str(MAX_COUNT_SIZE + 1)],
+         "filter_size", MAX_COUNT_SIZE + 1),
         # 2,200 digits: the direct count would pass the 4,300-digit int-to-str limit
-        ["--method", "im2col", "--out-size", "9" * 2200, "--filter-size", "3"],
-        ["--method", "strassen", "--matrix-size", str(2 * MAX_COUNT_SIZE)],
-        ["--method", "strassen", "--matrix-size", str(2**5200)],
+        (["--method", "im2col", "--out-size", "9" * 2200, "--filter-size", "3"],
+         "out_size", int("9" * 2200)),
+        (["--method", "strassen", "--matrix-size", str(2 * MAX_COUNT_SIZE)],
+         "matrix_size", 2 * MAX_COUNT_SIZE),
+        (["--method", "strassen", "--matrix-size", str(2**5200)], "matrix_size", 2**5200),
+        # the range is checked before the power of two
+        (["--method", "strassen", "--matrix-size", str(MAX_COUNT_SIZE + 1)],
+         "matrix_size", MAX_COUNT_SIZE + 1),
     ])
-    def test_count_size_cap(self, runner, args):
+    def test_count_size_cap(self, runner, args, name, value):
         result = runner.invoke(main, ["kernels", "count", *args])
         assert result.exit_code == 1
-        assert f"must be <= {MAX_COUNT_SIZE}" in result.stderr
+        assert result.stderr == (f"error: {name} must be an integer in [1, {MAX_COUNT_SIZE}], "
+                                 f"got {value}\n")
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_count_fft_frozen_output(self, runner):
@@ -461,7 +471,7 @@ class TestCompress:
         over = runner.invoke(main, ["compress", "--n", str(MAX_STREAM_WORDS + 1)])
         assert over.exit_code == 1
         assert over.stdout == ""
-        assert over.stderr == (f"error: --n must be in [1, {MAX_STREAM_WORDS}], "
+        assert over.stderr == (f"error: --n must be an integer in [1, {MAX_STREAM_WORDS}], "
                                f"got {MAX_STREAM_WORDS + 1}\n")
 
 
@@ -731,7 +741,7 @@ class TestExitCodes:
         result = runner.invoke(main, [*args, "--seed", "-1"])
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert result.stderr == "error: --seed must be >= 0, got -1\n"
+        assert result.stderr == "error: --seed must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize("flag", ["--net", "--arch"])
     @pytest.mark.parametrize("source", ["at-cap", "one-over", "dev-zero"])

@@ -402,3 +402,14 @@ class TestPricingReference:
             assert dc.compare_dataflows(net, arch, mods) == reference_compare(net, arch, mods)
             assert (dc.network_energy(net, kind, arch, mods)
                     == reference_network_energy(net, kind, arch, mods))
+
+    def test_layers_of_one_name_are_marked_by_position(self):
+        # only a network built by hand can give a conv and an fc one name
+        conv = make_conv(2, 8, 8, 2, 3, 3, pad=1, name="x")
+        fc = dataclasses.replace(conv, kind="fc", kernel=(8, 8), pad=0, out_height=1,
+                                 out_width=1, inputs=("x",))
+        net = dc.ResolvedNetwork("twins", 1, (conv, fc))
+        arch, mods = ArchConfig(), Modifiers()
+        report = dc.compare_dataflows(net, arch, mods)
+        assert report == reference_compare(net, arch, mods)
+        assert {e.kind: e.conv_total for e in report.entries}["ws"] == 82_496

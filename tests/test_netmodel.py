@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 import dnncost as dc
 from dnncost import zoo
 from dnncost.cli import main
+from dnncost.energy import layer_energy
 from dnncost.netmodel import (COUNT_BUDGET, LAYER_KINDS, NetworkError,
                               NetworkSemanticError, NetworkSyntaxError, ResolvedLayer,
                               ShapeError, shape_key)
+from dnncost.stats import MAX_COUNT_SIZE
 from oracles import make_conv
 
 
@@ -430,36 +433,111 @@ class TestCountBudget:
 
 
 # every integer the cost model takes from a caller outside a network spec, as
-# (the name its error gives, the error class, a call with it set to a value)
+# (the name its error gives, the error class, a call with it set to a value,
+# its inclusive upper bound or None)
 INTEGER_SITES = [
     *[pytest.param(name, dc.ArchError, lambda v, name=name: dc.ArchConfig(**{name: v}),
-                   id=f"ArchConfig-{name}")
+                   64 if name == "word_bits" else None, id=f"ArchConfig-{name}")
       for name in ("pe_count", "word_bits", "rs_channels_per_pe", "nlr_lane_width")],
-    *[pytest.param(name, ValueError, lambda v, name=name: dc.Modifiers(**{name: v}),
+    *[pytest.param(name, ValueError, lambda v, name=name: dc.Modifiers(**{name: v}), None,
                    id=f"Modifiers-{name}") for name in ("bits_in", "bits_w")],
     *[pytest.param(name, ValueError, lambda v, name=name, method=method: dc.mult_count(
-        method, **{"out_size": 4, "filter_size": 3, name: v}), id=f"mult_count-{method}-{name}")
+        method, **{"out_size": 4, "filter_size": 3, name: v}), MAX_COUNT_SIZE,
+        id=f"mult_count-{method}-{name}")
       for method in ("direct", "im2col", "fft", "winograd")
       for name in ("out_size", "filter_size")],
     pytest.param("matrix_size", ValueError, lambda v: dc.mult_count("strassen", matrix_size=v),
-                 id="mult_count-strassen-matrix_size"),
-    pytest.param("n", ValueError, dc.next_pow2, id="next_pow2"),
+                 MAX_COUNT_SIZE, id="mult_count-strassen-matrix_size"),
+    pytest.param("n", ValueError, dc.next_pow2, None, id="next_pow2"),
 ]
+
+
+def _range(low, high):
+    return f">= {low}" if high is None else f"in [{low}, {high}]"
 
 
 class TestOneIntegerCheck:
     """Each integer of ArchConfig, Modifiers, mult_count and next_pow2 is a
-    Python int >= 1: a float, a bool, a string or a numpy integer raises the
-    site's error, which names it, rather than giving a fractional or wrapped
-    count."""
+    Python int >= 1, and at most its bound where it has one: a float, a
+    bool, a string, a numpy integer or a value past the bound raises the
+    site's error, which names it and its range, rather than giving a
+    fractional or wrapped count."""
 
-    @pytest.mark.parametrize("name, error, call", INTEGER_SITES)
+    @pytest.mark.parametrize("name, error, call, high", INTEGER_SITES)
     @pytest.mark.parametrize("value", [0, -1, 2.5, True, "8", np.int64(8)],
                              ids=["0", "-1", "2.5", "True", "str", "int64"])
-    def test_each_site_rejects_what_is_not_a_positive_int(self, name, error, call, value):
+    def test_each_site_rejects_what_is_not_a_positive_int(self, name, error, call, high, value):
         with pytest.raises(error, match=re.escape(
-                f"{name} must be an integer >= 1, got {value!r}") + "$"):
+                f"{name} must be an integer {_range(1, high)}, got {value!r}") + "$"):
             call(value)
+
+    @pytest.mark.parametrize("name, error, call, high",
+                             [site for site in INTEGER_SITES if site.values[3] is not None])
+    def test_each_bound_is_inclusive(self, name, error, call, high):
+        try:
+            call(high)
+        except ValueError as exc:  # a rule besides the range, such as winograd's 3x3
+            assert "must be an integer" not in str(exc)
+        with pytest.raises(error, match=re.escape(
+                f"{name} must be an integer in [1, {high}], got {high + 1}") + "$"):
+            call(high + 1)
+
+
+# every site that judges a value and shows it in its error, as (the message
+# up to ", got", the error class, a call with a value, whether it has an
+# upper bound, an id): each integer site and the three real-valued checks
+_JUDGES = [
+    *[(f"{name} must be an integer {_range(1, high)}", error, call, high is not None, site.id)
+      for site in INTEGER_SITES for name, error, call, high in [site.values]],
+    ("energy cost for rf must be a finite number > 0", dc.ArchError,
+     lambda v: dc.EnergyTable(rf=v), True, "EnergyTable-rf"),
+    ("density_in must be in (0, 1]", ValueError,
+     lambda v: dc.Modifiers(density_in=v), True, "Modifiers-density_in"),
+    ("fraction must be in [0, 1]", ValueError,
+     lambda v: dc.prune_network({"a": [1.0]}, v), True, "prune_network-fraction"),
+]
+# -10**5000 at every site, +10**5000 at each bounded one
+HUGE_CASES = [pytest.param(message, error, call, sign * 10**5000, id=f"{name}-{label}")
+              for message, error, call, bounded, name in _JUDGES
+              for sign, label in ((-1, "negative"), (1, "positive")) if sign < 0 or bounded]
+
+
+@pytest.fixture(params=[4300, 0], ids=["limit4300", "unlimited"])
+def int_str_limit(request):
+    """Python's int-to-str digit limit, set for one test: the default, then none."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(saved)
+
+
+class TestValuesTooLongToPrint:
+    """A rejected int past Python's int-to-str limit is shown by its size, so
+    each site still raises its own error naming its field, rather than
+    Python's "Exceeds the limit (4300 digits)" ValueError."""
+
+    @staticmethod
+    def shown(value, limit):
+        if limit == 0:
+            return repr(value)
+        return f"{'a negative' if value < 0 else 'an'} integer of 16610 bits"
+
+    @pytest.mark.parametrize("message, error, call, value", HUGE_CASES)
+    def test_each_site_names_its_field(self, int_str_limit, message, error, call, value):
+        with pytest.raises(error) as raised:
+            call(value)
+        assert str(raised.value) == f"{message}, got {self.shown(value, int_str_limit)}"
+
+    def test_a_width_past_the_word_names_its_field_when_priced(self, int_str_limit):
+        layer = dc.resolve_shapes(dc.builtin("lenet5")).weighted[0][0]
+        arch = dc.ArchConfig()
+        counts = dc.layer_access_counts(dc.DataflowKind.RS, layer, arch)
+        with pytest.raises(ValueError) as raised:
+            layer_energy(counts, arch, dc.Modifiers(bits_in=10**5000))
+        assert str(raised.value) == ("bits_in must be an integer in [1, 16], got "
+                                     + self.shown(10**5000, int_str_limit))
 
 
 REQUIRED = {"conv": {"out_channels": 1, "kernel": (3, 3)}, "fc": {"out_channels": 1},
