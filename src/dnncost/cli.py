@@ -26,7 +26,7 @@ import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
-from .names import MULT_METHODS, DataflowKind
+from .names import MULT_METHODS, MULT_SIZES, DataflowKind
 from .netmodel import _budget, _drain, _require_int, parse_network, resolve_shapes
 from .zoo import BUILTIN_NAMES, builtin
 
@@ -73,12 +73,10 @@ class _UsageError(Exception):
 # one row of a command's option table: ``type`` (str, int, float, or a tuple of
 # the accepted values) converts the value, which the command receives as ``dest``;
 # --help shows every default but None. ``needs``, on a flag that only some modes
-# read, is (test on the values, usage error with {} standing for the flag)
+# read, is (test on the values, usage error: {} is the flag, {<dest>} a value)
 _Option = namedtuple("_Option", "name dest type default help required needs",
                      defaults=(str, None, "", False, None))
-# the needs of `kernels count --out-size` and `--filter-size`, and of the flags
-# that shape the synthetic stream of `compress`
-_CONVOLUTION = (lambda v: v["method"] != "strassen", "{} needs a convolution method")
+# the needs of the flags that shape the synthetic stream of `compress`
 _SYNTHETIC = (lambda v: (v["encode_path"], v["decode_path"]) == (None, None),
               "{} is read only without --encode or --decode")
 
@@ -280,7 +278,7 @@ def _run(cmd, path: str, args: list[str]) -> None:
                               f"({' '.join(rest)})")
         for option in cmd.options:  # before any input is read
             if option.name in given and option.needs and not option.needs[0](values):
-                raise _UsageError(option.needs[1].format(option.name))
+                raise _UsageError(option.needs[1].format(option.name, **values))
         return cmd(**values)
     except _UsageError as exc:
         sys.stderr.write(f"Usage: {usage}\nTry '{path} --help' for help.\n\nError: {exc}\n")
@@ -443,27 +441,27 @@ def kernels_verify_cmd(trials, size, seed):
         raise SystemExit(1)
 
 
+def _size_option(dest, text):
+    """A `kernels count` size flag, read by the methods names.MULT_SIZES gives it to."""
+    return _Option("--" + dest.replace("_", "-"), dest, int, help=text, needs=(
+        lambda v: dest in MULT_SIZES[v["method"]], "{} is not read by --method {method}"))
+
+
 @_options(_Option("--method", "method", MULT_METHODS, required=True),
-          _Option("--out-size", "out_size", int, help="Square output extent of the convolution.",
-                  needs=_CONVOLUTION),
-          _Option("--filter-size", "filter_size", int,
-                  help="Square filter extent of the convolution.", needs=_CONVOLUTION),
-          _Option("--matrix-size", "matrix_size", int,
-                  help="Square matrix extent (strassen only).",
-                  needs=(lambda v: v["method"] == "strassen", "{} needs --method strassen")))
-def kernels_count_cmd(method, out_size, filter_size, matrix_size):
+          _size_option("out_size", "Square output extent of the convolution."),
+          _size_option("filter_size", "Square filter extent of the convolution."),
+          _size_option("matrix_size", "Square matrix extent (strassen only)."))
+def kernels_count_cmd(method, **sizes):
     """Scalar multiplication count of one method at one problem size."""
-    sizes = ((("--matrix-size", matrix_size),) if method == "strassen"
-             else (("--out-size", out_size), ("--filter-size", filter_size)))
-    missing = [flag for flag, size in sizes if size is None]
+    missing = ["--" + name.replace("_", "-") for name in MULT_SIZES[method] if sizes[name] is None]
     if missing:
         raise _UsageError(f"--method {method} needs {' and '.join(missing)}")
     from .stats import mult_count
-    mc = mult_count(method, out_size=out_size, filter_size=filter_size, matrix_size=matrix_size)
+    mc = mult_count(method, **sizes)
     params = "  ".join(f"{k} {v}" for k, v in mc.params.items())
     print(f"{mc.method}: {mc.count} multiplications  ({params})")
     if mc.method in ("fft", "winograd"):
-        direct = mult_count("direct", out_size=out_size, filter_size=filter_size).count
+        direct = mult_count("direct", **sizes).count
         print(f"direct: {direct} multiplications  ratio {mc.count / direct:.3f}")
 
 
@@ -555,16 +553,16 @@ def prune_cmd(net, fraction, order, arch_path, seed):
         raise ValueError(f"network {net.name!r} has more than {MAX_PRUNE_WEIGHTS} weights, "
                          f"the most prune draws")
     _require_int(seed, 0, "", "--seed", ValueError)  # in either order; only magnitude draws
+    budget = _budget(fraction, total)  # before either order prices or draws
     if order == "energy":  # the drain needs no weight values: no draw, no numpy
         from .energy import Modifiers, network_energy
         arch = _load_arch(arch_path)
         reports, _ = network_energy(net, DataflowKind.RS, arch, Modifiers())
         ranking = {rep.layer: rep.total / sizes[rep.layer] for rep in reports}
-        lost = _drain(sizes, _budget(fraction, total), ranking)
+        lost = _drain(sizes, budget, ranking)
         kept = {name: size - lost[name] for name, size in sizes.items()}
     else:
         from .optkit import _keep_mask
-        budget = _budget(fraction, total)  # before drawing
         # one draw is the stream of per-layer draws; only its magnitudes are kept
         keep = _keep_mask(abs(_rng(seed).standard_normal(total)), budget)
         kept, offset = {}, 0

@@ -16,7 +16,7 @@ All but ``conv_fft`` read one strided window view of the zero-padded input.
 Equivalence is exact in exact arithmetic; float64 keeps the routes within
 1e-6 relative of each other for well-scaled inputs. The multiplication counts
 of these methods, which need no arrays, are ``stats.mult_count``; its ``fft``
-count models the textbook three-transform method at n >= H, not H + R - 1.
+count models the textbook three-transform method at the n ``conv_fft`` uses.
 ``conv_fft`` does R*M*(C+1) complex multiply-adds per frequency bin in place
 of M*C filter-plane FFT columns: fewer when R <= C, more when C < R.
 """
@@ -144,8 +144,9 @@ def conv_fft(x, w) -> np.ndarray:
     """The cross-correlation by pointwise product in the frequency domain.
 
     Both operands are zero-padded per spatial dimension to the next power of
-    two >= H + R - 1, so the circular convolution never wraps; the valid
-    region is cropped from the full linear convolution. Stride 1 only.
+    two n >= H, the fft_size of stats.mult_count. The full linear convolution
+    is H + R - 1 long, so the circular one wraps at most its last R - 1 rows,
+    onto rows < R - 1, which the crop to the valid region drops. Stride 1 only.
 
     The M*C filter planes are never transformed whole. Per bin of the W-axis
     transform, the input's C x nh spectrum is multiplied by the S-tap DFT of
@@ -161,8 +162,7 @@ def conv_fft(x, w) -> np.ndarray:
     c, h, wd = x.shape
     m, _, r, s = w.shape
     e, f = out_extent(h, r, 1, 0), out_extent(wd, s, 1, 0)
-    nh = next_pow2(h + r - 1)
-    nw = next_pow2(wd + s - 1)
+    nh, nw = next_pow2(h), next_pow2(wd)
     bins = nw // 2 + 1
 
     fx = np.fft.rfft2(x, (nh, nw)).transpose(2, 0, 1)  # bins x C x nh

@@ -15,5 +15,8 @@ class DataflowKind(str, Enum):
     RS = "rs"
 
 
-# the transforms stats.mult_count counts
-MULT_METHODS = ("direct", "im2col", "fft", "winograd", "strassen")
+# the transforms stats.mult_count counts, each with the sizes it reads
+_CONV_SIZES = ("out_size", "filter_size")
+MULT_SIZES = {"direct": _CONV_SIZES, "im2col": _CONV_SIZES, "fft": _CONV_SIZES,
+              "winograd": _CONV_SIZES, "strassen": ("matrix_size",)}
+MULT_METHODS = tuple(MULT_SIZES)

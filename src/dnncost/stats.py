@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .names import MULT_METHODS
+from .names import MULT_METHODS, MULT_SIZES
 from .netmodel import LayerStats, ResolvedLayer, ResolvedNetwork, _require_int
 
 
@@ -103,29 +103,28 @@ def mult_count(method: str, out_size: int | None = None,
     Convolution methods (direct, im2col, fft, winograd) take a square output
     size No and filter size Nf; winograd is the 3x3, 2x2-tile variant only,
     counted for an even No: at an odd No, conv_winograd_f22_33 pads to whole
-    tiles and forms ceil(No/2)^2 * 16 products, more than this count.
-    Strassen takes a power-of-two matrix size N. Each size is a Python int
-    in [1, MAX_COUNT_SIZE], checked before the power of two, and one the
-    method does not read is an error.
+    tiles and forms ceil(No/2)^2 * 16 products, more than this count. fft
+    transforms at fft_size, the power of two >= No + Nf - 1 that conv_fft
+    uses. Strassen takes a power-of-two matrix size N. A size the method does
+    not read (names.MULT_SIZES) is an error, the first in argument order
+    named; each it reads is an int in [1, MAX_COUNT_SIZE].
     """
     if method not in MULT_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {MULT_METHODS}")
-    if method != "strassen" and matrix_size is not None:
-        raise ValueError("matrix_size needs method 'strassen'")
+    sizes = {"out_size": out_size, "filter_size": filter_size, "matrix_size": matrix_size}
+    for name, size in sizes.items():
+        if size is not None and name not in MULT_SIZES[method]:
+            raise ValueError(f"{name} is not read by method {method!r}")
+    for name in MULT_SIZES[method]:
+        _require_int(sizes[name], 1, "", name, ValueError, MAX_COUNT_SIZE)
 
     if method == "strassen":
-        for name, value in (("out_size", out_size), ("filter_size", filter_size)):
-            if value is not None:
-                raise ValueError(f"{name} needs a convolution method")
-        _require_int(matrix_size, 1, "", "matrix_size", ValueError, MAX_COUNT_SIZE)
         if matrix_size & (matrix_size - 1):
             raise ValueError("strassen needs a power-of-two matrix_size")
         exponent = matrix_size.bit_length() - 1
         return MultCount(method=method, count=7 ** exponent,
                          params={"matrix_size": matrix_size})
 
-    for name, size in (("out_size", out_size), ("filter_size", filter_size)):
-        _require_int(size, 1, "", name, ValueError, MAX_COUNT_SIZE)
     direct = out_size * out_size * filter_size * filter_size
     params = {"out_size": out_size, "filter_size": filter_size}
     if method in ("direct", "im2col"):

@@ -340,8 +340,8 @@ def conv_fft_count(x, w):
     multiplications each stage made, in ``fft_conv_count``'s units: one per
     radix-2 butterfly, one per DFT-matrix or channel-sum product.
 
-    The stages, at nh x nw, the least powers of two >= H + R - 1 and
-    W + S - 1, with nw/2 + 1 bins along W:
+    The stages, at nh x nw, the least powers of two >= H and W, as the
+    kernel pads, with nw/2 + 1 bins along W:
     - "input": each of the H rows of each channel transformed as a complex
       FFT, its bins kept, then each bin's zero-padded nh-point column;
     - "filters": the S-tap DFT of the flipped filters' rows into the bins;
@@ -355,7 +355,7 @@ def conv_fft_count(x, w):
     Returns the valid M x E x F output, the counts by stage, and (nh, nw)."""
     c_n, h, wd = len(x), len(x[0]), len(x[0][0])
     m_n, r_n, s_n = len(w), len(w[0][0]), len(w[0][0][0])
-    nh, nw = next_pow2(h + r_n - 1), next_pow2(wd + s_n - 1)
+    nh, nw = next_pow2(h), next_pow2(wd)
     bins = nw // 2 + 1
     counts = dict.fromkeys(("input", "filters", "channel_sums", "taps", "inverse"), 0)
 

@@ -61,7 +61,7 @@ def click_tree(group, calls, path=()):
             for option in cmd.options:
                 given = ctx.get_parameter_source(option.dest) is ParameterSource.COMMANDLINE
                 if given and option.needs and not option.needs[0](kwargs):
-                    raise click.UsageError(option.needs[1].format(option.name), ctx)
+                    raise click.UsageError(option.needs[1].format(option.name, **kwargs), ctx)
             calls.append((path_here, kwargs))
 
         params = [click.Option(

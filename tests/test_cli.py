@@ -598,6 +598,20 @@ class TestPruneCounts:
         assert result.exit_code == 1
         assert result.stderr == f"error: fraction must be in [0, 1], got {float(fraction)}\n"
 
+    @pytest.mark.parametrize("arch", [[], ["--arch", "/no/such/file.json"]],
+                             ids=["default-arch", "unreadable-arch"])
+    def test_fraction_is_checked_before_the_energy_order_prices(self, runner, monkeypatch,
+                                                                arch):
+        """The energy order rejects the fraction before it reads --arch or
+        prices a layer."""
+        priced = []
+        monkeypatch.setattr("dnncost.energy.network_energy", lambda *args: priced.append(args))
+        result = runner.invoke(main, ["prune", "--builtin", "lenet5", "--order", "energy",
+                                      "--fraction", "2", *arch])
+        assert result.exit_code == 1
+        assert result.stderr == "error: fraction must be in [0, 1], got 2.0\n"
+        assert priced == []
+
 
 class TestCountBudget:
     """Every report command rejects a network past netmodel.COUNT_BUDGET with
@@ -645,11 +659,23 @@ class TestExitCodes:
          "--arch needs --order energy"),
         (["compress", "--n", "16", "--out", "/no/such/dir/x"], "--out needs --encode or --decode"),
         (["kernels", "count", "--method", "direct", "--out-size", "4", "--filter-size", "3",
-          "--matrix-size", "8"], "--matrix-size needs --method strassen"),
+          "--matrix-size", "8"], "--matrix-size is not read by --method direct"),
+        (["kernels", "count", "--method", "im2col", "--out-size", "4", "--filter-size", "3",
+          "--matrix-size", "8"], "--matrix-size is not read by --method im2col"),
+        (["kernels", "count", "--method", "fft", "--out-size", "4", "--filter-size", "3",
+          "--matrix-size", "8"], "--matrix-size is not read by --method fft"),
+        (["kernels", "count", "--method", "winograd", "--out-size", "4", "--filter-size", "3",
+          "--matrix-size", "8"], "--matrix-size is not read by --method winograd"),
         (["kernels", "count", "--method", "strassen", "--matrix-size", "8", "--out-size", "4"],
-         "--out-size needs a convolution method"),
+         "--out-size is not read by --method strassen"),
         (["kernels", "count", "--method", "strassen", "--matrix-size", "8", "--filter-size", "3"],
-         "--filter-size needs a convolution method"),
+         "--filter-size is not read by --method strassen"),
+        # an unread size before a missing one, then one missing size per family
+        (["kernels", "count", "--method", "fft", "--matrix-size", "8"],
+         "--matrix-size is not read by --method fft"),
+        (["kernels", "count", "--method", "winograd", "--filter-size", "3"],
+         "--method winograd needs --out-size"),
+        (["kernels", "count", "--method", "strassen"], "--method strassen needs --matrix-size"),
         (["compress", "--encode", "/no/such/w.txt", "--out", "/no/such/w.bin", "--n", "7"],
          "--n is read only without --encode or --decode"),
         (["compress", "--decode", "/no/such/w.bin", "--sparsity", "0.2"],
@@ -667,12 +693,14 @@ class TestExitCodes:
         (["compress", "--decode", "/no/such/w.bin", "--encode", "/no/such/w.txt"],
          "--encode needs --out for the packed stream"),
         (["kernels", "count", "--method", "strassen", "--filter-size", "3", "--out-size", "4"],
-         "--out-size needs a convolution method"),
+         "--out-size is not read by --method strassen"),
         # before any input is read: loading either network would exit 1
         (["prune", "--builtin", "nosuch", "--arch", "a.json"], "--arch needs --order energy"),
         (["prune", "--net", "/dev/zero", "--arch", "a.json"], "--arch needs --order energy"),
-    ], ids=["prune-arch", "compress-out", "count-matrix-size", "strassen-out-size",
-            "strassen-filter-size", "encode-n", "decode-sparsity", "decode-seed",
+    ], ids=["prune-arch", "compress-out", "count-matrix-size", "im2col-matrix-size",
+            "fft-matrix-size", "winograd-matrix-size", "strassen-out-size",
+            "strassen-filter-size", "unread-before-missing", "winograd-without-out-size",
+            "strassen-without-matrix-size", "encode-n", "decode-sparsity", "decode-seed",
             "encode-default-seed", "encode-and-decode", "encode-without-out",
             "n-before-encode-and-decode", "encode-before-decode", "out-size-before-filter-size",
             "before-unknown-builtin", "before-unreadable-net"])

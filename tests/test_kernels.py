@@ -1,5 +1,6 @@
 """Convolution transform equivalence and multiplication-count estimates."""
 
+import itertools
 import re
 import tracemalloc
 from unittest import mock
@@ -365,14 +366,31 @@ class TestMultCount:
     def test_conv_fft_count_runs_the_kernels_stages(self):
         """The counting oracle's output is conv_fft's; its channel sums and
         R-tap DFT make R*M*(C+1) products per frequency bin, as the kernel's
-        docstring says; and it pads to the power of two >= H + R - 1, past
-        mult_count's n, the one >= H: 64 against 32 at out size 30."""
+        docstring says; and it pads to mult_count's n, the power of two >= H:
+        32 at out size 30."""
         for x, w in fft_cases(12, seed=16) + [(np.ones((1, 32, 32)), np.ones((1, 1, 3, 3)))]:
             out, counts, (nh, nw) = conv_fft_count(x.tolist(), w.tolist())
             np.testing.assert_allclose(out, conv_fft(x, w), rtol=0, atol=1e-9)
             m, c, r, s = w.shape
             assert counts["channel_sums"] + counts["taps"] == nh * (nw // 2 + 1) * r * m * (c + 1)
-        assert (nh, mult_count("fft", out_size=30, filter_size=3).params["fft_size"]) == (64, 32)
+        assert nh == nw == mult_count("fft", out_size=30, filter_size=3).params["fft_size"] == 32
+
+    def test_conv_fft_transforms_at_the_counted_fft_size(self, monkeypatch):
+        """The kernel's own input transform, not an oracle's, is taken at
+        mult_count's fft_size on both axes."""
+        sizes, rfft2 = [], np.fft.rfft2
+
+        def spy(a, s=None, *args, **kwargs):
+            sizes.append(s)
+            return rfft2(a, s, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft2", spy)
+        for out_size, f in itertools.product(range(1, 65), range(1, 8)):
+            h = out_size + f - 1
+            sizes.clear()
+            conv_fft(np.ones((1, h, h)), np.ones((1, 1, f, f)))
+            n = mult_count("fft", out_size=out_size, filter_size=f).params["fft_size"]
+            assert sizes == [(n, n)], (out_size, f)
 
     def test_fft_oracle_is_the_dft(self):
         x = np.random.default_rng(10).standard_normal((16, 16))
@@ -413,16 +431,34 @@ class TestMultCount:
         with pytest.raises(ValueError, match="3x3"):
             mult_count("winograd", out_size=4, filter_size=5)
 
-    @pytest.mark.parametrize("method, sizes, match", [
+    # every method with every size it never reads, written out here rather
+    # than read from names.MULT_SIZES, so the test witnesses that table; then
+    # the first of several named, an unread size before a missing one, and one
+    # missing size per family
+    @pytest.mark.parametrize("method, sizes, message", [
         ("direct", {"out_size": 4, "filter_size": 3, "matrix_size": 8},
-         "^matrix_size needs method 'strassen'$"),
-        ("fft", {"out_size": 4, "filter_size": 3, "matrix_size": 8}, "^matrix_size "),
-        ("strassen", {"out_size": 4, "matrix_size": 8}, "^out_size needs a convolution method$"),
+         "matrix_size is not read by method 'direct'"),
+        ("im2col", {"out_size": 4, "filter_size": 3, "matrix_size": 8},
+         "matrix_size is not read by method 'im2col'"),
+        ("fft", {"out_size": 4, "filter_size": 3, "matrix_size": 8},
+         "matrix_size is not read by method 'fft'"),
+        ("winograd", {"out_size": 4, "filter_size": 3, "matrix_size": 8},
+         "matrix_size is not read by method 'winograd'"),
+        ("strassen", {"out_size": 4, "matrix_size": 8},
+         "out_size is not read by method 'strassen'"),
         ("strassen", {"filter_size": 3, "matrix_size": 8},
-         "^filter_size needs a convolution method$"),
-    ])
-    def test_a_size_the_method_never_reads_is_an_error(self, method, sizes, match):
-        with pytest.raises(ValueError, match=match):
+         "filter_size is not read by method 'strassen'"),
+        ("strassen", {"filter_size": 3, "out_size": 4}, "out_size is not read by method 'strassen'"),
+        ("fft", {"matrix_size": 8}, "matrix_size is not read by method 'fft'"),
+        ("direct", {"out_size": 4},
+         f"filter_size must be an integer in [1, {MAX_COUNT_SIZE}], got None"),
+        ("strassen", {}, f"matrix_size must be an integer in [1, {MAX_COUNT_SIZE}], got None"),
+    ], ids=["direct-matrix-size", "im2col-matrix-size", "fft-matrix-size",
+            "winograd-matrix-size", "strassen-out-size", "strassen-filter-size",
+            "out-size-before-filter-size", "unread-before-missing", "direct-without-filter-size",
+            "strassen-without-matrix-size"])
+    def test_a_size_the_method_never_reads_is_an_error(self, method, sizes, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             mult_count(method, **sizes)
 
     def test_method_registry(self):
