@@ -24,9 +24,10 @@ import json
 import os
 import sys
 from collections import namedtuple
+from dataclasses import replace
 from typing import TYPE_CHECKING, NamedTuple
 
-from .names import MULT_METHODS, MULT_SIZES, DataflowKind
+from .names import MAX_VALUE, MULT_METHODS, MULT_SIZES, PAIR_BITS, DataflowKind
 from .netmodel import _budget, _drain, _require_int, parse_network, resolve_shapes
 from .zoo import BUILTIN_NAMES, builtin
 
@@ -39,12 +40,12 @@ DATAFLOW_NAMES = tuple(k.value for k in DataflowKind)
 # longest stream `compress` draws (--n), encodes (--encode) or decodes
 # (--decode); its arrays grow with the length
 MAX_STREAM_WORDS = 1 << 20
-# largest --decode file: each pair of optkit.PAIR_BITS (21) bits decodes to at
-# least one word, so MAX_STREAM_WORDS words pack into at most this many bytes
-MAX_DECODE_BYTES = MAX_STREAM_WORDS * 21 // 8
+# largest --decode file: each pair of PAIR_BITS bits decodes to at least one
+# word, so MAX_STREAM_WORDS words pack into at most this many whole bytes
+MAX_DECODE_BYTES = (MAX_STREAM_WORDS * PAIR_BITS + 7) // 8
 # longest --encode file: the text --decode writes for MAX_STREAM_WORDS words,
-# each at most the five digits of optkit.MAX_VALUE and a newline
-MAX_ENCODE_CHARS = MAX_STREAM_WORDS * 6
+# each at most the digits of MAX_VALUE and a newline
+MAX_ENCODE_CHARS = MAX_STREAM_WORDS * (len(str(MAX_VALUE)) + 1)
 # largest `kernels verify --size` and `--trials`: every trial runs four
 # convolutions of a size x size input
 MAX_VERIFY_SIZE = 256
@@ -97,6 +98,7 @@ def _network_options(fn):
             raise _UsageError("give exactly one of --builtin or --net")
         spec = (builtin(builtin_name) if net_path is None
                 else parse_network(_read_text(net_path, "--net", MAX_DESCRIPTION_CHARS)))
+        _require_int(batch, 1, "", "--batch", ValueError)
         return fn(resolve_shapes(spec, batch=batch), *args, **kwargs)
 
     return _options(
@@ -123,7 +125,10 @@ def _modifier_options(fn):
     def with_mods(*args, arch_path, bits, density_in, density_w, **kwargs):
         from .energy import Modifiers
         arch = _load_arch(arch_path)
-        mods = Modifiers(density_in=density_in, density_w=density_w, bits_in=bits, bits_w=bits)
+        mods = Modifiers(density_in=density_in, density_w=density_w)  # checked before --bits
+        if bits is not None:
+            _require_int(bits, 1, "", "--bits", ValueError, arch.word_bits)
+            mods = replace(mods, bits_in=bits, bits_w=bits)
         return fn(*args, arch, mods, **kwargs)
 
     return _options(
@@ -453,10 +458,13 @@ def _size_option(dest, text):
           _size_option("matrix_size", "Square matrix extent (strassen only)."))
 def kernels_count_cmd(method, **sizes):
     """Scalar multiplication count of one method at one problem size."""
-    missing = ["--" + name.replace("_", "-") for name in MULT_SIZES[method] if sizes[name] is None]
+    flags = {name: "--" + name.replace("_", "-") for name in MULT_SIZES[method]}
+    missing = [flag for name, flag in flags.items() if sizes[name] is None]
     if missing:
         raise _UsageError(f"--method {method} needs {' and '.join(missing)}")
-    from .stats import mult_count
+    from .stats import MAX_COUNT_SIZE, mult_count
+    for name, flag in flags.items():
+        _require_int(sizes[name], 1, "", flag, ValueError, MAX_COUNT_SIZE)
     mc = mult_count(method, **sizes)
     params = "  ".join(f"{k} {v}" for k, v in mc.params.items())
     print(f"{mc.method}: {mc.count} multiplications  ({params})")
@@ -481,8 +489,7 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     """Run-length compression of sparse 16-bit streams."""
     import numpy as np
 
-    from .optkit import (MAX_VALUE, _pack, _pair_codes, _ratio, _word_array, rle_decode,
-                         rle_word_count)
+    from .optkit import _pack, _pair_codes, _ratio, _word_array, rle_decode, rle_word_count
     if encode_path is not None:
         tokens = _read_text(encode_path, "--encode", MAX_ENCODE_CHARS).split()
         if len(tokens) > MAX_STREAM_WORDS:  # before any word is built

@@ -24,13 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .names import MAX_RUN, MAX_VALUE, PAIR_BITS, RUN_BITS, VALUE_BITS
 from .netmodel import _budget, _drain
-
-PAIR_BITS = 21
-RUN_BITS = 5
-VALUE_BITS = 16
-MAX_RUN = (1 << RUN_BITS) - 1
-MAX_VALUE = (1 << VALUE_BITS) - 1
 
 
 def _keep_mask(mags: np.ndarray, k: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Built-in classifier descriptions.
 
-Each builder returns a plain JSON-ready document in the network description
-format, so every built-in round-trips through parse_network by construction.
+Each builder returns a ``NetworkSpec`` of ``LayerSpec``s, checked by the same
+constructors as a parsed file, and ``serialize_network`` writes its document,
+which ``builtin`` parses.
+
 Geometry and wiring follow the published architectures as they are usually
 counted for storage/compute tallies:
 
@@ -18,66 +20,47 @@ counted for storage/compute tallies:
 
 from __future__ import annotations
 
-import json
-
-from .netmodel import NetworkError, NetworkSpec, parse_network
+from .netmodel import LayerSpec, NetworkError, NetworkSpec, parse_network, serialize_network
 
 
-def _conv(name, m, k, stride=1, pad=0, groups=1, bias=True, inp=None, connections=None):
-    doc = {"type": "conv", "name": name, "out_channels": m, "kernel": [k, k],
-           "stride": stride, "pad": pad, "groups": groups, "bias": bias}
-    if connections is not None:
-        doc["connections"] = connections
-    if inp is not None:
-        doc["input"] = inp
-    return doc
+def _conv(name, m, k, stride=1, pad=0, **kw):
+    return LayerSpec("conv", name, m, (k, k), stride, pad, **kw)
 
 
-def _pool(name, k, stride, pad=0, inp=None):
-    doc = {"type": "pool", "name": name, "kernel": [k, k], "stride": stride, "pad": pad}
-    if inp is not None:
-        doc["input"] = inp
-    return doc
+def _pool(name, k, stride, pad=0, inputs=()):
+    return LayerSpec("pool", name, kernel=(k, k), stride=stride, pad=pad, inputs=inputs)
 
 
-def _fc(name, m, bias=True):
-    return {"type": "fc", "name": name, "out_channels": m, "bias": bias}
+def _fc(name, m):
+    return LayerSpec("fc", name, m)
 
 
 def _lenet5():
-    return {
-        "name": "lenet5",
-        "input": {"channels": 1, "height": 32, "width": 32},
-        "layers": [
-            _conv("c1", 6, 5),
-            _pool("s2", 2, 2),
-            # original sparse connection table: 60 of the 96 pairs are wired
-            _conv("c3", 16, 5, connections=60),
-            _pool("s4", 2, 2),
-            _fc("c5", 120),
-            _fc("f6", 84),
-        ],
-    }
+    return NetworkSpec("lenet5", 1, 32, 32, (
+        _conv("c1", 6, 5),
+        _pool("s2", 2, 2),
+        # original sparse connection table: 60 of the 96 pairs are wired
+        _conv("c3", 16, 5, connections=60),
+        _pool("s4", 2, 2),
+        _fc("c5", 120),
+        _fc("f6", 84),
+    ))
 
 
 def _alexnet():
-    return {
-        "name": "alexnet",
-        "input": {"channels": 3, "height": 227, "width": 227},
-        "layers": [
-            _conv("conv1", 96, 11, stride=4),
-            _pool("pool1", 3, 2),
-            _conv("conv2", 256, 5, pad=2, groups=2),
-            _pool("pool2", 3, 2),
-            _conv("conv3", 384, 3, pad=1),
-            _conv("conv4", 384, 3, pad=1, groups=2),
-            _conv("conv5", 256, 3, pad=1, groups=2),
-            _pool("pool5", 3, 2),
-            _fc("fc6", 4096),
-            _fc("fc7", 4096),
-            _fc("fc8", 1000),
-        ],
-    }
+    return NetworkSpec("alexnet", 3, 227, 227, (
+        _conv("conv1", 96, 11, stride=4),
+        _pool("pool1", 3, 2),
+        _conv("conv2", 256, 5, pad=2, groups=2),
+        _pool("pool2", 3, 2),
+        _conv("conv3", 384, 3, pad=1),
+        _conv("conv4", 384, 3, pad=1, groups=2),
+        _conv("conv5", 256, 3, pad=1, groups=2),
+        _pool("pool5", 3, 2),
+        _fc("fc6", 4096),
+        _fc("fc7", 4096),
+        _fc("fc8", 1000),
+    ))
 
 
 def _vgg16():
@@ -88,25 +71,20 @@ def _vgg16():
             layers.append(_conv(f"conv{bi}_{ci}", m, 3, pad=1))
         layers.append(_pool(f"pool{bi}", 2, 2))
     layers += [_fc("fc6", 4096), _fc("fc7", 4096), _fc("fc8", 1000)]
-    return {
-        "name": "vgg16",
-        "input": {"channels": 3, "height": 224, "width": 224},
-        "layers": layers,
-    }
+    return NetworkSpec("vgg16", 3, 224, 224, tuple(layers))
 
 
 def _inception(prefix, inp, c1, c3r, c3, c5r, c5, pp):
     return [
-        _conv(f"{prefix}_1x1", c1, 1, inp=inp),
-        _conv(f"{prefix}_3x3r", c3r, 1, inp=inp),
+        _conv(f"{prefix}_1x1", c1, 1, inputs=(inp,)),
+        _conv(f"{prefix}_3x3r", c3r, 1, inputs=(inp,)),
         _conv(f"{prefix}_3x3", c3, 3, pad=1),
-        _conv(f"{prefix}_5x5r", c5r, 1, inp=inp),
+        _conv(f"{prefix}_5x5r", c5r, 1, inputs=(inp,)),
         _conv(f"{prefix}_5x5", c5, 5, pad=2),
-        _pool(f"{prefix}_pool", 3, 1, pad=1, inp=inp),
+        _pool(f"{prefix}_pool", 3, 1, pad=1, inputs=(inp,)),
         _conv(f"{prefix}_poolproj", pp, 1),
-        {"type": "concat", "name": prefix,
-         "inputs": [f"{prefix}_1x1", f"{prefix}_3x3", f"{prefix}_5x5",
-                    f"{prefix}_poolproj"]},
+        LayerSpec("concat", prefix, inputs=(f"{prefix}_1x1", f"{prefix}_3x3",
+                                            f"{prefix}_5x5", f"{prefix}_poolproj")),
     ]
 
 
@@ -135,32 +113,28 @@ def _googlenet():
     pools = 3
     for name, widths in modules:
         if widths is None:
-            layers.append(_pool(f"pool{pools}", 3, 2, inp=prev))
+            layers.append(_pool(f"pool{pools}", 3, 2, inputs=(prev,)))
             prev = f"pool{pools}"
             pools += 1
         else:
             layers += _inception(name, prev, *widths)
             prev = name
     layers += [_pool("avgpool", 6, 1), _fc("fc", 1000)]
-    return {
-        "name": "googlenet",
-        "input": {"channels": 3, "height": 224, "width": 224},
-        "layers": layers,
-    }
+    return NetworkSpec("googlenet", 3, 224, 224, tuple(layers))
 
 
 def _bottleneck(prefix, inp, mid, out, stride, project):
     layers = [
-        _conv(f"{prefix}_a", mid, 1, stride=stride, bias=False, inp=inp),
+        _conv(f"{prefix}_a", mid, 1, stride=stride, bias=False, inputs=(inp,)),
         _conv(f"{prefix}_b", mid, 3, pad=1, bias=False),
         _conv(f"{prefix}_c", out, 1, bias=False),
     ]
     if project:
-        layers.append(_conv(f"{prefix}_proj", out, 1, stride=stride, bias=False, inp=inp))
+        layers.append(_conv(f"{prefix}_proj", out, 1, stride=stride, bias=False, inputs=(inp,)))
         shortcut = f"{prefix}_proj"
     else:
         shortcut = inp
-    layers.append({"type": "add", "name": prefix, "inputs": [f"{prefix}_c", shortcut]})
+    layers.append(LayerSpec("add", prefix, inputs=(f"{prefix}_c", shortcut)))
     return layers
 
 
@@ -184,11 +158,7 @@ def _resnet50():
                                   stride if first else 1, project=first)
             prev = prefix
     layers += [_pool("avgpool", 7, 1), _fc("fc", 1000)]
-    return {
-        "name": "resnet50",
-        "input": {"channels": 3, "height": 224, "width": 224},
-        "layers": layers,
-    }
+    return NetworkSpec("resnet50", 3, 224, 224, tuple(layers))
 
 
 _BUILDERS = {
@@ -203,14 +173,14 @@ BUILTIN_NAMES = tuple(sorted(_BUILDERS))
 
 
 def builtin_document(name: str) -> str:
-    """Return a built-in network as a JSON document."""
+    """Return a built-in network as a JSON document, as serialize_network writes it."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise NetworkError(
             f"unknown built-in network {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         ) from None
-    return json.dumps(builder(), indent=2)
+    return serialize_network(builder())
 
 
 # name -> (the parser that made it, parsed spec); a NetworkSpec is immutable,

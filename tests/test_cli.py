@@ -234,18 +234,20 @@ class TestKernelsCommands:
 
     @pytest.mark.parametrize("args, name, value", [
         (["--method", "direct", "--out-size", str(MAX_COUNT_SIZE + 1), "--filter-size", "3"],
-         "out_size", MAX_COUNT_SIZE + 1),
+         "--out-size", MAX_COUNT_SIZE + 1),
         (["--method", "fft", "--out-size", "8", "--filter-size", str(MAX_COUNT_SIZE + 1)],
-         "filter_size", MAX_COUNT_SIZE + 1),
+         "--filter-size", MAX_COUNT_SIZE + 1),
         # 2,200 digits: the direct count would pass the 4,300-digit int-to-str limit
         (["--method", "im2col", "--out-size", "9" * 2200, "--filter-size", "3"],
-         "out_size", int("9" * 2200)),
+         "--out-size", int("9" * 2200)),
         (["--method", "strassen", "--matrix-size", str(2 * MAX_COUNT_SIZE)],
-         "matrix_size", 2 * MAX_COUNT_SIZE),
-        (["--method", "strassen", "--matrix-size", str(2**5200)], "matrix_size", 2**5200),
+         "--matrix-size", 2 * MAX_COUNT_SIZE),
+        (["--method", "strassen", "--matrix-size", str(2**5200)], "--matrix-size", 2**5200),
         # the range is checked before the power of two
         (["--method", "strassen", "--matrix-size", str(MAX_COUNT_SIZE + 1)],
-         "matrix_size", MAX_COUNT_SIZE + 1),
+         "--matrix-size", MAX_COUNT_SIZE + 1),
+        # in the order the method reads its sizes
+        (["--method", "winograd", "--out-size", "0", "--filter-size", "0"], "--out-size", 0),
     ])
     def test_count_size_cap(self, runner, args, name, value):
         result = runner.invoke(main, ["kernels", "count", *args])
@@ -442,9 +444,10 @@ class TestCompress:
         assert MAX_ENCODE_CHARS == len(f"{dc.optkit.MAX_VALUE}\n") * MAX_STREAM_WORDS
 
     def test_caps_follow_the_codec_format(self):
-        # cli spells both out, so that loading it does not load optkit and numpy
+        # cli derives both from the codec widths in names, which optkit encodes with
         assert MAX_DECODE_BYTES == MAX_STREAM_WORDS * dc.optkit.PAIR_BITS // 8
         assert MAX_ENCODE_CHARS == MAX_STREAM_WORDS * (len(str(dc.optkit.MAX_VALUE)) + 1)
+        assert (MAX_DECODE_BYTES, MAX_ENCODE_CHARS) == (2_752_512, 6_291_456)
 
     @pytest.mark.parametrize("token", ["1_0", "\u0663", "+7", "-7", "\uff17"],
                              ids=["underscore", "arabic-indic", "plus", "minus", "fullwidth"])
@@ -770,6 +773,25 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "error: --seed must be an integer >= 0, got -1\n"
+
+    @pytest.mark.parametrize("args, error", [
+        (["stats", "--builtin", "lenet5", "--batch", "0"],
+         "--batch must be an integer >= 1, got 0"),
+        (["compare", "--builtin", "lenet5", "--bits", "0"],
+         "--bits must be an integer in [1, 16], got 0"),
+        (["compare", "--builtin", "lenet5", "--bits", "32"],
+         "--bits must be an integer in [1, 16], got 32"),
+        # in the order the inputs are read: --batch, then the densities and --bits
+        (["analyze", "--builtin", "lenet5", "--batch", "0", "--bits", "0"],
+         "--batch must be an integer >= 1, got 0"),
+        (["analyze", "--builtin", "lenet5", "--density-in", "2", "--bits", "0"],
+         "density_in must be in (0, 1], got 2.0"),
+    ])
+    def test_integer_flags_name_themselves(self, runner, args, error):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: {error}\n"
 
     @pytest.mark.parametrize("flag", ["--net", "--arch"])
     @pytest.mark.parametrize("source", ["at-cap", "one-over", "dev-zero"])

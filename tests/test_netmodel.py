@@ -1,6 +1,7 @@
 """Network description parsing, validation, and shape resolution."""
 
 import dataclasses
+import hashlib
 import json
 import re
 import sys
@@ -131,11 +132,30 @@ class TestParse:
             dc.parse_network("[" * 100_000)
 
 
+# sha256 of each built-in document, so that its bytes stay fixed whatever code writes them
+BUILTIN_SHA256 = {
+    "lenet5": "78ab1256bcebabab381e2e1d9fbb1d0f8699ed5d3c6b4e8db81fd3170104e04d",
+    "alexnet": "974114af9d4fe405cc81c03f1bc08b41b4e4bc19c8a04851e4e1e9d7bbf52d93",
+    "vgg16": "9a0f4c5342a6d59f0f907528cdf925ec4951ecb8422b217e23b272046804518e",
+    "googlenet": "535d75acebe8ceffbf887e7a06c55e76efd9b958b62c4cdc0848bf589c982f58",
+    "resnet50": "8a28d65151452222b2dd9c5a7644a61bc640f8af5f3e21d56359882347ead302",
+}
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", dc.BUILTIN_NAMES)
     def test_builtin_round_trips(self, name):
         spec = dc.builtin(name)
         assert dc.parse_network(dc.serialize_network(spec)) == spec
+
+    @pytest.mark.parametrize("name", dc.BUILTIN_NAMES)
+    def test_builtin_document_bytes_are_pinned(self, name):
+        text = dc.builtin_document(name)
+        assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_SHA256[name]
+
+    @pytest.mark.parametrize("name", dc.BUILTIN_NAMES)
+    def test_builder_spec_is_the_parsed_builtin(self, name):
+        assert zoo._BUILDERS[name]() == dc.builtin(name)
 
     def test_custom_round_trips(self):
         text = doc([conv("a", groups=1, bias=False),
