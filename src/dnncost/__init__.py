@@ -26,8 +26,7 @@ _LAZY = {
                      "network_energy"), "energy"),
     **dict.fromkeys(("kernels", "conv_direct", "conv_fft", "conv_im2col",
                      "conv_winograd_f22_33"), "kernels"),
-    **dict.fromkeys(("names", "DataflowKind"), "names"),
-    **dict.fromkeys(("netmodel", "LayerSpec", "LayerStats", "NetworkError",
+    **dict.fromkeys(("netmodel", "DataflowKind", "LayerSpec", "LayerStats", "NetworkError",
                      "NetworkSemanticError", "NetworkSpec", "NetworkSyntaxError",
                      "ResolvedLayer", "ResolvedNetwork", "ShapeError", "parse_network",
                      "resolve_shapes", "serialize_network"), "netmodel"),

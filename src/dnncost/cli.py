@@ -27,8 +27,8 @@ from collections import namedtuple
 from dataclasses import replace
 from typing import TYPE_CHECKING, NamedTuple
 
-from .names import MAX_VALUE, MULT_METHODS, MULT_SIZES, PAIR_BITS, DataflowKind
-from .netmodel import _budget, _drain, _require_int, parse_network, resolve_shapes
+from .netmodel import (MAX_VALUE, MULT_METHODS, MULT_SIZES, PAIR_BITS, DataflowKind, _budget,
+                       _drain, _require_int, parse_network, resolve_shapes)
 from .zoo import BUILTIN_NAMES, builtin
 
 # archmodel, dataflow, energy, stats and csv are imported by the commands and
@@ -447,7 +447,7 @@ def kernels_verify_cmd(trials, size, seed):
 
 
 def _size_option(dest, text):
-    """A `kernels count` size flag, read by the methods names.MULT_SIZES gives it to."""
+    """A `kernels count` size flag, read by the methods netmodel.MULT_SIZES gives it to."""
     return _Option("--" + dest.replace("_", "-"), dest, int, help=text, needs=(
         lambda v: dest in MULT_SIZES[v["method"]], "{} is not read by --method {method}"))
 

@@ -48,8 +48,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .names import DataflowKind
-from .netmodel import WEIGHTED_KINDS, ResolvedLayer
+from .netmodel import WEIGHTED_KINDS, DataflowKind, ResolvedLayer
 
 if TYPE_CHECKING:
     from .archmodel import ArchConfig

@@ -24,13 +24,16 @@ document's shape (JSON, object and list types, known and required keys) and
 maps keys to constructor arguments.
 
 All types are immutable after construction and every function is pure, so the
-module is safe for concurrent use.
+module is safe for concurrent use. It is also the package's numpy-free base:
+every module that needs its value checks, the CLI's closed name sets, the codec
+widths or the count-only prune rules imports it anyway, and it loads no numpy.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
 
@@ -76,6 +79,28 @@ class ShapeError(NetworkError):
     """Shape propagation failed (output underflow, bad channel split)."""
 
 
+# the numpy-free base, kept here because each module that needs it imports netmodel
+class DataflowKind(str, Enum):
+    WS = "ws"
+    OS = "os"
+    NLR = "nlr"
+    RS = "rs"
+
+
+# the transforms stats.mult_count counts, each with the sizes it reads
+_CONV_SIZES = ("out_size", "filter_size")
+MULT_SIZES = {"direct": _CONV_SIZES, "im2col": _CONV_SIZES, "fft": _CONV_SIZES,
+              "winograd": _CONV_SIZES, "strassen": ("matrix_size",)}
+MULT_METHODS = tuple(MULT_SIZES)
+
+# optkit's codec: a RUN_BITS zero-run length (0..MAX_RUN), then a VALUE_BITS literal
+RUN_BITS = 5
+VALUE_BITS = 16
+PAIR_BITS = RUN_BITS + VALUE_BITS
+MAX_RUN = (1 << RUN_BITS) - 1
+MAX_VALUE = (1 << VALUE_BITS) - 1
+
+
 def _shown(value) -> str:
     """A rejected value as an error shows it: repr, or an int's size past the int-to-str limit."""
     try:
@@ -102,6 +127,28 @@ def _json_object(text: str, error: type[ValueError]) -> dict:
     if not isinstance(doc, dict):
         raise error("top level must be an object")
     return doc
+
+
+def _budget(fraction: float, n: int) -> int:
+    """The floor(fraction * n) weights a prune of n weights drops."""
+    if (not isinstance(fraction, (int, float)) or isinstance(fraction, bool)
+            or not 0 <= fraction <= 1):
+        raise ValueError(f"fraction must be in [0, 1], got {_shown(fraction)}")
+    return int(fraction * n)
+
+
+def _drain(sizes: dict[str, int], budget: int, order: dict[str, float]) -> dict[str, int]:
+    """Weights each layer loses when layers are drained greedily in descending
+    ``order`` key, the name breaking ties, until ``budget`` is spent; in that
+    drain order."""
+    missing = set(sizes) - set(order)
+    if missing:
+        raise ValueError(f"order lacks keys for layers {sorted(missing)}")
+    lost = {}
+    for name in sorted(sizes, key=lambda nm: (-order[nm], nm)):
+        lost[name] = min(budget, sizes[name])
+        budget -= lost[name]
+    return lost
 
 
 @dataclass(frozen=True)
@@ -455,29 +502,3 @@ def _resolve(net: NetworkSpec, batch: int) -> ResolvedNetwork:
         out_shapes[spec.name] = (m, e, f)
         prev = (spec.name,)
     return ResolvedNetwork(name=net.name, batch=batch, layers=tuple(resolved))
-
-
-# The prune rules that read only weight counts, kept here, apart from the
-# arrays of ``optkit``, so that the energy-order prune starts without numpy.
-
-
-def _budget(fraction: float, n: int) -> int:
-    """The floor(fraction * n) weights a prune of n weights drops."""
-    if (not isinstance(fraction, (int, float)) or isinstance(fraction, bool)
-            or not 0 <= fraction <= 1):
-        raise ValueError(f"fraction must be in [0, 1], got {_shown(fraction)}")
-    return int(fraction * n)
-
-
-def _drain(sizes: dict[str, int], budget: int, order: dict[str, float]) -> dict[str, int]:
-    """Weights each layer loses when layers are drained greedily in descending
-    ``order`` key, the name breaking ties, until ``budget`` is spent; in that
-    drain order."""
-    missing = set(sizes) - set(order)
-    if missing:
-        raise ValueError(f"order lacks keys for layers {sorted(missing)}")
-    lost = {}
-    for name in sorted(sizes, key=lambda nm: (-order[nm], nm)):
-        lost[name] = min(budget, sizes[name])
-        budget -= lost[name]
-    return lost

@@ -24,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .names import MAX_RUN, MAX_VALUE, PAIR_BITS, RUN_BITS, VALUE_BITS
-from .netmodel import _budget, _drain
+from .netmodel import MAX_RUN, MAX_VALUE, PAIR_BITS, RUN_BITS, VALUE_BITS, _budget, _drain
 
 
 def _keep_mask(mags: np.ndarray, k: int) -> np.ndarray:
@@ -204,6 +203,8 @@ def rle_encode(words: Sequence[int]) -> bytes:
 
 def _pairs(data: bytes) -> np.ndarray:
     """The 21-bit pairs of a packed stream. Rejects dangling or dirty pad bits."""
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise CodecError(f"a stream must be bytes, got {type(data).__name__}")
     data = bytes(data)
     npairs, leftover = divmod(8 * len(data), PAIR_BITS)
     if leftover >= 8:

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .names import MULT_METHODS, MULT_SIZES
-from .netmodel import LayerStats, ResolvedLayer, ResolvedNetwork, _require_int
+from .netmodel import (MULT_METHODS, MULT_SIZES, LayerStats, ResolvedLayer, ResolvedNetwork,
+                       _require_int)
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def mult_count(method: str, out_size: int | None = None,
     tiles and forms ceil(No/2)^2 * 16 products, more than this count. fft
     transforms at fft_size, the power of two >= No + Nf - 1 that conv_fft
     uses. Strassen takes a power-of-two matrix size N. A size the method does
-    not read (names.MULT_SIZES) is an error, the first in argument order
+    not read (netmodel.MULT_SIZES) is an error, the first in argument order
     named; each it reads is an int in [1, MAX_COUNT_SIZE].
     """
     if method not in MULT_METHODS:

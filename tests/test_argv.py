@@ -189,6 +189,8 @@ class TestParserAgainstClick:
     @example(["-=0"])
     @example(["strassen"])
     @example(["kernels", "verfy"])
+    @example(["--"])
+    @example(["kernels", "--"])
     def test_same_outcome(self, args):
         assume(not _option_after_dashes(args))
         check(args)

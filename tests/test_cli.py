@@ -444,7 +444,7 @@ class TestCompress:
         assert MAX_ENCODE_CHARS == len(f"{dc.optkit.MAX_VALUE}\n") * MAX_STREAM_WORDS
 
     def test_caps_follow_the_codec_format(self):
-        # cli derives both from the codec widths in names, which optkit encodes with
+        # cli derives both from the codec widths in netmodel, which optkit encodes with
         assert MAX_DECODE_BYTES == MAX_STREAM_WORDS * dc.optkit.PAIR_BITS // 8
         assert MAX_ENCODE_CHARS == MAX_STREAM_WORDS * (len(str(dc.optkit.MAX_VALUE)) + 1)
         assert (MAX_DECODE_BYTES, MAX_ENCODE_CHARS) == (2_752_512, 6_291_456)
@@ -925,7 +925,7 @@ else:
 
 # the modules every command loads: the CLI and what it needs to declare its
 # options (the built-in networks, the dataflow and counting-method names)
-_CLI_MODULES = {"dnncost", "dnncost.cli", "dnncost.names", "dnncost.netmodel", "dnncost.zoo"}
+_CLI_MODULES = {"dnncost", "dnncost.cli", "dnncost.netmodel", "dnncost.zoo"}
 _PRICING = {"dnncost.archmodel", "dnncost.dataflow", "dnncost.energy"}
 # the further modules of each numpy-free command, by its first argument
 _REPORT_MODULES = {"stats": {"dnncost.stats"}, "analyze": _PRICING, "compare": _PRICING,

@@ -432,7 +432,7 @@ class TestMultCount:
             mult_count("winograd", out_size=4, filter_size=5)
 
     # every method with every size it never reads, written out here rather
-    # than read from names.MULT_SIZES, so the test witnesses that table; then
+    # than read from netmodel.MULT_SIZES, so the test witnesses that table; then
     # the first of several named, an unread size before a missing one, and one
     # missing size per family
     @pytest.mark.parametrize("method, sizes, message", [

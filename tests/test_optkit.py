@@ -424,6 +424,21 @@ class TestCodec:
         with pytest.raises(CodecError, match="truncated"):
             rle_decode(b"\xff")
 
+    # bytes() would read an int as that many zero bytes and a list of ints as
+    # those bytes, so anything but a byte stream is refused by its type
+    @pytest.mark.parametrize("data", [21, np.int64(21), [0, 0, 0], [300], "abc", None])
+    def test_decode_takes_only_a_byte_stream(self, data):
+        for fn in (rle_decode, rle_word_count):
+            with pytest.raises(CodecError) as info:
+                fn(data)
+            assert str(info.value) == f"a stream must be bytes, got {type(data).__name__}"
+
+    def test_decode_takes_bytearray_and_memoryview(self):
+        data = rle_encode([0, 0, 7, 0, MAX_VALUE])
+        for stream in (data, bytearray(data), memoryview(data)):
+            assert rle_decode(stream) == [0, 0, 7, 0, MAX_VALUE]
+            assert rle_word_count(stream) == 5
+
     def test_decode_rejects_dirty_padding(self):
         dirty = bytearray(rle_encode([0, 0, 0, 5]))
         dirty[-1] |= 0x01
