@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from collections import namedtuple
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 from .netmodel import (MAX_VALUE, MULT_METHODS, MULT_SIZES, PAIR_BITS, DataflowKind, _budget,
@@ -267,6 +267,8 @@ def _run(cmd, path: str, args: list[str]) -> None:
             raise SystemExit(0 if asked_help else 2)
         if group and rest[:1] and rest[0] in cmd.commands:
             return _run(cmd.commands[rest[0]], f"{path} {rest[0]}", rest[1:])
+        if group and rest[:1] and rest[0][:1] == "-" and rest[0] not in ("-", "--"):
+            return _run(cmd, path, rest)  # as click, an option-like name after --
         if group:
             from .clihelp import no_such
             raise _UsageError(no_such("command", rest[0], cmd.commands) if rest
@@ -337,9 +339,7 @@ def stats_cmd(net):
         "batch": report.batch,
         "layers": [dict(zip(headers, row)) for row in layers],
         "totals": {"weights": report.total_weights, "macs": report.total_macs,
-                   **{key: getattr(report, key) for key in (
-                       "conv_layers", "conv_weights", "conv_macs",
-                       "fc_layers", "fc_weights", "fc_macs")}},
+                   **{f.name: getattr(report, f.name) for f in fields(report) if not f.init}},
     }
     # the d_in, d_w and d_out columns sum over the layers
     rows = layers + [("total", "", report.total_weights, report.total_macs,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .netmodel import out_extent
+from .netmodel import _require_int, out_extent
 from .stats import next_pow2
 
 _WG_G = np.array([[1.0, 0.0, 0.0],
@@ -71,8 +71,8 @@ def _check_operands(x, w):
 def _windows(x, kernel, stride, pad):
     """The C x E x F x R x S view of every R x S window of ``x``, zero-padded
     by ``pad`` on each side, with windows ``stride`` apart."""
-    if stride < 1 or pad < 0:
-        raise ValueError("stride must be >= 1 and pad >= 0")
+    _require_int(stride, 1, "", "stride", ValueError)
+    _require_int(pad, 0, "", "pad", ValueError)
     r, s = kernel
     _, h, wd = x.shape
     # out_extent rejects a kernel that does not fit; the view has its E x F windows

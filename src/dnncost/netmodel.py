@@ -144,6 +144,10 @@ def _drain(sizes: dict[str, int], budget: int, order: dict[str, float]) -> dict[
     missing = set(sizes) - set(order)
     if missing:
         raise ValueError(f"order lacks keys for layers {sorted(missing)}")
+    for name in sizes:  # a NaN key would leave the drain order undefined
+        key = order[name]
+        if not isinstance(key, (int, float)) or isinstance(key, bool) or key != key:
+            raise ValueError(f"layer {name!r}: order must be a number, not NaN, got {_shown(key)}")
     lost = {}
     for name in sorted(sizes, key=lambda nm: (-order[nm], nm)):
         lost[name] = min(budget, sizes[name])

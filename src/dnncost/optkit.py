@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .netmodel import MAX_RUN, MAX_VALUE, PAIR_BITS, RUN_BITS, VALUE_BITS, _budget, _drain
+from .netmodel import (MAX_RUN, MAX_VALUE, PAIR_BITS, RUN_BITS, VALUE_BITS, _budget, _drain,
+                       _require_int)
 
 
 def _keep_mask(mags: np.ndarray, k: int) -> np.ndarray:
@@ -108,8 +109,7 @@ def quantize_uniform(tensor, bits: int) -> np.ndarray:
     underflows to zero returns the values as they are, each its own nearest
     level, and a step whose top level would overflow is taken one ulp lower.
     """
-    if not 1 <= bits <= 16:
-        raise ValueError(f"bits must be in [1, 16], got {bits}")
+    _require_int(bits, 1, "", "bits", ValueError, 16)
     arr = np.asarray(tensor, dtype=float)
     # the largest magnitude without an array of magnitudes; a NaN peak is
     # taken from the magnitudes, since NaN outputs carry its sign and payload

@@ -13,26 +13,35 @@ and this module imports no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .netmodel import (MULT_METHODS, MULT_SIZES, LayerStats, ResolvedLayer, ResolvedNetwork,
-                       _require_int)
+from .netmodel import (MULT_METHODS, MULT_SIZES, WEIGHTED_KINDS, LayerStats, ResolvedLayer,
+                       ResolvedNetwork, _require_int)
 
 
 @dataclass(frozen=True)
 class NetworkStats:
-    """Per-layer rows (conv and fc only) plus subtotals and grand totals."""
+    """Per-layer rows plus subtotals and grand totals. The constructor derives
+    the conv and fc subtotals from the rows, so a report built by hand or by
+    ``dataclasses.replace`` is totalled from its own rows."""
 
     network: str
     batch: int
     layers: tuple[LayerStats, ...]
-    conv_layers: int
-    conv_weights: int
-    conv_macs: int
-    fc_layers: int
-    fc_weights: int
-    fc_macs: int
+    conv_layers: int = field(init=False)
+    conv_weights: int = field(init=False)
+    conv_macs: int = field(init=False)
+    fc_layers: int = field(init=False)
+    fc_weights: int = field(init=False)
+    fc_macs: int = field(init=False)
+
+    def __post_init__(self):
+        for kind in WEIGHTED_KINDS:
+            rows = [r for r in self.layers if r.kind == kind]
+            object.__setattr__(self, f"{kind}_layers", len(rows))
+            object.__setattr__(self, f"{kind}_weights", sum(r.weights for r in rows))
+            object.__setattr__(self, f"{kind}_macs", sum(r.macs for r in rows))
 
     @property
     def total_weights(self) -> int:
@@ -54,20 +63,7 @@ def network_stats(net: ResolvedNetwork) -> NetworkStats:
     Only conv and fc layers appear in the per-layer list; everything else is
     zero cost and would only pad the report.
     """
-    rows = tuple(layer.stats for layer, _ in net.weighted)
-    conv = [r for r in rows if r.kind == "conv"]
-    fc = [r for r in rows if r.kind == "fc"]
-    return NetworkStats(
-        network=net.name,
-        batch=net.batch,
-        layers=rows,
-        conv_layers=len(conv),
-        conv_weights=sum(r.weights for r in conv),
-        conv_macs=sum(r.macs for r in conv),
-        fc_layers=len(fc),
-        fc_weights=sum(r.weights for r in fc),
-        fc_macs=sum(r.macs for r in fc),
-    )
+    return NetworkStats(net.name, net.batch, tuple(layer.stats for layer, _ in net.weighted))
 
 
 # multiplications per 2x2 output tile: elementwise product of two 4x4 tiles

@@ -6,15 +6,12 @@ errors and help.
 click is run at 80 columns, the width the parser's help always has. Two
 differences are by design: a missing option value and a value given to
 ``--help`` print the Usage and Try lines above the Error line, where click
-prints the Error line alone. One more is left as it is: a group handed a
-command name that looks like an option after ``--`` reports no such command,
-where click parses the name again as an option."""
+prints the Error line alone."""
 
 import click
-import pytest
 from click.core import ParameterSource
 from click.testing import CliRunner
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnncost import cli
@@ -88,21 +85,6 @@ def _as_click(stderr):
     if sep and usage.startswith("Usage: ") and error.rstrip("\n").endswith(_ERROR_ALONE):
         return "Error: " + error
     return stderr
-
-
-def _option_after_dashes(args):
-    """Whether a group is handed, after ``--``, a command name that looks like
-    an option. click parses that name again as the group's option, so
-    ``-- --help`` prints the help and ``-- --out`` has no such option; the
-    parser reports no such command."""
-    tokens = iter(args)
-    for token in tokens:
-        if token == "--":
-            name = next(tokens, "")
-            return name[:1] == "-" and name != "-"
-        if token[:1] != "-" or token == "-":  # the command: only kernels is a group
-            return token == "kernels" and _option_after_dashes(list(tokens))
-    return False
 
 
 def both(args):
@@ -191,24 +173,13 @@ class TestParserAgainstClick:
     @example(["kernels", "verfy"])
     @example(["--"])
     @example(["kernels", "--"])
+    @example(["--", "--help"])
+    @example(["--", "--out"])
+    @example(["kernels", "--", "-x"])
+    @example(["--", "--help", "--bogus"])
+    @example(["--", "--", "--help"])
     def test_same_outcome(self, args):
-        assume(not _option_after_dashes(args))
         check(args)
-
-    @pytest.mark.parametrize("args, click_error", [
-        (["--", "--help"], None),
-        (["--", "--out"], "No such option '--out'."),
-        (["kernels", "--", "-x"], "No such option '-x'."),
-    ])
-    def test_an_option_after_dashes_names_no_command(self, args, click_error):
-        (code, out, err, _), (click_code, click_out, click_err, _) = both(args)
-        assert (code, out) == (2, "")
-        assert err.endswith(f"\n\nError: No such command {args[-1]!r}.\n")
-        if click_error is None:
-            assert (click_code, click_out) == (0, both([*args[:-2], "--help"])[1][1])
-        else:
-            assert (click_code, click_err) == (2, err.replace(
-                f"No such command {args[-1]!r}.", click_error))
 
     def test_every_option_reaches_the_command(self):
         """Each option of each command, given alone, converts alike and reaches

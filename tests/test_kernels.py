@@ -78,10 +78,13 @@ class TestDirect:
         conv_direct, conv_im2col,
         lambda x, w, **geometry: im2col_matrix(x, w.shape[2:], **geometry),
     ], ids=["conv_direct", "conv_im2col", "im2col_matrix"])
-    @pytest.mark.parametrize("geometry", [{"stride": 0}, {"stride": -1}, {"pad": -1}],
-                             ids=["stride-0", "stride-negative", "pad-negative"])
-    def test_stride_and_pad_validation(self, lowering, geometry):
-        with pytest.raises(ValueError, match="stride must be >= 1 and pad >= 0"):
+    @pytest.mark.parametrize("geometry, message", [
+        ({"stride": 0}, "stride must be an integer >= 1, got 0"),
+        ({"stride": -1}, "stride must be an integer >= 1, got -1"),
+        ({"pad": -1}, "pad must be an integer >= 0, got -1"),
+    ], ids=["stride-0", "stride-negative", "pad-negative"])
+    def test_stride_and_pad_validation(self, lowering, geometry, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             lowering(np.ones((1, 4, 4)), np.ones((1, 1, 2, 2)), **geometry)
 
     def test_linearity(self):

@@ -228,6 +228,14 @@ class TestResolve:
         with pytest.raises(ShapeError, match="disagree"):
             dc.resolve_shapes(dc.parse_network(doc(layers)))
 
+    def test_concat_requires_matching_spatial_size(self):
+        # b's unpadded 3x3 window makes 6x6 of a's 8x8
+        layers = [conv("a"), conv("b", input="a", pad=0),
+                  {"type": "concat", "name": "m", "inputs": ["a", "b"]}]
+        with pytest.raises(ShapeError,
+                           match="^layer 'm': concat feeds disagree on spatial size$"):
+            dc.resolve_shapes(dc.parse_network(doc(layers)))
+
     def test_code_built_spec_holds_only_layer_specs(self):
         layer = dc.LayerSpec("act", "a")
         with pytest.raises(NetworkSemanticError,
@@ -469,6 +477,11 @@ INTEGER_SITES = [
     pytest.param("matrix_size", ValueError, lambda v: dc.mult_count("strassen", matrix_size=v),
                  MAX_COUNT_SIZE, id="mult_count-strassen-matrix_size"),
     pytest.param("n", ValueError, dc.next_pow2, None, id="next_pow2"),
+    *[pytest.param("stride", ValueError, lambda v, conv=conv: conv(
+        np.ones((1, 4, 4)), np.ones((1, 1, 2, 2)), stride=v), None, id=f"{conv.__name__}-stride")
+      for conv in (dc.conv_direct, dc.conv_im2col)],
+    pytest.param("bits", ValueError, lambda v: dc.quantize_uniform([1.0], v), 16,
+                 id="quantize_uniform-bits"),
 ]
 
 
@@ -477,11 +490,11 @@ def _range(low, high):
 
 
 class TestOneIntegerCheck:
-    """Each integer of ArchConfig, Modifiers, mult_count and next_pow2 is a
-    Python int >= 1, and at most its bound where it has one: a float, a
-    bool, a string, a numpy integer or a value past the bound raises the
-    site's error, which names it and its range, rather than giving a
-    fractional or wrapped count."""
+    """Each integer of ArchConfig, Modifiers, mult_count, next_pow2, the
+    convolution stride and quantize_uniform is a Python int >= 1, and at most
+    its bound where it has one: a float, a bool, a string, a numpy integer or
+    a value past the bound raises the site's error, which names it and its
+    range, rather than giving a fractional or wrapped count."""
 
     @pytest.mark.parametrize("name, error, call, high", INTEGER_SITES)
     @pytest.mark.parametrize("value", [0, -1, 2.5, True, "8", np.int64(8)],
@@ -501,6 +514,15 @@ class TestOneIntegerCheck:
         with pytest.raises(error, match=re.escape(
                 f"{name} must be an integer in [1, {high}], got {high + 1}") + "$"):
             call(high + 1)
+
+    def test_pad_is_an_int_from_zero(self):
+        x, w = np.ones((1, 4, 4)), np.ones((1, 1, 2, 2))
+        for conv in (dc.conv_direct, dc.conv_im2col):
+            assert conv(x, w, pad=0).shape == (1, 3, 3)
+            for value in (-1, 0.5, True, "1", np.int64(1)):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"pad must be an integer >= 0, got {value!r}") + "$"):
+                    conv(x, w, pad=value)
 
 
 # every site that judges a value and shows it in its error, as (the message

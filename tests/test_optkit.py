@@ -269,6 +269,19 @@ class TestPruneRules:
         with pytest.raises(ValueError, match=re.escape("order lacks keys for layers ['b']")):
             _drain({"a": 2, "b": 3}, 1, {"a": 1.0})
 
+    @pytest.mark.parametrize("key", [float("nan"), None, True, "2"],
+                             ids=["nan", "None", "True", "str"])
+    def test_drain_needs_a_number_for_every_key(self, key):
+        # a NaN key left the order to the sizes' order: the largest key kept everything
+        with pytest.raises(ValueError, match=re.escape(
+                f"layer 'b': order must be a number, not NaN, got {key!r}") + "$"):
+            _drain({"a": 2, "b": 2, "c": 2}, 3, {"a": 1.0, "b": key, "c": 2.0})
+
+    def test_drain_takes_infinite_keys(self):
+        inf = float("inf")
+        assert _drain({"a": 2, "b": 2, "c": 2}, 3, {"a": -inf, "b": 1, "c": inf}) == {
+            "c": 2, "b": 1, "a": 0}
+
 
 class TestQuantizeUniform:
     def test_worked_example(self):

@@ -153,6 +153,23 @@ class TestNetworkStats:
             assert st.total_weights == sum(r.weights for r in st.layers)
             assert st.total_macs == sum(r.macs for r in st.layers)
 
+    def test_replace_recounts_the_subtotals(self, resolved_builtins):
+        st = dc.network_stats(resolved_builtins["lenet5"])
+        first = dataclasses.replace(st, layers=st.layers[:1])
+        assert (first.total_macs, first.conv_layers, first.fc_layers) == (117_600, 1, 0)
+        assert first == dc.NetworkStats(st.network, st.batch, st.layers[:1])
+
+    def test_no_rows_count_nothing(self):
+        st = dc.NetworkStats("n", 1, ())
+        assert [getattr(st, f.name) for f in dataclasses.fields(st) if not f.init] == [0] * 6
+        assert (st.total_weights, st.total_macs) == (0, 0)
+
+    def test_only_the_rows_are_given(self):
+        assert [f.name for f in dataclasses.fields(dc.NetworkStats) if f.init] == [
+            "network", "batch", "layers"]
+        with pytest.raises(TypeError):
+            dc.NetworkStats("n", 1, (), conv_layers=1)
+
     def test_lenet5_exact_counts(self, resolved_builtins):
         st = dc.network_stats(resolved_builtins["lenet5"])
         assert st.total_weights == 59_956
