@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from collections import namedtuple
 
-from .netmodel import _json_object, _require_int, _shown
+from .netmodel import _json_object, _Record, _require_int, _shown
 
 
 class ArchError(ValueError):
@@ -34,53 +34,50 @@ def _cost(value, what: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class EnergyTable:
+class EnergyTable(_Record, namedtuple("EnergyTable", "rf noc buf dram",
+                                      defaults=(1.0, 2.0, 6.0, 200.0))):
     """Relative energy per word access at each level; the fields are LEVELS, from the PE out."""
 
-    rf: float = 1.0
-    noc: float = 2.0
-    buf: float = 6.0
-    dram: float = 200.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        costs = [_cost(getattr(self, level), f"energy cost for {level}") for level in LEVELS]
-        for level, cost in zip(LEVELS, costs):
-            object.__setattr__(self, level, cost)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        costs = [_cost(cost, f"energy cost for {level}") for level, cost in zip(LEVELS, self)]
         if costs != sorted(costs):
             raise ArchError(f"energy costs must be ordered {' <= '.join(LEVELS)}, got "
                             f"({', '.join(map(str, costs))})")
+        return super().__new__(cls, *costs)
 
 
-@dataclass(frozen=True)
-class ArchConfig:
+# the storage levels are EnergyTable's fields, in their order
+LEVELS = EnergyTable._fields
+
+
+class ArchConfig(_Record, namedtuple(
+        "ArchConfig", "pe_count word_bits energy mac_energy rs_channels_per_pe nlr_lane_width",
+        defaults=(256, 16, EnergyTable(), 1.0, 4, 16))):
     """A spatial array: PE count, native word width, access costs, MAC
     energy, and the RS and NLR mapping parameters. The four counts are
     Python ints >= 1, and word_bits is at most 64; ArchError names any other."""
 
-    pe_count: int = 256
-    word_bits: int = 16
-    energy: EnergyTable = field(default_factory=EnergyTable)
-    mac_energy: float = 1.0
-    rs_channels_per_pe: int = 4
-    nlr_lane_width: int = 16
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, high in (("pe_count", None), ("word_bits", 64), ("rs_channels_per_pe", None),
                            ("nlr_lane_width", None)):
             _require_int(getattr(self, name), 1, "", name, ArchError, high)
         if not isinstance(self.energy, EnergyTable):
             raise ArchError(f"energy must be an EnergyTable, got {self.energy!r}")
-        object.__setattr__(self, "mac_energy", _cost(self.mac_energy, "mac_energy"))
+        return super().__new__(
+            cls, **{**self._asdict(), "mac_energy": _cost(self.mac_energy, "mac_energy")})
 
 
 def default_arch() -> ArchConfig:
     return ArchConfig()
 
 
-# the storage levels are EnergyTable's fields, in their order
-LEVELS = tuple(f.name for f in fields(EnergyTable))
-_TOP_KEYS = {f.name for f in fields(ArchConfig)}
+_TOP_KEYS = set(ArchConfig._fields)
 
 
 def parse_arch(text: str) -> ArchConfig:
@@ -98,4 +95,4 @@ def parse_arch(text: str) -> ArchConfig:
 
 
 def serialize_arch(cfg: ArchConfig) -> str:
-    return json.dumps(asdict(cfg), indent=2)
+    return json.dumps({**cfg._asdict(), "energy": cfg.energy._asdict()}, indent=2)

@@ -24,8 +24,8 @@ import json
 import os
 import sys
 from collections import namedtuple
-from dataclasses import fields, replace
-from typing import TYPE_CHECKING, NamedTuple
+from dataclasses import fields
+from typing import TYPE_CHECKING
 
 from .netmodel import (MAX_VALUE, MULT_METHODS, MULT_SIZES, PAIR_BITS, DataflowKind, _budget,
                        _drain, _require_int, parse_network, resolve_shapes)
@@ -128,7 +128,7 @@ def _modifier_options(fn):
         mods = Modifiers(density_in=density_in, density_w=density_w)  # checked before --bits
         if bits is not None:
             _require_int(bits, 1, "", "--bits", ValueError, arch.word_bits)
-            mods = replace(mods, bits_in=bits, bits_w=bits)
+            mods = mods._replace(bits_in=bits, bits_w=bits)
         return fn(*args, arch, mods, **kwargs)
 
     return _options(
@@ -163,19 +163,15 @@ def _emit(text: str, out_path) -> None:
         fh.write(text)
 
 
-class _Report(NamedTuple):
+class _Report(namedtuple("_Report", "title headers rows json_obj footer formats csv_rows",
+                         defaults=((), {}, None))):
     """One command's result in every output form: a titled table of ``rows`` under
-    ``headers``, CSV rows and a JSON object. The CSV is the headers over the raw
-    rows unless ``csv_rows`` (header row first) gives its own. ``formats`` maps a
-    header to its column's format spec in the table; ``_cell`` formats the rest."""
+    ``headers``, CSV rows and a JSON object, with ``footer`` lines under the
+    table. The CSV is the headers over the raw rows unless ``csv_rows`` (header
+    row first) gives its own. ``formats`` maps a header to its column's format
+    spec in the table; ``_cell`` formats the rest."""
 
-    title: str
-    headers: tuple[str, ...]
-    rows: list[tuple]
-    json_obj: dict
-    footer: tuple[str, ...] = ()
-    formats: dict[str, str] = {}
-    csv_rows: list[tuple] | None = None
+    __slots__ = ()
 
 
 def _cell(value) -> str:

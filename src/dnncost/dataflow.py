@@ -46,7 +46,8 @@ The four policies:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .netmodel import WEIGHTED_KINDS, DataflowKind, ResolvedLayer
 
@@ -59,36 +60,30 @@ def _as_kind(kind) -> DataflowKind:
     return kind if isinstance(kind, DataflowKind) else DataflowKind(kind)
 
 
-class TypeReuse(NamedTuple):
-    """Reuse factors of one data type under one dataflow."""
+class TypeReuse(namedtuple("TypeReuse", "resident rf_reuse share", defaults=(1, 1))):
+    """Reuse factors of one data type under one dataflow: whether it is
+    ``resident`` in the RF, and the int factors ``rf_reuse`` and ``share``."""
 
-    resident: bool
-    rf_reuse: int = 1
-    share: int = 1
+    __slots__ = ()
 
 
-class ReuseFactors(NamedTuple):
-    """Reuse factors of one layer under one dataflow. The table carries the
-    layer it was computed for, so counting it needs no other argument."""
+class ReuseFactors(namedtuple("ReuseFactors", "kind layer input weight psum")):
+    """Reuse factors of one layer under one dataflow: the ``DataflowKind``,
+    the ``ResolvedLayer`` and a ``TypeReuse`` per data type. The table carries
+    the layer it was computed for, so counting it needs no other argument."""
 
-    kind: DataflowKind
-    layer: ResolvedLayer
-    input: TypeReuse
-    weight: TypeReuse
-    psum: TypeReuse
+    __slots__ = ()
 
 
 # the data types are ReuseFactors' type fields, in their order
 DATA_TYPES = ReuseFactors._fields[2:]
 
 
-class AccessCounts(NamedTuple):
-    """Access counts per data type and hierarchy level for one layer."""
+class AccessCounts(namedtuple("AccessCounts", "layer kind total_macs acc")):
+    """Access counts per data type and hierarchy level for one layer: the
+    layer's name, the ``DataflowKind``, its MACs and ``acc[dtype][level]``."""
 
-    layer: str
-    kind: DataflowKind
-    total_macs: int
-    acc: dict[str, dict[str, int]]
+    __slots__ = ()
 
 
 def _ceildiv(a: int, b: int) -> int:

@@ -18,40 +18,37 @@ Reports are in relative units (register-file access = 1).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import NamedTuple
+from operator import itemgetter
 
 from .archmodel import LEVELS, ArchConfig
 from .dataflow import DATA_TYPES, AccessCounts, DataflowKind, _as_kind, layer_access_counts
-from .netmodel import ResolvedNetwork, _require_int, _shown
+from .netmodel import ResolvedNetwork, _Record, _require_int, _shown
 
-# a movement matrix's rows in DATA_TYPES order; a row's cells, and an energy
-# table's costs, in LEVELS order
+# a movement matrix's rows in DATA_TYPES order; a row's cells in LEVELS order
 _types_of = itemgetter(*DATA_TYPES)
 _levels_of = itemgetter(*LEVELS)
-_costs_of = attrgetter(*LEVELS)
 
 
-@dataclass(frozen=True)
-class Modifiers:
+class Modifiers(_Record, namedtuple("Modifiers", "density_in density_w bits_in bits_w",
+                                    defaults=(1.0, 1.0, None, None))):
     """Workload knobs: operand densities in (0, 1] and operand bitwidths.
 
     ``None`` bitwidths mean the architecture's native word.
     """
 
-    density_in: float = 1.0
-    density_w: float = 1.0
-    bits_in: int | None = None
-    bits_w: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for label, rho in (("density_in", self.density_in), ("density_w", self.density_w)):
             if not isinstance(rho, (int, float)) or isinstance(rho, bool) or not 0 < rho <= 1:
                 raise ValueError(f"{label} must be in (0, 1], got {_shown(rho)}")
         for label, bits in (("bits_in", self.bits_in), ("bits_w", self.bits_w)):
             if bits is not None:
                 _require_int(bits, 1, "", label, ValueError)
+        return self
 
 
 def _resolve_bits(mods: Modifiers, arch: ArchConfig) -> tuple[int, int]:
@@ -62,18 +59,17 @@ def _resolve_bits(mods: Modifiers, arch: ArchConfig) -> tuple[int, int]:
     return bi, bw
 
 
-class EnergyReport(NamedTuple):
-    """Energy for one layer (or an aggregate) under one dataflow.
+class EnergyReport(namedtuple("EnergyReport", "layer dataflow movement compute")):
+    """Energy for one layer (or an aggregate) under one dataflow: the layer's
+    name (or the aggregate's label), the dataflow's value, and the movement
+    and compute energies.
 
     ``movement[dtype][level]`` is the movement energy matrix, its rows in
     DATA_TYPES order and each row's keys in LEVELS order; totals and both
     breakdown axes are derived, so they cannot drift out of sync with it.
     """
 
-    layer: str
-    dataflow: str
-    movement: dict[str, dict[str, float]]
-    compute: float
+    __slots__ = ()
 
     @property
     def by_type(self) -> dict[str, float]:
@@ -99,7 +95,7 @@ def layer_energy(counts: AccessCounts, arch: ArchConfig,
     """Price one layer's access counts."""
     bi, bw = _resolve_bits(mods, arch)
     word = arch.word_bits
-    rf, noc, buf, dram = _costs_of(arch.energy)
+    rf, noc, buf, dram = arch.energy
     # count * cost * width / word, left to right: folding cost * width / word
     # into one factor would round differently. Each row is a literal, keys in
     # LEVELS order, as access_counts builds its rows
@@ -186,13 +182,16 @@ def compare_dataflows(net: ResolvedNetwork, arch: ArchConfig,
     """Aggregate energy per dataflow, normalized to the cheapest one."""
     if not net.weighted:
         raise ValueError(f"network {net.name!r} has no weighted layers")
-    # the reports follow net.weighted, so this marks each report of a conv layer
-    conv = [layer.kind == "conv" for layer, _ in net.weighted]
+    # the reports follow net.weighted, and network_energy gives each layer a
+    # copy of the report of the first layer of its shape: so each conv layer's
+    # total is read once per shape, from the report at that first index
+    conv = [first for layer, first in net.weighted if layer.kind == "conv"]
+    shapes = set(conv)
     raw = []
     for kind in DataflowKind:
         reports, agg = network_energy(net, kind, arch, mods)
-        conv_total = sum(r.total for r, is_conv in zip(reports, conv) if is_conv)
-        raw.append((kind.value, agg, agg.total, conv_total))
+        totals = {first: reports[first].total for first in shapes}
+        raw.append((kind.value, agg, agg.total, sum(map(totals.__getitem__, conv))))
 
     best = min(total for _, _, total, _ in raw)
     conv_best = min(ct for _, _, _, ct in raw)

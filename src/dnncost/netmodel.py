@@ -32,10 +32,11 @@ widths or the count-only prune rules imports it anyway, and it loads no numpy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
+from operator import itemgetter
 
 # per layer kind: the LayerSpec fields it reads besides kind, name and inputs
 # (a spec must leave every other field at its default), and the JSON keys its
@@ -155,28 +156,58 @@ def _drain(sizes: dict[str, int], budget: int, order: dict[str, float]) -> dict[
     return lost
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class _Record:
+    """A named tuple whose ``__new__`` checks its values: ``_make``, and so
+    ``_replace``, build through that ``__new__`` too. Like every named tuple it
+    equals a plain tuple of the same values, so a function that must not take
+    one for the record checks the type.
+
+    The fields come from the last base, a ``collections.namedtuple``, as for
+    every named tuple of the package: a ``typing.NamedTuple`` class compiles
+    each field's annotation at import, which a cold command pays.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # inspect.signature and help() show the fields, not (*args, **kwargs)
+        if "__new__" in vars(cls):
+            cls.__new__.__wrapped__ = cls.__bases__[-1].__new__
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _DerivedRecord(_Record):
+    """A ``_Record`` that keeps values its ``__new__`` derives in the instance
+    dict, out of the fields, so out of ``==``, hash and ``repr``. Nothing can
+    be set on it."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LayerSpec(_Record, namedtuple(
+        "LayerSpec", "kind name out_channels kernel stride pad groups bias connections inputs",
+        defaults=(0, (1, 1), 1, 0, 1, True, None, ()))):
     """One layer as declared, before shape resolution.
 
-    ``connections`` overrides the number of wired (filter, input-channel)
-    pairs of a conv layer; ``None`` means dense wiring, M * C / groups pairs.
+    ``kernel`` is a (height, width) tuple, ``bias`` a bool and the counts
+    ints. ``connections`` overrides the number of wired (filter,
+    input-channel) pairs of a conv layer; ``None`` means dense wiring,
+    M * C / groups pairs.
     ``inputs`` holds explicit feed names, two or more for a merge and at
     most one otherwise; empty means "previous layer".
     """
 
-    kind: str
-    name: str
-    out_channels: int = 0
-    kernel: tuple[int, int] = (1, 1)
-    stride: int = 1
-    pad: int = 0
-    groups: int = 1
-    bias: bool = True
-    connections: int | None = None
-    inputs: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.name, str) or not self.name:
             raise NetworkSemanticError(f"layer name must be a non-empty string, got {self.name!r}")
         where = f"layer {self.name!r}: "
@@ -207,25 +238,23 @@ class LayerSpec:
         for field, default in _UNUSED_FIELDS[self.kind]:
             if getattr(self, field) != default:
                 raise NetworkSemanticError(f"{where}{field} does not apply to {self.kind} layers")
+        return self
 
 
 # per kind, the (field, default) pairs of the LayerSpec fields it does not read
-_UNUSED_FIELDS = {kind: tuple((f.name, f.default) for f in fields(LayerSpec)
-                              if f.name not in used and f.name not in ("kind", "name", "inputs"))
+_UNUSED_FIELDS = {kind: tuple((name, default) for name, default in LayerSpec._field_defaults.items()
+                              if name not in used and name != "inputs")
                   for kind, (used, _) in _KINDS.items()}
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    """A parsed network description."""
+class NetworkSpec(_Record, namedtuple(
+        "NetworkSpec", "name in_channels in_height in_width layers")):
+    """A parsed network description: its input shape and a tuple of LayerSpecs."""
 
-    name: str
-    in_channels: int
-    in_height: int
-    in_width: int
-    layers: tuple[LayerSpec, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.name, str) or not self.name:
             raise NetworkSemanticError(
                 f"network name must be a non-empty string, got {self.name!r}")
@@ -246,6 +275,7 @@ class NetworkSpec:
                     raise NetworkSemanticError(
                         f"layer {spec.name!r}: input {feed!r} does not name an earlier layer")
             seen.add(spec.name)
+        return self
 
 
 @dataclass(frozen=True)
@@ -267,41 +297,26 @@ class LayerStats:
     do: int
 
 
-@dataclass(frozen=True)
-class ResolvedLayer:
+class ResolvedLayer(_DerivedRecord, namedtuple(
+        "ResolvedLayer", "kind name batch in_channels in_height in_width out_channels "
+        "out_height out_width kernel stride pad groups bias connections inputs")):
     """A layer with its input and output shapes pinned down.
 
     For fc layers the kernel is set to the full input extent (R = H, S = W)
     and the output is 1 x 1, so downstream arithmetic treats conv and fc
     uniformly. Pool/act/concat/add keep kernel fields only where meaningful.
     ``batch`` is the number of input images N the layer processes, and
-    ``stats`` its counts at that batch: the constructor derives them, so a
-    layer built by hand or by ``dataclasses.replace`` is counted too.
+    ``stats`` its counts at that batch: not a field, but derived by the
+    constructor, so a layer built by hand, by ``_replace`` or by ``_make`` is
+    counted too.
 
     A weighted layer built by ``resolve_shapes`` has its MACs and its di, dw
     and do volumes within ``COUNT_BUDGET``. A layer built by hand is not
     checked: it is counted exactly, as unbounded Python ints.
     """
 
-    kind: str
-    name: str
-    batch: int
-    in_channels: int
-    in_height: int
-    in_width: int
-    out_channels: int
-    out_height: int
-    out_width: int
-    kernel: tuple[int, int]
-    stride: int
-    pad: int
-    groups: int
-    bias: bool
-    connections: int | None
-    inputs: tuple[str, ...]
-    stats: LayerStats = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         batch = self.batch
         weights = macs = dw = 0
         if self.kind in WEIGHTED_KINDS:
@@ -311,20 +326,20 @@ class ResolvedLayer:
             dw = pairs * self.kernel[0] * self.kernel[1]
             weights = dw + (self.out_channels if self.bias else 0)
             macs = batch * dw * self.out_height * self.out_width
-        object.__setattr__(self, "stats", LayerStats(
+        self.__dict__["stats"] = LayerStats(
             name=self.name, kind=self.kind, weights=weights, macs=macs, dw=dw,
             di=batch * self.in_channels * self.in_height * self.in_width,
-            do=batch * self.out_channels * self.out_height * self.out_width))
+            do=batch * self.out_channels * self.out_height * self.out_width)
+        return self
 
 
-# A layer's shape: every init field but its name and its feeds. Two layers
-# with equal keys have equal counts and prices under any dataflow.
-shape_key = attrgetter(*(f.name for f in fields(ResolvedLayer)
-                         if f.init and f.name not in ("name", "inputs")))
+# A layer's shape: every field but its name and its feeds. Two layers with
+# equal keys have equal counts and prices under any dataflow.
+shape_key = itemgetter(*(i for i, name in enumerate(ResolvedLayer._fields)
+                         if name not in ("name", "inputs")))
 
 
-@dataclass(frozen=True)
-class ResolvedNetwork:
+class ResolvedNetwork(_DerivedRecord, namedtuple("ResolvedNetwork", "name batch layers")):
     """A network resolved at one batch size; ``layers[0]`` reads its input.
 
     ``weighted`` pairs each conv and fc layer, in order, with the index among
@@ -332,17 +347,13 @@ class ResolvedNetwork:
     derives it, as ``ResolvedLayer``'s derives ``stats``.
     """
 
-    name: str
-    batch: int
-    layers: tuple[ResolvedLayer, ...]
-    weighted: tuple[tuple[ResolvedLayer, int], ...] = field(
-        init=False, compare=False, repr=False)
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         firsts: dict[tuple, int] = {}
         weighted = [layer for layer in self.layers if layer.kind in WEIGHTED_KINDS]
-        object.__setattr__(self, "weighted", tuple(
-            (layer, firsts.setdefault(shape_key(layer), i)) for i, layer in enumerate(weighted)))
+        self.__dict__["weighted"] = tuple(
+            (layer, firsts.setdefault(shape_key(layer), i)) for i, layer in enumerate(weighted))
+        return self
 
 
 # the JSON keys a layer description of each kind may give
@@ -401,10 +412,9 @@ def parse_network(text: str) -> NetworkSpec:
 
 def _layer_doc(spec: LayerSpec) -> dict:
     doc: dict = {"type": spec.kind, "name": spec.name}
-    for field in fields(LayerSpec):
-        value = getattr(spec, field.name)
-        if field.name in _KINDS[spec.kind][0] and value is not None:
-            doc[field.name] = list(value) if isinstance(value, tuple) else value
+    for field, value in zip(spec._fields, spec):
+        if field in _KINDS[spec.kind][0] and value is not None:
+            doc[field] = list(value) if isinstance(value, tuple) else value
     if spec.kind in _MERGE_KINDS:
         doc["inputs"] = list(spec.inputs)
     elif spec.inputs:
@@ -447,7 +457,11 @@ def resolve_shapes(net: NetworkSpec, batch: int = 1) -> ResolvedNetwork:
     spec compared by value, for the life of the process, so a sweep that
     prices one network on many designs resolves each network and batch
     once. An error is never kept; a failing spec raises on every call.
+    Raises TypeError when ``net`` is not a NetworkSpec: a plain tuple equal
+    to a kept spec must not get that spec's resolution.
     """
+    if not isinstance(net, NetworkSpec):
+        raise TypeError(f"resolve_shapes takes a NetworkSpec, got {type(net).__name__}")
     _require_int(batch, 1, "", "batch")
     return _resolve(net, batch)
 

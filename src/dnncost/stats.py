@@ -13,8 +13,8 @@ and this module imports no numpy.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .netmodel import (MULT_METHODS, MULT_SIZES, WEIGHTED_KINDS, LayerStats, ResolvedLayer,
                        ResolvedNetwork, _require_int)
@@ -78,12 +78,11 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-class MultCount(NamedTuple):
-    """Scalar multiplication count of one method at one problem size."""
+class MultCount(namedtuple("MultCount", "method count params")):
+    """Scalar multiplication count of one method at one problem size, given
+    as the dict ``params``."""
 
-    method: str
-    count: int
-    params: dict
+    __slots__ = ()
 
 
 # largest size mult_count accepts, so that every count stays far below the

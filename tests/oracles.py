@@ -23,7 +23,6 @@ differs from it only in the order of the sums.
 
 import cmath
 import itertools
-from dataclasses import replace
 
 import numpy as np
 
@@ -486,12 +485,12 @@ def reference_factors(kind, layer, arch, batch):
     """Reuse factor table of ``layer`` at ``batch``, depth = ceil(MACs /
     output words) at batch 1."""
     kind = DataflowKind(kind)
-    layer = replace(layer, batch=batch)
+    layer = layer._replace(batch=batch)
     r, s = layer.kernel
     e, f = layer.out_height, layer.out_width
     m = layer.out_channels
     p = arch.pe_count
-    st = reference_layer_stats(replace(layer, batch=1))
+    st = reference_layer_stats(layer._replace(batch=1))
     depth = max(1, _ceildiv(st.macs, st.do))
     if kind is DataflowKind.WS:
         mp = min(max(p // (r * s), 1), m)

@@ -1,7 +1,6 @@
 """Reuse factor tables and access counting for the four mapping policies."""
 
 import itertools
-from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -177,7 +176,7 @@ ZEROABLE = ("batch", "in_channels", "out_channels", "out", "kernel_rows", "kerne
 @st.composite
 def zero_extent_layers(draw):
     """A hand-built layer with a drawn non-empty subset of its extents set to
-    zero. ``replace`` recounts the layer's stats."""
+    zero. ``_replace`` recounts the layer's stats."""
     layer = draw(hand_built_layers())
     zeroed = draw(st.sets(st.sampled_from(ZEROABLE), min_size=1))
     changes = {name: 0 for name in ("batch", "in_channels", "out_channels") if name in zeroed}
@@ -185,7 +184,7 @@ def zero_extent_layers(draw):
         changes.update(out_height=0, out_width=0)
     r, s = layer.kernel
     kernel = (0 if "kernel_rows" in zeroed else r, 0 if "kernel_cols" in zeroed else s)
-    return replace(layer, kernel=kernel, **changes)
+    return layer._replace(kernel=kernel, **changes)
 
 
 class TestZeroExtentLayers:

@@ -1,6 +1,5 @@
 """Energy pricing, workload modifiers, and the dataflow comparison."""
 
-import dataclasses
 import json
 import math
 import random
@@ -345,7 +344,7 @@ class TestCompareDataflows:
         lenet = resolved_builtins["lenet5"]
         pools = tuple(layer for layer in lenet.layers if layer.kind not in WEIGHTED_KINDS)
         for net in (dc.ResolvedNetwork("nw", 1, ()), dc.ResolvedNetwork("nw", 2, pools),
-                    dataclasses.replace(lenet, name="nw", layers=pools)):
+                    lenet._replace(name="nw", layers=pools)):
             with pytest.raises(ValueError, match="^network 'nw' has no weighted layers$"):
                 dc.compare_dataflows(net, arch)
 
@@ -406,8 +405,8 @@ class TestPricingReference:
     def test_layers_of_one_name_are_marked_by_position(self):
         # only a network built by hand can give a conv and an fc one name
         conv = make_conv(2, 8, 8, 2, 3, 3, pad=1, name="x")
-        fc = dataclasses.replace(conv, kind="fc", kernel=(8, 8), pad=0, out_height=1,
-                                 out_width=1, inputs=("x",))
+        fc = conv._replace(kind="fc", kernel=(8, 8), pad=0, out_height=1, out_width=1,
+                           inputs=("x",))
         net = dc.ResolvedNetwork("twins", 1, (conv, fc))
         arch, mods = ArchConfig(), Modifiers()
         report = dc.compare_dataflows(net, arch, mods)

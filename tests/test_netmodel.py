@@ -1,6 +1,5 @@
 """Network description parsing, validation, and shape resolution."""
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -297,6 +296,18 @@ class TestResolveMemo:
                     f"batch must be an integer >= 1, got {batch!r}") + "$"):
                 dc.resolve_shapes(net, batch=batch)
 
+    @pytest.mark.parametrize("value", ["abc", None, "plain tuple"],
+                             ids=["str", "none", "plain-tuple"])
+    def test_only_a_network_spec_is_looked_up(self, value):
+        net = dc.parse_network(doc([conv()]))
+        dc.resolve_shapes(net)  # kept, and equal to the plain tuple of its fields
+        if value == "plain tuple":
+            value = tuple(net)
+            assert value == net and hash(value) == hash(net)
+        with pytest.raises(TypeError, match="^resolve_shapes takes a NetworkSpec, got "
+                                            f"{type(value).__name__}$"):
+            dc.resolve_shapes(value)
+
     @pytest.mark.parametrize("net, error", [
         (dc.parse_network(doc([conv(pad=0)], height=2, width=2)), ShapeError),
         (dc.NetworkSpec("n", 1, 1, 1, (dc.LayerSpec("fc", "x", out_channels=COUNT_BUDGET + 1),)),
@@ -356,14 +367,13 @@ class TestShapeKey:
     def test_name_and_inputs_are_not_part_of_the_shape(self):
         a, b = self.A, self.B
         assert (a.name, a.inputs) != (b.name, b.inputs)
-        assert dataclasses.replace(a, name=b.name, inputs=b.inputs) == b
+        assert a._replace(name=b.name, inputs=b.inputs) == b
         assert shape_key(a) == shape_key(b)
 
     def test_every_other_field_is(self):
-        shaped = [f.name for f in dataclasses.fields(ResolvedLayer)
-                  if f.init and f.name not in ("name", "inputs")]
+        shaped = [name for name in ResolvedLayer._fields if name not in ("name", "inputs")]
         for name in shaped:
-            changed = dataclasses.replace(self.A, **{name: other_value(getattr(self.A, name))})
+            changed = self.A._replace(**{name: other_value(getattr(self.A, name))})
             assert shape_key(changed) != shape_key(self.A), name
 
 
@@ -396,9 +406,9 @@ class TestWeightedGrouping:
     def test_a_network_built_by_hand(self):
         a = make_conv(2, 8, 8, 2, 3, 3, pad=1, name="a")
         b = make_conv(2, 8, 8, 4, 3, 3, pad=1, name="b")
-        c = dataclasses.replace(a, name="c")
-        pool = dataclasses.replace(a, kind="pool", name="p")
-        fc = dataclasses.replace(b, kind="fc", name="f")
+        c = a._replace(name="c")
+        pool = a._replace(kind="pool", name="p")
+        fc = b._replace(kind="fc", name="f")
         net = dc.ResolvedNetwork("hand", 1, (a, pool, b, c, fc, a))
         self.assert_grouped(net)
         assert [(layer.name, first) for layer, first in net.weighted] == [
@@ -410,9 +420,9 @@ class TestWeightedGrouping:
     def test_replace_regroups(self, name):
         net = dc.resolve_shapes(dc.builtin(name), batch=2)
         for layers in (net.layers[::-1], net.layers[: len(net.layers) // 2], ()):
-            changed = dataclasses.replace(net, layers=layers)
+            changed = net._replace(layers=layers)
             self.assert_grouped(changed)
-        assert dataclasses.replace(net, name="other").weighted == net.weighted
+        assert net._replace(name="other").weighted == net.weighted
 
     def test_not_part_of_equality_or_repr(self):
         net = dc.resolve_shapes(dc.builtin("lenet5"))
@@ -655,7 +665,7 @@ FIELD_VALUES = {
     "bias": st.booleans(),
     "connections": st.none() | st.integers(1, 12),
 }
-DEFAULTS = {f.name: f.default for f in dataclasses.fields(dc.LayerSpec)}
+DEFAULTS = dc.LayerSpec._field_defaults
 # the fields each kind reads, which serialize_network always writes
 READS = {"conv": ("out_channels", "kernel", "stride", "pad", "groups", "bias", "connections"),
          "fc": ("out_channels", "bias"), "pool": ("kernel", "stride", "pad")}
