@@ -12,7 +12,7 @@ the first in --help order is named. A closed stdout pipe exits 1 quietly.
 Output is deterministic: the same invocation always produces the same bytes.
 Each command's table of ``_Option`` rows both parses argv and writes --help.
 A report command receives its loaded inputs and returns one ``_Report``: the
-decorators that declare the shared options load them, and ``_report_options``
+decorators that declare the shared options load them, and ``_report_command``
 renders the report in the ``--format`` asked for, to ``--out`` or stdout.
 """
 
@@ -90,37 +90,32 @@ def _options(*options):
     return declare
 
 
-def _network_options(fn):
-    # loaded inputs reach the command by position, so every wrapper passes *args on
+def _report_command(fn):
+    """A report command: --builtin, --net and --batch are declared ahead of ``fn``'s
+    own options, --format and --out after them. The network is loaded, resolved and
+    passed to ``fn`` first, and the ``_Report`` it returns is rendered."""
     @functools.wraps(fn)
-    def with_network(*args, builtin_name, net_path, batch, **kwargs):
+    def run(builtin_name, net_path, batch, fmt, out_path, **kwargs):
         if (builtin_name is None) == (net_path is None):
             raise _UsageError("give exactly one of --builtin or --net")
         spec = (builtin(builtin_name) if net_path is None
                 else parse_network(_read_text(net_path, "--net", MAX_DESCRIPTION_CHARS)))
         _require_int(batch, 1, "", "--batch", ValueError)
-        return fn(resolve_shapes(spec, batch=batch), *args, **kwargs)
+        _emit(_RENDERERS[fmt](fn(resolve_shapes(spec, batch=batch), **kwargs)), out_path)
 
-    return _options(
+    run.options = (
         _Option("--builtin", "builtin_name",
                 help=f"Bundled network: one of {', '.join(BUILTIN_NAMES)}."),
         _Option("--net", "net_path", help="Path to a network description file."),
-        _Option("--batch", "batch", int, 1,
-                "Batch size used when resolving shapes."))(with_network)
-
-
-def _report_options(fn):
-    @functools.wraps(fn)
-    def render(*args, fmt, out_path, **kwargs):
-        _emit(_RENDERERS[fmt](fn(*args, **kwargs)), out_path)
-
-    return _options(
+        _Option("--batch", "batch", int, 1, "Batch size used when resolving shapes."),
+        *getattr(fn, "options", ()),
         _Option("--format", "fmt", FORMATS, "table"),
-        _Option("--out", "out_path",
-                help="Write the report to this file instead of stdout."))(render)
+        _Option("--out", "out_path", help="Write the report to this file instead of stdout."))
+    return run
 
 
 def _modifier_options(fn):
+    # loaded inputs reach the command by position: the network, then these
     @functools.wraps(fn)
     def with_mods(*args, arch_path, bits, density_in, density_w, **kwargs):
         from .energy import Modifiers
@@ -163,13 +158,15 @@ def _emit(text: str, out_path) -> None:
         fh.write(text)
 
 
-class _Report(namedtuple("_Report", "title headers rows json_obj footer formats csv_rows",
+class _Report(namedtuple("_Report", "head headers rows body footer formats csv_rows",
                          defaults=((), {}, None))):
-    """One command's result in every output form: a titled table of ``rows`` under
-    ``headers``, CSV rows and a JSON object, with ``footer`` lines under the
-    table. The CSV is the headers over the raw rows unless ``csv_rows`` (header
-    row first) gives its own. ``formats`` maps a header to its column's format
-    spec in the table; ``_cell`` formats the rest."""
+    """One command's result in every output form. ``head`` maps "network" to its
+    name and then each of the report's parameters to its value: the table's title
+    line lists them, and they lead the JSON object, ahead of ``body``. The table
+    is ``rows`` under ``headers``, with ``footer`` lines under it. The CSV is the
+    headers over the raw rows unless ``csv_rows`` (header row first) gives its
+    own. ``formats`` maps a header to its column's format spec in the table;
+    ``_cell`` formats the rest."""
 
     __slots__ = ()
 
@@ -188,7 +185,9 @@ def _render_table(report: _Report) -> str:
         [format(v, spec) if spec else _cell(v) for v, spec in zip(row, specs)]
         for row in report.rows]
     widths = [max(map(len, column)) for column in zip(*cells)]
-    lines = [report.title] + [  # the first column left-aligned, the others right
+    (_, network), *params = report.head.items()
+    title = "  ".join([network, *(f"{key} {value}" for key, value in params)])
+    lines = [title] + [  # the first column left-aligned, the others right
         "  ".join([row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])]).rstrip()
         for row in cells]
     lines.insert(2, "  ".join("-" * w for w in widths))
@@ -205,7 +204,7 @@ def _render_csv(report: _Report) -> str:
 
 
 def _render_json(report: _Report) -> str:
-    return json.dumps(report.json_obj, indent=2) + "\n"
+    return json.dumps({**report.head, **report.body}, indent=2) + "\n"
 
 
 _RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
@@ -322,17 +321,14 @@ class _Group:
     __call__ = main
 
 
-@_network_options
-@_report_options
+@_report_command
 def stats_cmd(net):
     """Storage and compute counts for every weighted layer."""
     from .stats import network_stats
     report = network_stats(net)
     headers = ("layer", "kind", "weights", "macs", "d_in", "d_w", "d_out")
     layers = [(r.name, r.kind, r.weights, r.macs, r.di, r.dw, r.do) for r in report.layers]
-    obj = {
-        "network": report.network,
-        "batch": report.batch,
+    body = {
         "layers": [dict(zip(headers, row)) for row in layers],
         "totals": {"weights": report.total_weights, "macs": report.total_macs,
                    **{f.name: getattr(report, f.name) for f in fields(report) if not f.init}},
@@ -340,14 +336,12 @@ def stats_cmd(net):
     # the d_in, d_w and d_out columns sum over the layers
     rows = layers + [("total", "", report.total_weights, report.total_macs,
                       *(sum(row[i] for row in layers) for i in (4, 5, 6)))]
-    return _Report(title=f"{report.network}  batch {report.batch}",
-                   headers=headers, rows=rows, json_obj=obj)
+    return _Report({"network": report.network, "batch": report.batch}, headers, rows, body)
 
 
-@_network_options
+@_report_command
 @_modifier_options
 @_options(_Option("--dataflow", "dataflow", DATAFLOW_NAMES, "rs", "Mapping policy to price."))
-@_report_options
 def analyze_cmd(net, arch, mods, dataflow):
     """Per-layer data-movement and compute energy under one dataflow."""
     from .archmodel import LEVELS
@@ -360,13 +354,8 @@ def analyze_cmd(net, arch, mods, dataflow):
         return {"movement": rep.movement, "by_type": rep.by_type,
                 "by_level": rep.by_level, "compute": rep.compute, "total": rep.total}
 
-    obj = {
-        "network": net.name,
-        "batch": net.batch,
-        "dataflow": dataflow,
-        "layers": [{"layer": rep.layer, **priced(rep)} for rep in reports],
-        "total": priced(agg),
-    }
+    body = {"layers": [{"layer": rep.layer, **priced(rep)} for rep in reports],
+            "total": priced(agg)}
     # long form: one row per (layer, data type, level) and one compute row
     long_rows = [("layer", "dataflow", "type", "level", "energy")]
     for rep in everything:
@@ -375,31 +364,26 @@ def analyze_cmd(net, arch, mods, dataflow):
         long_rows.append((rep.layer, rep.dataflow, "compute", "mac", rep.compute))
     rows = [(rep.layer, *rep.by_type.values(), rep.compute, rep.total) for rep in everything]
     levels = "  ".join(f"{lv} {_cell(agg.by_level[lv])}" for lv in LEVELS)
-    return _Report(title=f"{net.name}  batch {net.batch}  dataflow {dataflow}",
-                   headers=("layer", *DATA_TYPES, "compute", "total"),
-                   rows=rows, json_obj=obj, footer=(f"movement by level: {levels}",),
-                   csv_rows=long_rows)
+    return _Report({"network": net.name, "batch": net.batch, "dataflow": dataflow},
+                   ("layer", *DATA_TYPES, "compute", "total"), rows, body,
+                   footer=(f"movement by level: {levels}",), csv_rows=long_rows)
 
 
-@_network_options
+@_report_command
 @_modifier_options
-@_report_options
 def compare_cmd(net, arch, mods):
     """Rank all dataflows by total energy on one network."""
     from .energy import compare_dataflows
     report = compare_dataflows(net, arch, mods)
     headers = ("dataflow", "total", "ratio", "conv_total", "conv_ratio")
     rows = [(e.kind, e.total, e.ratio, e.conv_total, e.conv_ratio) for e in report.entries]
-    obj = {
-        "network": report.network,
-        "batch": report.batch,
+    body = {
         "winner": report.winner,
         "conv_winner": report.conv_winner,
         "entries": [{**dict(zip(headers, row)), "compute": e.compute, "by_type": e.by_type,
                      "by_level": e.by_level} for row, e in zip(rows, report.entries)],
     }
-    return _Report(title=f"{report.network}  batch {report.batch}",
-                   headers=headers, rows=rows, json_obj=obj,
+    return _Report({"network": report.network, "batch": report.batch}, headers, rows, body,
                    footer=(f"winner {report.winner}  conv winner {report.conv_winner}",),
                    formats={"ratio": ".3f", "conv_ratio": ".3f"})
 
@@ -537,7 +521,7 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
     print("round trip ok")
 
 
-@_network_options
+@_report_command
 @_options(_Option("--fraction", "fraction", float, 0.5,
                   "Fraction of multiplicative weights to zero."),
           _Option("--order", "order", ("magnitude", "energy"), "magnitude",
@@ -545,7 +529,6 @@ def compress_cmd(length, sparsity, seed, encode_path, decode_path, out_path):
           _Option("--arch", "arch_path", help="Hardware description used for energy ordering.",
                   needs=(lambda v: v["order"] == "energy", "{} needs --order energy")),
           _Option("--seed", "seed", int, 0))
-@_report_options
 def prune_cmd(net, fraction, order, arch_path, seed):
     """Prune synthetic weights for a network and report layer densities."""
     sizes = {layer.name: layer.stats.dw for layer, _ in net.weighted}
@@ -576,17 +559,10 @@ def prune_cmd(net, fraction, order, arch_path, seed):
     total_kept = sum(kept.values())
     totals = ("total", total, total_kept, total_kept / total)
     headers = ("layer", "weights", "kept", "density")
-    obj = {
-        "network": net.name,
-        "fraction": fraction,
-        "order": order,
-        "seed": seed,
-        "layers": [dict(zip(headers, entry)) for entry in entries],
-        "total": dict(zip(headers[1:], totals[1:])),
-    }
-    rows = entries + [totals]
-    return _Report(title=f"{net.name}  fraction {fraction}  order {order}  seed {seed}",
-                   headers=headers, rows=rows, json_obj=obj, formats={"density": ".3f"})
+    body = {"layers": [dict(zip(headers, entry)) for entry in entries],
+            "total": dict(zip(headers[1:], totals[1:]))}
+    return _Report({"network": net.name, "fraction": fraction, "order": order, "seed": seed},
+                   headers, entries + [totals], body, formats={"density": ".3f"})
 
 
 main = _Group("main", "Analytical cost modeling for neural-network inference hardware.", {

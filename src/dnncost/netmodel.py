@@ -160,7 +160,10 @@ class _Record:
     """A named tuple whose ``__new__`` checks its values: ``_make``, and so
     ``_replace``, build through that ``__new__`` too. Like every named tuple it
     equals a plain tuple of the same values, so a function that must not take
-    one for the record checks the type.
+    one for the record checks the type. Nothing can be set on it or deleted
+    from it. A subclass that declares no ``__slots__`` keeps the values its
+    ``__new__`` derives in the instance dict, out of the fields, so out of
+    ``==``, hash and ``repr``.
 
     The fields come from the last base, a ``collections.namedtuple``, as for
     every named tuple of the package: a ``typing.NamedTuple`` class compiles
@@ -171,24 +174,17 @@ class _Record:
 
     def __init_subclass__(cls):
         # inspect.signature and help() show the fields, not (*args, **kwargs)
-        if "__new__" in vars(cls):
-            cls.__new__.__wrapped__ = cls.__bases__[-1].__new__
+        cls.__new__.__wrapped__ = cls.__bases__[-1].__new__
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
 
-
-class _DerivedRecord(_Record):
-    """A ``_Record`` that keeps values its ``__new__`` derives in the instance
-    dict, out of the fields, so out of ``==``, hash and ``repr``. Nothing can
-    be set on it."""
-
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
 
 
 class LayerSpec(_Record, namedtuple(
@@ -297,7 +293,7 @@ class LayerStats:
     do: int
 
 
-class ResolvedLayer(_DerivedRecord, namedtuple(
+class ResolvedLayer(_Record, namedtuple(
         "ResolvedLayer", "kind name batch in_channels in_height in_width out_channels "
         "out_height out_width kernel stride pad groups bias connections inputs")):
     """A layer with its input and output shapes pinned down.
@@ -339,7 +335,7 @@ shape_key = itemgetter(*(i for i, name in enumerate(ResolvedLayer._fields)
                          if name not in ("name", "inputs")))
 
 
-class ResolvedNetwork(_DerivedRecord, namedtuple("ResolvedNetwork", "name batch layers")):
+class ResolvedNetwork(_Record, namedtuple("ResolvedNetwork", "name batch layers")):
     """A network resolved at one batch size; ``layers[0]`` reads its input.
 
     ``weighted`` pairs each conv and fc layer, in order, with the index among

@@ -282,6 +282,18 @@ class TestAccessCounts:
                     assert counts.acc["weight"]["dram"] == st.dw
                     assert counts.acc["psum"]["dram"] == st.do
 
+    @given(layer=hand_built_layers(), arch=ARCHS, kind=st.sampled_from(KINDS))
+    @settings(deadline=None, max_examples=300)
+    def test_dram_equals_unique_volumes_on_every_arch(self, layer, arch, kind):
+        """No storage capacity bounds reuse: the model has none, so DRAM moves
+        each data type's unique volume once under every dataflow and arch. A
+        capacity-aware DRAM model, which refetches what does not fit on chip,
+        must change this test."""
+        stats = layer.stats
+        acc = dc.layer_access_counts(kind, layer, arch).acc
+        assert (acc["input"]["dram"], acc["weight"]["dram"], acc["psum"]["dram"]) == (
+            stats.di, stats.dw, stats.do)
+
     def test_hierarchy_bounds(self, arch, resolved_builtins):
         for layer in resolved_builtins["googlenet"].layers:
             if layer.kind not in ("conv", "fc"):

@@ -412,3 +412,81 @@ class TestPricingReference:
         report = dc.compare_dataflows(net, arch, mods)
         assert report == reference_compare(net, arch, mods)
         assert {e.kind: e.conv_total for e in report.entries}["ws"] == 82_496
+
+
+# each level's cost times a power of two, kept within EnergyTable's
+# rf <= noc <= buf <= dram order from the default costs 1, 2, 6 and 200
+LEVEL_SCALES = {"rf": 2.0, "noc": 2.0, "buf": 8.0, "dram": 8.0}
+SCALING_POINTS = [
+    pytest.param(ArchConfig(), Modifiers(), id="default"),
+    pytest.param(ArchConfig(pe_count=64, word_bits=8, mac_energy=1.5, rs_channels_per_pe=2,
+                            nlr_lane_width=4),
+                 Modifiers(density_in=0.5, density_w=0.75, bits_in=4), id="small"),
+]
+
+
+def scaled(arch, factor, levels=LEVELS):
+    """``arch`` with the costs of ``levels`` multiplied by ``factor``."""
+    costs = {level: factor * getattr(arch.energy, level) for level in levels}
+    return arch._replace(energy=arch.energy._replace(**costs))
+
+
+def builtin_networks(batch):
+    return [dc.resolve_shapes(dc.builtin(name), batch=batch) for name in dc.BUILTIN_NAMES]
+
+
+@pytest.mark.parametrize("batch", (1, 3))
+@pytest.mark.parametrize("arch, mods", SCALING_POINTS)
+class TestScalingLaws:
+    """Multiplying by a power of two is exact in binary floating point, short of
+    overflow and underflow. So scaling costs by one obeys exact laws, checked
+    with == on every built-in under every dataflow: a cost that prices the
+    wrong level or is left out of a sum breaks them."""
+
+    def test_one_level_scales_exactly_its_cells(self, arch, mods, batch):
+        for net in builtin_networks(batch):
+            for kind in KINDS:
+                reports, agg = dc.network_energy(net, kind, arch, mods)
+                base = [*reports, agg]
+                for level, factor in LEVEL_SCALES.items():
+                    reports, agg = dc.network_energy(net, kind, scaled(arch, factor, (level,)),
+                                                     mods)
+                    for rep, old in zip([*reports, agg], base, strict=True):
+                        assert rep.movement == {
+                            dtype: {lv: factor * cell if lv == level else cell
+                                    for lv, cell in row.items()}
+                            for dtype, row in old.movement.items()}
+                        assert rep.by_level == {lv: factor * value if lv == level else value
+                                                for lv, value in old.by_level.items()}
+                        assert rep.compute == old.compute
+
+    def test_every_cost_scales_every_total(self, arch, mods, batch):
+        for k in (-2, 3):
+            factor = 2.0 ** k
+            dear = scaled(arch, factor)._replace(mac_energy=factor * arch.mac_energy)
+            for net in builtin_networks(batch):
+                old, new = dc.compare_dataflows(net, arch, mods), dc.compare_dataflows(net, dear,
+                                                                                       mods)
+                assert (new.winner, new.conv_winner) == (old.winner, old.conv_winner)
+                for entry, before in zip(new.entries, old.entries, strict=True):
+                    assert entry.kind == before.kind
+                    assert (entry.total, entry.conv_total, entry.compute) == (
+                        factor * before.total, factor * before.conv_total,
+                        factor * before.compute)
+                    assert (entry.ratio, entry.conv_ratio) == (before.ratio, before.conv_ratio)
+                for kind in KINDS:
+                    reports, agg = dc.network_energy(net, kind, dear, mods)
+                    old_reports, old_agg = dc.network_energy(net, kind, arch, mods)
+                    for rep, before in zip([*reports, agg], [*old_reports, old_agg], strict=True):
+                        assert (rep.total, rep.compute) == (factor * before.total,
+                                                            factor * before.compute)
+
+    def test_access_counts_read_no_cost(self, arch, mods, batch):
+        archs = [scaled(arch, factor, (level,)) for level, factor in LEVEL_SCALES.items()]
+        archs.append(scaled(arch, 8.0)._replace(mac_energy=8.0 * arch.mac_energy))
+        for net in builtin_networks(batch):
+            for layer, _ in net.weighted:
+                for kind in KINDS:
+                    counts = dc.layer_access_counts(kind, layer, arch)
+                    for other in archs:
+                        assert dc.layer_access_counts(kind, layer, other) == counts

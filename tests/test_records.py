@@ -35,7 +35,7 @@ def build():
         dc.AccessCounts: counts,
         dc.EnergyReport: dc.layer_energy(counts, arch),
         dc.MultCount: dc.mult_count("fft", out_size=8, filter_size=3),
-        _Report: _Report(title="t", headers=("a",), rows=[(1,)], json_obj={"a": 1}),
+        _Report: _Report(head={"network": "n"}, headers=("a",), rows=[(1,)], body={"a": 1}),
         dc.LayerSpec: spec,
         dc.NetworkSpec: dc.NetworkSpec("n", 1, 4, 4, (spec,)),
         dc.ResolvedLayer: layer,
@@ -52,7 +52,7 @@ FIELDS = {
     dc.AccessCounts: ("layer", "kind", "total_macs", "acc"),
     dc.EnergyReport: ("layer", "dataflow", "movement", "compute"),
     dc.MultCount: ("method", "count", "params"),
-    _Report: ("title", "headers", "rows", "json_obj", "footer", "formats", "csv_rows"),
+    _Report: ("head", "headers", "rows", "body", "footer", "formats", "csv_rows"),
     dc.LayerSpec: ("kind", "name", "out_channels", "kernel", "stride", "pad", "groups", "bias",
                    "connections", "inputs"),
     dc.NetworkSpec: ("name", "in_channels", "in_height", "in_width", "layers"),
