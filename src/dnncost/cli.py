@@ -11,9 +11,11 @@ error, found before any network, hardware or stream file is read; of several,
 the first in --help order is named. A closed stdout pipe exits 1 quietly.
 Output is deterministic: the same invocation always produces the same bytes.
 Each command's table of ``_Option`` rows both parses argv and writes --help.
-A report command receives its loaded inputs and returns one ``_Report``: the
-decorators that declare the shared options load them, and ``_report_command``
-renders the report in the ``--format`` asked for, to ``--out`` or stdout.
+A report command receives its resolved network and returns one ``_Report``:
+``_report_command``, the one decorator that wraps a command, declares and
+loads the network options and renders the report in the ``--format`` asked
+for, to ``--out`` or stdout. A command that prices on hardware declares the
+``_HARDWARE`` options and loads them with ``_hardware``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import os
 import sys
 from collections import namedtuple
 from dataclasses import fields
-from typing import TYPE_CHECKING
 
 from .netmodel import (MAX_VALUE, MULT_METHODS, MULT_SIZES, PAIR_BITS, DataflowKind, _budget,
                        _drain, _require_int, parse_network, resolve_shapes)
@@ -33,8 +34,6 @@ from .zoo import BUILTIN_NAMES, builtin
 
 # archmodel, dataflow, energy, stats and csv are imported by the commands and
 # renderers that use them, so that a command loads only the modules it runs
-if TYPE_CHECKING:
-    from .archmodel import ArchConfig
 
 DATAFLOW_NAMES = tuple(k.value for k in DataflowKind)
 # longest stream `compress` draws (--n), encodes (--encode) or decodes
@@ -114,32 +113,27 @@ def _report_command(fn):
     return run
 
 
-def _modifier_options(fn):
-    # loaded inputs reach the command by position: the network, then these
-    @functools.wraps(fn)
-    def with_mods(*args, arch_path, bits, density_in, density_w, **kwargs):
-        from .energy import Modifiers
-        arch = _load_arch(arch_path)
-        mods = Modifiers(density_in=density_in, density_w=density_w)  # checked before --bits
-        if bits is not None:
-            _require_int(bits, 1, "", "--bits", ValueError, arch.word_bits)
-            mods = mods._replace(bits_in=bits, bits_w=bits)
-        return fn(*args, arch, mods, **kwargs)
-
-    return _options(
-        _Option("--arch", "arch_path", help="Path to a hardware description file."),
-        _Option("--bits", "bits", int,
-                help="Operand precision for inputs and weights (defaults to the word size)."),
-        _Option("--density-in", "density_in", float, 1.0, "Nonzero fraction of the inputs."),
-        _Option("--density-w", "density_w", float, 1.0,
-                "Nonzero fraction of the weights."))(with_mods)
+# the flags of the hardware a report prices on, which ``_hardware`` loads
+_HARDWARE = (
+    _Option("--arch", "arch_path", help="Path to a hardware description file."),
+    _Option("--bits", "bits", int,
+            help="Operand precision for inputs and weights (defaults to the word size)."),
+    _Option("--density-in", "density_in", float, 1.0, "Nonzero fraction of the inputs."),
+    _Option("--density-w", "density_w", float, 1.0, "Nonzero fraction of the weights."))
 
 
-def _load_arch(arch_path) -> ArchConfig:
+def _hardware(arch_path, bits=None, density_in=1.0, density_w=1.0):
+    """``(arch, mods)``: the --arch file, or the default hardware without one,
+    and the ``Modifiers`` of the densities and --bits, checked in that order."""
     from .archmodel import default_arch, parse_arch
-    if arch_path is None:
-        return default_arch()
-    return parse_arch(_read_text(arch_path, "--arch", MAX_DESCRIPTION_CHARS))
+    from .energy import Modifiers
+    arch = (default_arch() if arch_path is None
+            else parse_arch(_read_text(arch_path, "--arch", MAX_DESCRIPTION_CHARS)))
+    mods = Modifiers(density_in=density_in, density_w=density_w)  # checked before --bits
+    if bits is not None:
+        _require_int(bits, 1, "", "--bits", ValueError, arch.word_bits)
+        mods = mods._replace(bits_in=bits, bits_w=bits)
+    return arch, mods
 
 
 def _rng(seed: int):
@@ -340,10 +334,11 @@ def stats_cmd(net):
 
 
 @_report_command
-@_modifier_options
-@_options(_Option("--dataflow", "dataflow", DATAFLOW_NAMES, "rs", "Mapping policy to price."))
-def analyze_cmd(net, arch, mods, dataflow):
+@_options(*_HARDWARE,
+          _Option("--dataflow", "dataflow", DATAFLOW_NAMES, "rs", "Mapping policy to price."))
+def analyze_cmd(net, arch_path, bits, density_in, density_w, dataflow):
     """Per-layer data-movement and compute energy under one dataflow."""
+    arch, mods = _hardware(arch_path, bits, density_in, density_w)
     from .archmodel import LEVELS
     from .dataflow import DATA_TYPES
     from .energy import network_energy
@@ -370,9 +365,10 @@ def analyze_cmd(net, arch, mods, dataflow):
 
 
 @_report_command
-@_modifier_options
-def compare_cmd(net, arch, mods):
+@_options(*_HARDWARE)
+def compare_cmd(net, arch_path, bits, density_in, density_w):
     """Rank all dataflows by total energy on one network."""
+    arch, mods = _hardware(arch_path, bits, density_in, density_w)
     from .energy import compare_dataflows
     report = compare_dataflows(net, arch, mods)
     headers = ("dataflow", "total", "ratio", "conv_total", "conv_ratio")
@@ -541,9 +537,8 @@ def prune_cmd(net, fraction, order, arch_path, seed):
     _require_int(seed, 0, "", "--seed", ValueError)  # in either order; only magnitude draws
     budget = _budget(fraction, total)  # before either order prices or draws
     if order == "energy":  # the drain needs no weight values: no draw, no numpy
-        from .energy import Modifiers, network_energy
-        arch = _load_arch(arch_path)
-        reports, _ = network_energy(net, DataflowKind.RS, arch, Modifiers())
+        from .energy import network_energy
+        reports, _ = network_energy(net, DataflowKind.RS, *_hardware(arch_path))
         ranking = {rep.layer: rep.total / sizes[rep.layer] for rep in reports}
         lost = _drain(sizes, budget, ranking)
         kept = {name: size - lost[name] for name, size in sizes.items()}

@@ -68,29 +68,26 @@ def prune_network(layer_weights: dict[str, np.ndarray], fraction: float,
     With ``order`` given (for example energy per weight from an energy
     report), layers are drained greedily in descending key order: the most
     expensive layers lose their smallest weights first until the global
-    budget floor(fraction * total) is spent.
+    budget floor(fraction * total) is spent. Either way the result maps each
+    layer, in the order of ``layer_weights``, to its ``_masked`` pair.
     """
     arrays = {name: np.asarray(w, dtype=float) for name, w in layer_weights.items()}
-    budget = _budget(fraction, sum(a.size for a in arrays.values()))
+    sizes = {name: a.size for name, a in arrays.items()}
+    budget = _budget(fraction, sum(sizes.values()))
     if order is not None:
-        pruned = {}
-        for name, k in _drain({nm: a.size for nm, a in arrays.items()}, budget, order).items():
-            a = arrays[name]
-            if k in (0, a.size):  # a layer the drain leaves whole or empties
-                pruned[name] = _masked(a, np.full(a.size, not k))
-            else:
-                pruned[name] = _masked(a, _keep_mask(np.abs(a).reshape(-1), k))
-        return pruned
-    if not arrays:
-        return {}
-    # every layer's magnitudes, written into one buffer in layer order
-    ends = np.cumsum([a.size for a in arrays.values()])
-    mags = np.empty(ends[-1])
-    for a, end in zip(arrays.values(), ends):
-        np.abs(a, out=mags[end - a.size:end].reshape(a.shape))
-    parts = np.split(_keep_mask(mags, budget), ends[:-1])
-    del mags  # before the pruned copies, so that it does not raise the peak
-    return {name: _masked(a, part) for (name, a), part in zip(arrays.items(), parts)}
+        lost = _drain(sizes, budget, order)
+        keeps = (np.full(a.size, not lost[name]) if lost[name] in (0, a.size)  # whole or empty
+                 else _keep_mask(np.abs(a).reshape(-1), lost[name])
+                 for name, a in arrays.items())
+    else:
+        # every layer's magnitudes, written into one buffer in layer order
+        bounds = np.cumsum([0, *sizes.values()])
+        mags = np.empty(bounds[-1])
+        for a, begin, end in zip(arrays.values(), bounds, bounds[1:]):
+            np.abs(a, out=mags[begin:end].reshape(a.shape))
+        keeps = np.split(_keep_mask(mags, budget), bounds[1:-1])
+        del mags  # before the pruned copies, so that it does not raise the peak
+    return {name: _masked(a, keep) for (name, a), keep in zip(arrays.items(), keeps)}
 
 
 def quantize_uniform(tensor, bits: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import dnncost as dc
 from dnncost.cli import (MAX_DECODE_BYTES, MAX_DESCRIPTION_CHARS, MAX_ENCODE_CHARS,
                          MAX_PRUNE_WEIGHTS, MAX_STREAM_WORDS, MAX_VERIFY_SIZE,
                          MAX_VERIFY_TRIALS, main)
-from dnncost.netmodel import COUNT_BUDGET, WEIGHTED_KINDS
+from dnncost.netmodel import COUNT_BUDGET, WEIGHTED_KINDS, _budget, _drain
 from dnncost.stats import MAX_COUNT_SIZE
 
 
@@ -592,6 +592,38 @@ class TestPruneCounts:
             tracemalloc.stop()
         assert result.exit_code == 0
         assert peak < bound * 8 * 59_730
+
+    def test_energy_order_prices_on_the_arch_given(self, runner, tmp_path):
+        """The drain ranks layers by their energy per weight on --arch. The
+        default hardware ranks the conv layer, four MACs per weight, above the
+        fc layer; hardware whose DRAM costs all but everything ranks the fc
+        layer, whose inputs and outputs weigh more beside its weights, above
+        the conv layer. So the kept counts differ between the two."""
+        net_path, arch_path = tmp_path / "flip.json", tmp_path / "dram.json"
+        net_path.write_text(json.dumps({
+            "name": "flip", "input": {"channels": 64, "height": 4, "width": 4},
+            "layers": [{"type": "conv", "name": "c", "out_channels": 256, "kernel": [3, 3]},
+                       {"type": "fc", "name": "f", "out_channels": 10}]}))
+        arch_path.write_text(json.dumps({"mac_energy": 1e-6, "energy": {
+            "rf": 1e-6, "noc": 1e-6, "buf": 1e-6, "dram": 1.0}}))
+        net = dc.resolve_shapes(dc.parse_network(net_path.read_text()))
+        sizes = weight_sizes(net)
+
+        def drained(arch):
+            reports, _ = dc.network_energy(net, dc.DataflowKind.RS, arch)
+            ranking = {rep.layer: rep.total / sizes[rep.layer] for rep in reports}
+            lost = _drain(sizes, _budget(0.05, sum(sizes.values())), ranking)
+            return {name: size - lost[name] for name, size in sizes.items()}
+
+        def kept(*arch):
+            result = runner.invoke(main, ["prune", "--net", str(net_path), "--order", "energy",
+                                          "--fraction", "0.05", *arch, "--format", "json"])
+            assert result.exit_code == 0
+            return {row["layer"]: row["kept"] for row in json.loads(result.stdout)["layers"]}
+
+        on_dram = kept("--arch", str(arch_path))
+        assert on_dram == drained(dc.parse_arch(arch_path.read_text()))
+        assert kept() == drained(dc.default_arch()) != on_dram
 
     @pytest.mark.parametrize("order", ["magnitude", "energy"])
     @pytest.mark.parametrize("fraction", ["1.5", "nan"])

@@ -1,5 +1,6 @@
 """Energy pricing, workload modifiers, and the dataflow comparison."""
 
+import functools
 import json
 import math
 import random
@@ -15,6 +16,7 @@ from dnncost.dataflow import DATA_TYPES, AccessCounts, DataflowKind
 from dnncost.energy import EnergyReport, Modifiers, _aggregate, layer_energy
 from dnncost.netmodel import WEIGHTED_KINDS, shape_key
 from oracles import make_conv, reference_compare, reference_network_energy
+from test_dataflow import ARCHS, hand_built_layers
 
 TINY = make_conv(1, 3, 3, 1, 2, 2)  # T=16, Di=9, Dw=4, Do=4
 ONE = make_conv(1, 1, 1, 1, 1, 1)   # every volume is a single word
@@ -490,3 +492,58 @@ class TestScalingLaws:
                     counts = dc.layer_access_counts(kind, layer, arch)
                     for other in archs:
                         assert dc.layer_access_counts(kind, layer, other) == counts
+
+
+# operand densities whose products with any compute stay normal floats, so
+# that halving and quartering them is exact
+DENSITIES = st.floats(2.0 ** -10, 1.0)
+
+
+@functools.cache
+def builtins_at_batch_one():
+    return builtin_networks(1)
+
+
+def priced_pairs(layer, arch, mods, base):
+    """(report under ``mods``, report under ``base``) for every weighted layer
+    and aggregate of each built-in and of a network of ``layer`` alone, under
+    every dataflow."""
+    for net in (*builtins_at_batch_one(), dc.ResolvedNetwork("probe", layer.batch, (layer,))):
+        for kind in KINDS:
+            reports, agg = dc.network_energy(net, kind, arch, mods)
+            base_reports, base_agg = dc.network_energy(net, kind, arch, base)
+            yield from zip([*reports, agg], [*base_reports, base_agg], strict=True)
+
+
+class TestModifierLaws:
+    """The exact laws of the operand modifiers, checked with == under ARCHS,
+    whose word is 16 bits: the densities scale compute alone, and halving an
+    operand width halves exactly the terms that width prices."""
+
+    @given(layer=hand_built_layers(), arch=ARCHS,
+           density_in=st.floats(0.0, 1.0, exclude_min=True),
+           density_w=st.floats(0.0, 1.0, exclude_min=True))
+    @settings(deadline=None, max_examples=40)
+    def test_movement_reads_no_density(self, layer, arch, density_in, density_w):
+        sparse = Modifiers(density_in=density_in, density_w=density_w)
+        for rep, dense in priced_pairs(layer, arch, sparse, Modifiers()):
+            assert rep.movement == dense.movement
+            assert rep.by_type == dense.by_type
+            assert rep.by_level == dense.by_level
+
+    @given(layer=hand_built_layers(), arch=ARCHS, density_in=DENSITIES, density_w=DENSITIES)
+    @settings(deadline=None, max_examples=40)
+    def test_half_widths_quarter_compute(self, layer, arch, density_in, density_w):
+        full = Modifiers(density_in=density_in, density_w=density_w)
+        half = full._replace(bits_in=8, bits_w=8)
+        for rep, wide in priced_pairs(layer, arch, half, full):
+            assert rep.compute == wide.compute / 4
+
+    @given(layer=hand_built_layers(), arch=ARCHS, density_in=DENSITIES, density_w=DENSITIES)
+    @settings(deadline=None, max_examples=40)
+    def test_half_input_width_halves_the_input_rows(self, layer, arch, density_in, density_w):
+        full = Modifiers(density_in=density_in, density_w=density_w)
+        for rep, wide in priced_pairs(layer, arch, full._replace(bits_in=8), full):
+            assert rep.movement == {
+                **wide.movement, "input": {lv: c / 2 for lv, c in wide.movement["input"].items()}}
+            assert rep.compute == wide.compute / 2

@@ -116,6 +116,13 @@ class TestPruneNetwork:
     def test_empty_network(self):
         assert prune_network({}, 0.5) == {}
 
+    @pytest.mark.parametrize("order", [None, {"a": 1.0, "b": 3.0, "c": 2.0}],
+                             ids=["magnitude", "drain-b-c-a"])
+    def test_layers_come_back_in_input_order(self, order):
+        rng = np.random.default_rng(4)
+        layers = {name: rng.standard_normal(5) for name in "abc"}
+        assert list(prune_network(layers, 0.5, order=order)) == list(layers)
+
 
 def stable_argsort_prune(weights, fraction, order=None):
     """Reference pruning: drop the first k of a full stable argsort of the
