@@ -86,10 +86,6 @@ class AccessCounts(namedtuple("AccessCounts", "layer kind total_macs acc")):
     __slots__ = ()
 
 
-def _ceildiv(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig) -> ReuseFactors:
     """Reuse factor table for one layer, at its batch size, under one dataflow.
 
@@ -108,7 +104,7 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig) ->
     p = arch.pe_count
     # MACs per output word, ceil(macs / do) with the E*F and batch factors
     # cancelled; equals (C/G)*R*S on densely wired layers
-    depth = _ceildiv(layer.stats.dw, max(1, m))
+    depth = -(-layer.stats.dw // (m if m > 1 else 1))
 
     if kind is DataflowKind.WS:
         # one weight per PE; a filter occupies an R*S block of the array
@@ -125,20 +121,21 @@ def reuse_factors(kind: DataflowKind, layer: ResolvedLayer, arch: ArchConfig) ->
         g = max(1, min(arch.rs_channels_per_pe, layer.in_channels))
         rows = ((True, s, min(r, p)), (True, f, min(e, p)), (True, s * g, r))
     (ri, ui, si), (rw, uw, sw), (rp, up, sp) = rows
-    return ReuseFactors(kind, layer, TypeReuse(ri, max(1, ui), max(1, si)),
-                        TypeReuse(rw, max(1, uw), max(1, sw)),
-                        TypeReuse(rp, max(1, up), max(1, sp)))
+    return ReuseFactors(kind, layer,
+                        TypeReuse(ri, ui if ui > 1 else 1, si if si > 1 else 1),
+                        TypeReuse(rw, uw if uw > 1 else 1, sw if sw > 1 else 1),
+                        TypeReuse(rp, up if up > 1 else 1, sp if sp > 1 else 1))
 
 
 def access_counts(factors: ReuseFactors) -> AccessCounts:
     """Evaluate the counting rule for the layer of one factor table."""
-    layer = factors.layer
+    kind, layer, ti, tw, tp = factors
     st = layer.stats
     t = st.macs
 
     acc: dict[str, dict[str, int]] = {}
     for dtype, (resident, rf_reuse, share), unique, k in zip(
-            DATA_TYPES, factors[2:], (st.di, st.dw, st.do), (1, 1, 2)):
+            DATA_TYPES, (ti, tw, tp), (st.di, st.dw, st.do), (1, 1, 2)):
         # the ceilings and max() inline: this runs for every layer priced
         noc = -(-t // rf_reuse)
         buf = k * -(-t // (rf_reuse * share))
@@ -149,7 +146,7 @@ def access_counts(factors: ReuseFactors) -> AccessCounts:
             "buf": unique if unique > buf else buf,
             "dram": unique,
         }
-    return AccessCounts(layer=layer.name, kind=factors.kind, total_macs=t, acc=acc)
+    return AccessCounts(layer.name, kind, t, acc)
 
 
 def layer_access_counts(kind: DataflowKind, layer: ResolvedLayer,

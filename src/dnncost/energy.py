@@ -10,7 +10,8 @@ keeps the movement side a strict upper bound for compressed traffic.
 ``network_energy`` prices each distinct layer shape once per call, as the
 network's ``weighted`` field groups them, and gives every weighted layer its
 own report, which owns its ``movement`` dicts. A report's total is derived on
-each read, in one pass over ``movement``.
+each read, in one pass over ``movement``. Rows of access counts and of
+energies are read by key, never by position.
 
 Reports are in relative units (register-file access = 1).
 """
@@ -29,6 +30,7 @@ from .netmodel import ResolvedNetwork, _Record, _require_int, _shown
 # a movement matrix's rows in DATA_TYPES order; a row's cells in LEVELS order
 _types_of = itemgetter(*DATA_TYPES)
 _levels_of = itemgetter(*LEVELS)
+_CELLS = len(DATA_TYPES) * len(LEVELS)
 
 
 class Modifiers(_Record, namedtuple("Modifiers", "density_in density_w bits_in bits_w",
@@ -93,31 +95,30 @@ class EnergyReport(namedtuple("EnergyReport", "layer dataflow movement compute")
 def layer_energy(counts: AccessCounts, arch: ArchConfig,
                  mods: Modifiers = Modifiers()) -> EnergyReport:
     """Price one layer's access counts."""
-    bi, bw = _resolve_bits(mods, arch)
-    word = arch.word_bits
+    word, bi, bw = arch.word_bits, mods.bits_in, mods.bits_w
+    # a guard, not a second rule: every width it passes, _resolve_bits accepts
+    if not (type(bi) is int and type(bw) is int and 0 < bi <= word and 0 < bw <= word):
+        bi, bw = _resolve_bits(mods, arch)
     rf, noc, buf, dram = arch.energy
+    layer, kind, macs, acc = counts
     # count * cost * width / word, left to right: folding cost * width / word
     # into one factor would round differently. Each row is a literal, keys in
     # LEVELS order, as access_counts builds its rows
     movement = {}
-    for dtype, width in zip(DATA_TYPES, (bi, bw, word)):
-        row = counts.acc[dtype]
-        movement[dtype] = {"rf": row["rf"] * rf * width / word,
-                           "noc": row["noc"] * noc * width / word,
-                           "buf": row["buf"] * buf * width / word,
-                           "dram": row["dram"] * dram * width / word}
-    compute = (counts.total_macs * arch.mac_energy
-               * (bi * bw) / (arch.word_bits * arch.word_bits)
-               * mods.density_in * mods.density_w)
-    return EnergyReport(layer=counts.layer, dataflow=_as_kind(counts.kind).value,
-                        movement=movement, compute=compute)
+    for dtype, row, width in zip(DATA_TYPES, _types_of(acc), (bi, bw, word)):
+        n_rf, n_noc, n_buf, n_dram = _levels_of(row)
+        movement[dtype] = {"rf": n_rf * rf * width / word, "noc": n_noc * noc * width / word,
+                           "buf": n_buf * buf * width / word, "dram": n_dram * dram * width / word}
+    compute = macs * arch.mac_energy * (bi * bw) / (word * word) * mods.density_in * mods.density_w
+    return EnergyReport(layer, _as_kind(kind)._value_, movement, compute)
 
 
 def _aggregate(reports: list[EnergyReport], label: str, kind: str) -> EnergyReport:
-    movement = {d: {lv: sum([r.movement[d][lv] for r in reports], 0.0) for lv in LEVELS}
-                for d in DATA_TYPES}
-    return EnergyReport(layer=label, dataflow=kind, movement=movement,
-                        compute=sum([r.compute for r in reports], 0.0))
+    # cells[i::_CELLS] is the i-th cell of every report, in report order
+    cells = [cell for r in reports for row in _types_of(r.movement) for cell in _levels_of(row)]
+    sums = iter([sum(cells[i::_CELLS], 0.0) for i in range(_CELLS)])
+    movement = {d: {lv: next(sums) for lv in LEVELS} for d in DATA_TYPES}
+    return EnergyReport(label, kind, movement, sum([r.compute for r in reports], 0.0))
 
 
 def network_energy(net: ResolvedNetwork, kind: DataflowKind, arch: ArchConfig,
@@ -139,9 +140,9 @@ def network_energy(net: ResolvedNetwork, kind: DataflowKind, arch: ArchConfig,
             report = layer_energy(layer_access_counts(kind, layer, arch), arch, mods)
         else:
             priced = reports[first]
-            report = EnergyReport(layer=layer.name, dataflow=priced.dataflow,
-                                  movement={d: dict(row) for d, row in priced.movement.items()},
-                                  compute=priced.compute)
+            report = EnergyReport(layer.name, priced.dataflow,
+                                  {d: row.copy() for d, row in priced.movement.items()},
+                                  priced.compute)
         reports.append(report)
     agg = _aggregate(reports, "total", kind.value)
     if not math.isfinite(agg.total):

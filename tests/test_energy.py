@@ -70,6 +70,27 @@ class TestLayerEnergy:
         with pytest.raises(ValueError, match="not a valid DataflowKind"):
             layer_energy(by_hand._replace(kind="xs"), arch)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_counts_are_read_by_key(self, arch, resolved_builtins, kind):
+        """Counts whose rows and cells come in another order, with the kind
+        as a string, price the same, cell for cell, as the engine's own."""
+        mods = Modifiers(density_in=0.5, bits_in=8, bits_w=12)
+        for layer, _ in resolved_builtins["alexnet"].weighted:
+            counts = dc.layer_access_counts(kind, layer, arch)
+            # the rows reversed, and each row's cells rotated by a different step
+            acc = {d: {lv: counts.acc[d][lv] for lv in LEVELS[k + 1:] + LEVELS[:k + 1]}
+                   for k, d in reversed(list(enumerate(DATA_TYPES)))}
+            shuffled = AccessCounts(counts.layer, kind.value, counts.total_macs, acc)
+            assert [list(row) for row in acc.values()] != [list(LEVELS)] * len(DATA_TYPES)
+            expected, rep = layer_energy(counts, arch, mods), layer_energy(shuffled, arch, mods)
+            assert (rep.layer, rep.dataflow) == (expected.layer, kind.value)
+            assert float.hex(rep.compute) == float.hex(expected.compute)
+            assert tuple(rep.movement) == DATA_TYPES
+            for d in DATA_TYPES:
+                assert tuple(rep.movement[d]) == LEVELS
+                assert ([float.hex(v) for v in rep.movement[d].values()]
+                        == [float.hex(v) for v in expected.movement[d].values()])
+
     def test_dram_cost_dominates_and_scales(self, arch):
         pricey = dc.ArchConfig(energy=dc.EnergyTable(rf=1.0, noc=2.0,
                                                      buf=6.0, dram=400.0))
@@ -108,6 +129,13 @@ class TestModifiers:
             energy(TINY, DataflowKind.WS, arch, Modifiers(bits_in=17))
         with pytest.raises(ValueError, match="bits_w"):
             energy(TINY, DataflowKind.WS, arch, Modifiers(bits_w=32))
+        # each beside a width that fits, and with no None among them
+        for mods, shown in ((Modifiers(bits_in=17, bits_w=8), "bits_in must be an integer "
+                             "in [1, 16], got 17"),
+                            (Modifiers(bits_in=8, bits_w=32), "bits_w must be an integer "
+                             "in [1, 16], got 32")):
+            with pytest.raises(ValueError, match=re.escape(shown) + "$"):
+                energy(TINY, DataflowKind.WS, arch, mods)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="density_in"):

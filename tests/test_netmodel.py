@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import sys
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dnncost.cli import main
 from dnncost.energy import layer_energy
 from dnncost.netmodel import (COUNT_BUDGET, LAYER_KINDS, NetworkError,
                               NetworkSemanticError, NetworkSyntaxError, ResolvedLayer,
-                              ShapeError, shape_key)
+                              ShapeError, _require_int, shape_key)
 from dnncost.stats import MAX_COUNT_SIZE
 from oracles import make_conv
 
@@ -590,6 +591,52 @@ class TestValuesTooLongToPrint:
             layer_energy(counts, arch, dc.Modifiers(bits_in=10**5000))
         assert str(raised.value) == ("bits_in must be an integer in [1, 16], got "
                                      + self.shown(10**5000, int_str_limit))
+
+
+class _Width(IntEnum):
+    EIGHT = 8
+    SEVENTEEN = 17
+
+
+class _Int(int):
+    pass
+
+
+class TestRequireInt:
+    """``_require_int`` itself, whose first test passes a plain in-range int
+    without the isinstance checks: every other value takes the full check,
+    with the message it always had."""
+
+    @pytest.mark.parametrize("value", [8, _Width.EIGHT, _Int(8), 1, 16],
+                             ids=["int", "IntEnum", "int-subclass", "low", "high"])
+    def test_an_int_in_range_passes(self, value):
+        assert _require_int(value, 1, "", "bits", ValueError, 16) is None
+
+    def test_an_int_past_the_digit_limit_passes_without_a_bound(self):
+        assert _require_int(10**5000, 1, "", "n") is None
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_bool_raises(self, value):
+        with pytest.raises(NetworkSemanticError, match=re.escape(
+                f"bits must be an integer in [0, 16], got {value!r}") + "$"):
+            _require_int(value, 0, "", "bits", high=16)
+
+    @pytest.mark.parametrize("value, low, high", [
+        (17, 1, 16), (0, 1, 16), (0, 1, None), (-1, 0, None),
+        (_Width.SEVENTEEN, 1, 16), (_Int(0), 1, None),
+    ], ids=["past-high", "below-low", "below-low-unbounded", "negative", "IntEnum-past-high",
+            "int-subclass-below-low"])
+    def test_an_int_out_of_range_raises_the_same_message(self, value, low, high):
+        with pytest.raises(ValueError, match=re.escape(
+                f"layer 'c': bits must be an integer {_range(low, high)}, got {value!r}") + "$"):
+            _require_int(value, low, "layer 'c': ", "bits", ValueError, high)
+
+    @pytest.mark.parametrize("value", [10**5000, -10**5000], ids=["positive", "negative"])
+    def test_an_int_past_the_digit_limit_is_shown_by_its_size(self, int_str_limit, value):
+        with pytest.raises(NetworkSemanticError) as raised:
+            _require_int(value, 1, "", "n", high=16)
+        assert str(raised.value) == ("n must be an integer in [1, 16], got "
+                                     + TestValuesTooLongToPrint.shown(value, int_str_limit))
 
 
 REQUIRED = {"conv": {"out_channels": 1, "kernel": (3, 3)}, "fc": {"out_channels": 1},
