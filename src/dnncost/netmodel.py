@@ -112,8 +112,6 @@ def _shown(value) -> str:
 
 def _require_int(value, low, where, what, error=NetworkSemanticError, high=None):
     """Raise ``error`` unless ``value`` is an int, not a bool, in [low, high]."""
-    if type(value) is int and low <= value and (high is None or value <= high):
-        return
     if (not isinstance(value, int) or isinstance(value, bool) or value < low
             or high is not None and value > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"

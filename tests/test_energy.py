@@ -137,6 +137,12 @@ class TestModifiers:
             with pytest.raises(ValueError, match=re.escape(shown) + "$"):
                 energy(TINY, DataflowKind.WS, arch, mods)
 
+    def test_an_int_subclass_width_prices_as_its_int(self, arch):
+        # it fails layer_energy's quick test and passes _resolve_bits
+        wide = type("Wide", (int,), {})
+        assert (energy(TINY, DataflowKind.WS, arch, Modifiers(bits_in=wide(8), bits_w=wide(12)))
+                == energy(TINY, DataflowKind.WS, arch, Modifiers(bits_in=8, bits_w=12)))
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="density_in"):
             Modifiers(density_in=0.0)

@@ -18,7 +18,7 @@ from dnncost.cli import main
 from dnncost.energy import layer_energy
 from dnncost.netmodel import (COUNT_BUDGET, LAYER_KINDS, NetworkError,
                               NetworkSemanticError, NetworkSyntaxError, ResolvedLayer,
-                              ShapeError, _require_int, shape_key)
+                              ShapeError, shape_key)
 from dnncost.stats import MAX_COUNT_SIZE
 from oracles import make_conv
 
@@ -500,16 +500,26 @@ def _range(low, high):
     return f">= {low}" if high is None else f"in [{low}, {high}]"
 
 
+class _Int(int):
+    pass
+
+
+def _int_enum(value):
+    return IntEnum("Width", {"V": value}).V
+
+
 class TestOneIntegerCheck:
     """Each integer of ArchConfig, Modifiers, mult_count, next_pow2, the
     convolution stride and quantize_uniform is a Python int >= 1, and at most
     its bound where it has one: a float, a bool, a string, a numpy integer or
     a value past the bound raises the site's error, which names it and its
-    range, rather than giving a fractional or wrapped count."""
+    range, rather than giving a fractional or wrapped count. An int subclass,
+    such as an IntEnum member, is judged by its value."""
 
     @pytest.mark.parametrize("name, error, call, high", INTEGER_SITES)
-    @pytest.mark.parametrize("value", [0, -1, 2.5, True, "8", np.int64(8)],
-                             ids=["0", "-1", "2.5", "True", "str", "int64"])
+    @pytest.mark.parametrize(
+        "value", [0, -1, 2.5, True, "8", np.int64(8), _Int(0), _int_enum(0)],
+        ids=["0", "-1", "2.5", "True", "str", "int64", "int-subclass", "IntEnum"])
     def test_each_site_rejects_what_is_not_a_positive_int(self, name, error, call, high, value):
         with pytest.raises(error, match=re.escape(
                 f"{name} must be an integer {_range(1, high)}, got {value!r}") + "$"):
@@ -517,14 +527,17 @@ class TestOneIntegerCheck:
 
     @pytest.mark.parametrize("name, error, call, high",
                              [site for site in INTEGER_SITES if site.values[3] is not None])
-    def test_each_bound_is_inclusive(self, name, error, call, high):
+    @pytest.mark.parametrize("as_int", [int, _Int, _int_enum],
+                             ids=["int", "int-subclass", "IntEnum"])
+    def test_each_bound_is_inclusive(self, name, error, call, high, as_int):
         try:
-            call(high)
+            call(as_int(high))
         except ValueError as exc:  # a rule besides the range, such as winograd's 3x3
             assert "must be an integer" not in str(exc)
+        past = as_int(high + 1)
         with pytest.raises(error, match=re.escape(
-                f"{name} must be an integer in [1, {high}], got {high + 1}") + "$"):
-            call(high + 1)
+                f"{name} must be an integer in [1, {high}], got {past!r}") + "$"):
+            call(past)
 
     def test_pad_is_an_int_from_zero(self):
         x, w = np.ones((1, 4, 4)), np.ones((1, 1, 2, 2))
@@ -591,52 +604,6 @@ class TestValuesTooLongToPrint:
             layer_energy(counts, arch, dc.Modifiers(bits_in=10**5000))
         assert str(raised.value) == ("bits_in must be an integer in [1, 16], got "
                                      + self.shown(10**5000, int_str_limit))
-
-
-class _Width(IntEnum):
-    EIGHT = 8
-    SEVENTEEN = 17
-
-
-class _Int(int):
-    pass
-
-
-class TestRequireInt:
-    """``_require_int`` itself, whose first test passes a plain in-range int
-    without the isinstance checks: every other value takes the full check,
-    with the message it always had."""
-
-    @pytest.mark.parametrize("value", [8, _Width.EIGHT, _Int(8), 1, 16],
-                             ids=["int", "IntEnum", "int-subclass", "low", "high"])
-    def test_an_int_in_range_passes(self, value):
-        assert _require_int(value, 1, "", "bits", ValueError, 16) is None
-
-    def test_an_int_past_the_digit_limit_passes_without_a_bound(self):
-        assert _require_int(10**5000, 1, "", "n") is None
-
-    @pytest.mark.parametrize("value", [True, False])
-    def test_a_bool_raises(self, value):
-        with pytest.raises(NetworkSemanticError, match=re.escape(
-                f"bits must be an integer in [0, 16], got {value!r}") + "$"):
-            _require_int(value, 0, "", "bits", high=16)
-
-    @pytest.mark.parametrize("value, low, high", [
-        (17, 1, 16), (0, 1, 16), (0, 1, None), (-1, 0, None),
-        (_Width.SEVENTEEN, 1, 16), (_Int(0), 1, None),
-    ], ids=["past-high", "below-low", "below-low-unbounded", "negative", "IntEnum-past-high",
-            "int-subclass-below-low"])
-    def test_an_int_out_of_range_raises_the_same_message(self, value, low, high):
-        with pytest.raises(ValueError, match=re.escape(
-                f"layer 'c': bits must be an integer {_range(low, high)}, got {value!r}") + "$"):
-            _require_int(value, low, "layer 'c': ", "bits", ValueError, high)
-
-    @pytest.mark.parametrize("value", [10**5000, -10**5000], ids=["positive", "negative"])
-    def test_an_int_past_the_digit_limit_is_shown_by_its_size(self, int_str_limit, value):
-        with pytest.raises(NetworkSemanticError) as raised:
-            _require_int(value, 1, "", "n", high=16)
-        assert str(raised.value) == ("n must be an integer in [1, 16], got "
-                                     + TestValuesTooLongToPrint.shown(value, int_str_limit))
 
 
 REQUIRED = {"conv": {"out_channels": 1, "kernel": (3, 3)}, "fc": {"out_channels": 1},
