@@ -90,11 +90,12 @@ def _options(*options):
 
 
 def _report_command(fn):
-    """A report command: --builtin, --net and --batch are declared ahead of ``fn``'s
-    own options, --format and --out after them. The network is loaded, resolved and
-    passed to ``fn`` first, and the ``_Report`` it returns is rendered."""
+    """A report command: --builtin and --net are declared ahead of ``fn``'s own
+    options, --format and --out after them. The network is loaded, resolved at the
+    --batch ``fn`` declares, or at 1 without one, and passed to ``fn`` first, and
+    the ``_Report`` it returns is rendered."""
     @functools.wraps(fn)
-    def run(builtin_name, net_path, batch, fmt, out_path, **kwargs):
+    def run(builtin_name, net_path, fmt, out_path, batch=1, **kwargs):
         if (builtin_name is None) == (net_path is None):
             raise _UsageError("give exactly one of --builtin or --net")
         spec = (builtin(builtin_name) if net_path is None
@@ -106,12 +107,14 @@ def _report_command(fn):
         _Option("--builtin", "builtin_name",
                 help=f"Bundled network: one of {', '.join(BUILTIN_NAMES)}."),
         _Option("--net", "net_path", help="Path to a network description file."),
-        _Option("--batch", "batch", int, 1, "Batch size used when resolving shapes."),
         *getattr(fn, "options", ()),
         _Option("--format", "fmt", FORMATS, "table"),
         _Option("--out", "out_path", help="Write the report to this file instead of stdout."))
     return run
 
+
+# declared first by the report commands whose numbers move with it: not prune
+_BATCH = _Option("--batch", "batch", int, 1, "Batch size used when resolving shapes.")
 
 # the flags of the hardware a report prices on, which ``_hardware`` loads
 _HARDWARE = (
@@ -316,6 +319,7 @@ class _Group:
 
 
 @_report_command
+@_options(_BATCH)
 def stats_cmd(net):
     """Storage and compute counts for every weighted layer."""
     from .stats import network_stats
@@ -334,7 +338,7 @@ def stats_cmd(net):
 
 
 @_report_command
-@_options(*_HARDWARE,
+@_options(_BATCH, *_HARDWARE,
           _Option("--dataflow", "dataflow", DATAFLOW_NAMES, "rs", "Mapping policy to price."))
 def analyze_cmd(net, arch_path, bits, density_in, density_w, dataflow):
     """Per-layer data-movement and compute energy under one dataflow."""
@@ -342,7 +346,7 @@ def analyze_cmd(net, arch_path, bits, density_in, density_w, dataflow):
     from .archmodel import LEVELS
     from .dataflow import DATA_TYPES
     from .energy import network_energy
-    reports, agg = network_energy(net, DataflowKind(dataflow), arch, mods)
+    reports, agg = network_energy(net, dataflow, arch, mods)
     everything = reports + [agg]
 
     def priced(rep):
@@ -365,7 +369,7 @@ def analyze_cmd(net, arch_path, bits, density_in, density_w, dataflow):
 
 
 @_report_command
-@_options(*_HARDWARE)
+@_options(_BATCH, *_HARDWARE)
 def compare_cmd(net, arch_path, bits, density_in, density_w):
     """Rank all dataflows by total energy on one network."""
     arch, mods = _hardware(arch_path, bits, density_in, density_w)

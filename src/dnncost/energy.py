@@ -133,7 +133,7 @@ def network_energy(net: ResolvedNetwork, kind: DataflowKind, arch: ArchConfig,
     Raises ValueError when the aggregate total overflows to inf, which a
     finite but huge cost in the hardware description can cause.
     """
-    kind = DataflowKind(kind)
+    kind = _as_kind(kind)
     reports: list[EnergyReport] = []
     for layer, first in net.weighted:
         if first == len(reports):  # the first layer of its shape

@@ -19,12 +19,16 @@ held to them with ``==``.
 convolution as ``kernels.conv_fft`` computed it while it still transformed
 the whole filter bank, kept so the reordered kernel has a witness that
 differs from it only in the order of the sums.
+
+``SCALARS`` and ``mostly`` are the Hypothesis draws that the description
+tests share, kept here so that every file draws its wrong values alike.
 """
 
 import cmath
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dnncost.archmodel import LEVELS
 from dnncost.dataflow import (DATA_TYPES, AccessCounts, DataflowKind, ReuseFactors,
@@ -33,6 +37,16 @@ from dnncost.energy import ComparisonReport, DataflowComparison, EnergyReport
 from dnncost.netmodel import WEIGHTED_KINDS, LayerStats, ResolvedLayer
 from dnncost.optkit import MAX_RUN, MAX_VALUE, PAIR_BITS, VALUE_BITS, CodecError
 from dnncost.stats import next_pow2
+
+# any JSON scalar: Python None, bool, int (unbounded), float (NaN and inf
+# included) and str
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
+
+
+def mostly(values, otherwise=SCALARS):
+    """``values`` fifteen times in sixteen, ``otherwise`` the rest."""
+    return st.sampled_from(range(16)).flatmap(lambda i: otherwise if i == 15 else values)
+
 
 # Which data types live in the per-PE register file under each policy.
 # This restates the taxonomy definition, not the engine's factor table.

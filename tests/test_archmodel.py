@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import dnncost as dc
 from dnncost.archmodel import LEVELS, ArchError
 from dnncost.cli import main
+from oracles import mostly
 
 
 class TestDefaults:
@@ -108,16 +109,6 @@ class TestParse:
                                            "--arch", str(path)])
         assert result.exit_code == 1
         assert result.stderr.startswith("error: energy cost for dram")
-
-
-# any JSON scalar: Python None, bool, int (unbounded), float (NaN and inf
-# included) and str
-SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
-
-
-def mostly(values):
-    """``values`` fifteen times in sixteen, any scalar the rest."""
-    return st.sampled_from(range(16)).flatmap(lambda i: SCALARS if i == 15 else values)
 
 
 COSTS = st.integers(1, 400) | st.floats(0.5, 400.0)

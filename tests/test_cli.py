@@ -499,6 +499,22 @@ class TestPrune:
         assert runner.invoke(main, args).stdout \
             == runner.invoke(main, args).stdout
 
+    @pytest.mark.parametrize("name", dc.BUILTIN_NAMES)
+    def test_energy_order_drain_does_not_move_with_the_batch(self, name):
+        """Why prune takes no --batch: under RS a layer's energy per weight is
+        the batch times a term of its own plus the DRAM cost of one weight,
+        which is the same for every layer, so the drain order and what each
+        layer loses do not change with the batch. The weight counts do not
+        either, so neither order has a use for one."""
+        def drained(batch):
+            net = dc.resolve_shapes(dc.builtin(name), batch=batch)
+            sizes = weight_sizes(net)
+            reports, _ = dc.network_energy(net, dc.DataflowKind.RS, dc.default_arch())
+            ranking = {rep.layer: rep.total / sizes[rep.layer] for rep in reports}
+            return list(_drain(sizes, _budget(0.5, sum(sizes.values())), ranking).items())
+
+        assert drained(1) == drained(4)
+
     def test_every_builtin_fits_the_weight_cap(self):
         for name in dc.BUILTIN_NAMES:
             net = dc.resolve_shapes(dc.builtin(name))
@@ -650,11 +666,13 @@ class TestPruneCounts:
 
 class TestCountBudget:
     """Every report command rejects a network past netmodel.COUNT_BUDGET with
-    one message, whether the file or --batch makes its counts too large."""
+    one message, whether the file or, where the command takes one, --batch
+    makes its counts too large."""
 
-    @pytest.mark.parametrize("command", ["stats", "analyze", "compare", "prune"])
-    @pytest.mark.parametrize("source", ["file", "batch"])
-    def test_over_budget_is_a_data_error(self, runner, tmp_path, command, source):
+    @pytest.mark.parametrize("source, command", [
+        *(("file", command) for command in ("stats", "analyze", "compare", "prune")),
+        *(("batch", command) for command in ("stats", "analyze", "compare"))])
+    def test_over_budget_is_a_data_error(self, runner, tmp_path, source, command):
         if source == "file":
             # its counts also pass Python's 4,300-digit int-to-str limit
             path = tmp_path / "wide.json"
@@ -877,6 +895,9 @@ class TestExitCodes:
          _usage_error("dnncost stats", "No such option '--bogus'. Did you mean '--out'?")),
         (["stats", "--foo"], _usage_error(
             "dnncost stats", "No such option '--foo'. (Did you mean one of: '--format', '--out'?)")),
+        # prune's numbers do not move with the batch, so it takes none
+        (["prune", "--builtin", "lenet5", "--batch", "2"], _usage_error(
+            "dnncost prune", "No such option '--batch'. Did you mean '--arch'?")),
         (["stats", "--batch", "x"], _usage_error(
             "dnncost stats", "Invalid value for '--batch': 'x' is not a valid integer.")),
         (["stats", "--batch"], _usage_error(
@@ -900,7 +921,7 @@ class TestExitCodes:
             "dnncost kernels count", "--method direct needs --filter-size")),
     ], ids=["no-command", "kernels-no-command", "unknown-command", "kernels-unknown-command",
             "close-command", "close-commands", "kernels-close-command",
-            "unknown-option", "unknown-option-two-matches", "int", "missing-value", "float",
+            "unknown-option", "unknown-option-two-matches", "prune-batch", "int", "missing-value", "float",
             "format-choice", "dataflow-choice", "missing-method", "extra-argument",
             "strassen-without-matrix-size", "direct-without-filter-size"])
     def test_usage_error_text(self, runner, args, expected):

@@ -230,6 +230,13 @@ class TestNetworkEnergy:
                     sum(r.movement[dtype][level] for r in reports))
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_kind_given_as_a_string(self, arch, resolved_builtins, kind):
+        net = resolved_builtins["lenet5"]
+        assert dc.network_energy(net, kind.value, arch) == dc.network_energy(net, kind, arch)
+        with pytest.raises(ValueError, match="^'xs' is not a valid DataflowKind$"):
+            dc.network_energy(net, "xs", arch)
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_no_weighted_layers_aggregate_to_float_zeros(self, arch, kind):
         net = dc.resolve_shapes(dc.NetworkSpec("pools", 2, 6, 6, (
             dc.LayerSpec("pool", "p", kernel=(2, 2), stride=2), dc.LayerSpec("act", "a"))))

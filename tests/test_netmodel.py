@@ -20,7 +20,7 @@ from dnncost.netmodel import (COUNT_BUDGET, LAYER_KINDS, NetworkError,
                               NetworkSemanticError, NetworkSyntaxError, ResolvedLayer,
                               ShapeError, shape_key)
 from dnncost.stats import MAX_COUNT_SIZE
-from oracles import make_conv
+from oracles import SCALARS, make_conv, mostly
 
 
 def doc(layers, channels=1, height=8, width=8, name="net"):
@@ -656,17 +656,9 @@ class TestCodeAndJsonAgree:
             assert dc.parse_network(dc.serialize_network(parsed)) == parsed
 
 
-# any JSON scalar: Python None, bool, int (unbounded), float (NaN and inf
-# included) and str
-SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
 # a scalar, or a tuple of up to three scalars and small integers
 OTHERS = SCALARS | st.lists(SCALARS | st.integers(1, 3), max_size=3).map(tuple)
 NAMES = ("a", "b", "c")
-
-
-def mostly(values, otherwise=SCALARS):
-    """``values`` fifteen times in sixteen, ``otherwise`` the rest."""
-    return st.sampled_from(range(16)).flatmap(lambda i: otherwise if i == 15 else values)
 
 
 # per LayerSpec field, values that are mostly in range
